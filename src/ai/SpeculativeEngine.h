@@ -69,7 +69,6 @@
 #include "ai/Vcfg.h"
 #include "ai/WorklistEngine.h"
 #include "cfg/LoopInfo.h"
-#include "support/Parallel.h"
 #include "support/StateInterner.h"
 
 #include <algorithm>
@@ -332,13 +331,9 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   /// Out-state of \p Node given input \p In. Identity transfers alias the
   /// input (copy-on-write), pure transfers go through the memo, and
   /// stateful transfers always recompute (they consume a fresh symbolic
-  /// instance; replaying one would change the analysis). \p Precomputed,
-  /// when set, carries this pure transfer's output computed ahead of time
-  /// (the batched drains below); the memo replay — probe order, hit/miss
-  /// counters, FIFO eviction — is byte-identical either way, the hint only
-  /// replaces the recompute on a miss.
-  auto ApplyTransfer = [&](NodeId Node, const State &In, bool Speculative,
-                           const State *Precomputed = nullptr) -> State {
+  /// instance; replaying one would change the analysis).
+  auto ApplyTransfer = [&](NodeId Node, const State &In,
+                           bool Speculative) -> State {
     if constexpr (HasMemoHooks) {
       if (D.isTransferIdentity(Node, Speculative))
         return In;
@@ -351,13 +346,11 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
             ++MemoHits;
             return E.Out;
           }
-        State Out = Precomputed ? *Precomputed : In;
-        if (!Precomputed) {
-          if (Speculative)
-            D.transferSpeculative(Out, Node);
-          else
-            D.transfer(Out, Node);
-        }
+        State Out = In;
+        if (Speculative)
+          D.transferSpeculative(Out, Node);
+        else
+          D.transfer(Out, Node);
         ++MemoMisses;
         if (Table.size() >= MemoPerNode)
           Table.erase(Table.begin());
@@ -529,60 +522,6 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     }
   };
 
-  // Batched pure drains (--intra-jobs): before a pop's serial slot
-  // replay, fan the transfer computes the replay will memo-miss out on
-  // the pool. Phase A probes the memo read-only to predict the misses;
-  // phase B (the unchanged serial loops below) replays joins, seeds, and
-  // memo updates in slot order, so results, counters, and digests are
-  // bit-identical at any job count. A replay-time divergence from the
-  // prediction (an intra-batch insert evicting a predicted hit, or a
-  // duplicate input among the predicted misses) recomputes inline or
-  // wastes one precompute — exactness never depends on the prediction.
-  auto PrecomputePure = [&](NodeId Node, bool Speculative,
-                            const auto &Slots, auto IsLive,
-                            std::vector<State> &PreOut,
-                            std::vector<char> &PreHave) {
-    if constexpr (HasMemoHooks) {
-      IntraPool *Pool = IntraPool::activePool();
-      if (!Pool || Slots.size() < 2 ||
-          !D.isTransferPure(Node, Speculative) ||
-          D.isTransferIdentity(Node, Speculative))
-        return;
-      const std::vector<MemoEntry> &Table =
-          Speculative ? SpecMemo[Node] : CommitMemo[Node];
-      std::vector<size_t> Miss;
-      for (size_t I = 0; I != Slots.size(); ++I) {
-        if (!IsLive(Slots[I]))
-          continue;
-        const State &In = Slots[I].second.St;
-        uint64_t H = D.stateHash(In);
-        bool Hit = false;
-        for (const MemoEntry &E : Table)
-          if (E.Hash == H && E.In == In) {
-            Hit = true;
-            break;
-          }
-        if (!Hit)
-          Miss.push_back(I);
-      }
-      if (Miss.size() < 2)
-        return; // Nothing to overlap.
-      PreOut.assign(Slots.size(), D.bottom());
-      PreHave.assign(Slots.size(), 0);
-      Pool->run(Miss.size(), [&](size_t K) {
-        size_t I = Miss[K];
-        State O = Slots[I].second.St;
-        if (Speculative)
-          D.transferSpeculative(O, Node);
-        else
-          D.transfer(O, Node);
-        PreOut[I] = std::move(O);
-      });
-      for (size_t I : Miss)
-        PreHave[I] = 1;
-    }
-  };
-
   auto DrainWorklist = [&]() {
     while (!Worklist.empty()) {
       if (++R.Iterations > Options.MaxIterations) {
@@ -617,26 +556,12 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
         auto Slots = SS[Node].snapshot();
         for (auto &Entry : SS[Node])
           Entry.second.Dirty = false;
-        std::vector<State> PreOut;
-        std::vector<char> PreHave;
-        PrecomputePure(
-            Node, /*Speculative=*/true, Slots,
-            [&](const auto &E) {
-              return !D.isBottom(E.second.St) && E.second.Depth != 0 &&
-                     (E.second.Dirty || !SkippableSpec[Node]);
-            },
-            PreOut, PreHave);
-        size_t SlotIdx = 0;
         for (const auto &[Color, Slot] : Slots) {
-          size_t I = SlotIdx++;
           if (D.isBottom(Slot.St) || Slot.Depth == 0)
             continue;
           if (!Slot.Dirty && SkippableSpec[Node])
             continue; // Clean pure flow: every join below would no-op.
-          State Out =
-              ApplyTransfer(Node, Slot.St, /*Speculative=*/true,
-                            !PreHave.empty() && PreHave[I] ? &PreOut[I]
-                                                          : nullptr);
+          State Out = ApplyTransfer(Node, Slot.St, /*Speculative=*/true);
           // The rollback may happen right after this instruction: vn_stop.
           Rollback(Color, Node, Out);
           // A fence drains the speculative flow: the front end cannot
@@ -666,26 +591,12 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
         auto Slots = PR[Node].snapshot();
         for (auto &Entry : PR[Node])
           Entry.second.Dirty = false;
-        std::vector<State> PreOut;
-        std::vector<char> PreHave;
-        PrecomputePure(
-            Node, /*Speculative=*/false, Slots,
-            [&](const auto &E) {
-              return !D.isBottom(E.second.St) &&
-                     (E.second.Dirty || !SkippableCommitted[Node]);
-            },
-            PreOut, PreHave);
-        size_t SlotIdx = 0;
         for (const auto &[Key, Slot] : Slots) {
-          size_t I = SlotIdx++;
           if (D.isBottom(Slot.St))
             continue;
           if (!Slot.Dirty && SkippableCommitted[Node])
             continue; // Clean pure flow at a non-seed node.
-          State Out =
-              ApplyTransfer(Node, Slot.St, /*Speculative=*/false,
-                            !PreHave.empty() && PreHave[I] ? &PreOut[I]
-                                                          : nullptr);
+          State Out = ApplyTransfer(Node, Slot.St, /*Speculative=*/false);
           NodeId Ipdom = IpdomOf(Key.Color);
           for (NodeId Succ : G.successors(Node)) {
             if (Options.SkipBackedges && IsBackEdge(Node, Succ))
@@ -745,20 +656,11 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   } while (R.Converged && ReseedStaleSites());
 
   // Fold the sparse slot maps into per-node joins for classification.
-  // Nodes are independent (each writes only its own R entries, slot joins
-  // run in map order), so the fold fans out per node when a pool is
-  // installed — same values at any job count.
-  auto FoldNode = [&](size_t Node) {
+  for (NodeId Node = 0; Node != N; ++Node) {
     for (const auto &[Color, Slot] : SS[Node])
       D.joinInto(R.Speculative[Node], Slot.St);
     for (const auto &[Key, Slot] : PR[Node])
       D.joinInto(R.PostRollback[Node], Slot.St);
-  };
-  if (IntraPool *Pool = IntraPool::activePool(); Pool && N > 1) {
-    Pool->run(N, FoldNode);
-  } else {
-    for (NodeId Node = 0; Node != N; ++Node)
-      FoldNode(Node);
   }
 
   Worklist.report(Options.Stats, "spec.worklist");

@@ -11,7 +11,6 @@
 #include "lang/Lexer.h"
 #include "lang/Parser.h"
 #include "lang/Sema.h"
-#include "support/Parallel.h"
 
 using namespace specai;
 
@@ -360,17 +359,6 @@ MustHitReport specai::runMustHitAnalysis(const CompiledProgram &CP,
   // States that escape in the returned report are plain heap objects and
   // stay valid after the scope unwinds.
   CacheStateArenaScope Arena;
-
-  // Optional intra-analysis worker pool (`--intra-jobs`). Workers get
-  // their own arena so payloads they retire recycle thread-locally.
-  std::unique_ptr<IntraPool> Pool;
-  std::optional<IntraPool::Scope> PoolScope;
-  unsigned Jobs = IntraPool::resolveJobs(Options.IntraJobs);
-  if (Jobs > 1 && !IntraPool::activePool()) {
-    Pool = std::make_unique<IntraPool>(
-        Jobs, [] { return std::make_shared<CacheStateArenaScope>(); });
-    PoolScope.emplace(Pool.get());
-  }
 
   CacheDomainOptions DomOpts;
   DomOpts.UseShadow = Options.UseShadow;

@@ -180,13 +180,6 @@ struct MustHitOptions {
   /// budget aborts the run with MustHitReport::BudgetExceeded; the report's
   /// classification vectors may then be empty and must not be consumed.
   ExecBudget *Budget = nullptr;
-  /// Intra-analysis parallelism (`--intra-jobs`): worker threads for
-  /// per-set partition joins and the engines' independent batch work.
-  /// 0 = hardware concurrency, 1 = serial. Results are bit-identical at
-  /// any value (pinned by the jobs-invariance tests), so this is a
-  /// performance knob only — deliberately EXCLUDED from verdict-cache
-  /// keys (service/VerdictCache semanticsKey).
-  unsigned IntraJobs = 1;
 };
 
 /// Classification outcome of the static cache analysis.

@@ -174,9 +174,6 @@ private:
   uint64_t Misses = 0;
 };
 
-/// Historical name from when LRU was the only modeled policy.
-using LruCache = CacheSim;
-
 } // namespace specai
 
 #endif // SPECAI_CACHE_CACHESIM_H

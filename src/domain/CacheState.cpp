@@ -7,14 +7,13 @@
 //
 // Packed-representation implementation. Transfer semantics are documented
 // in CacheState.h and preserved entry-for-entry from the reference
-// implementation (RefCacheState.cpp); the differential harness
-// (tests/packed_state_test.cpp) holds the two in lock-step.
+// implementation (tests/reference/RefCacheState.cpp); the differential
+// harness (tests/packed_state_test.cpp) holds the two in lock-step.
 //
 //===----------------------------------------------------------------------===//
 
 #include "domain/CacheState.h"
 
-#include "support/Parallel.h"
 
 #include <algorithm>
 #include <cassert>
@@ -1027,44 +1026,6 @@ bool joinWouldChange(const std::vector<CacheSetPartition> &Into,
   return false;
 }
 
-/// One output partition of a join: indices into Into/Src (npos = absent).
-struct JoinPlanItem {
-  uint32_t Set;
-  size_t I, J;
-};
-
-/// Fills \p Part with the join of Into[Item.I] and Src[Item.J]; partitions
-/// are independent, so this is the unit of intra-join parallelism.
-void fillJoinedPartition(CacheSetPartition &Part, const JoinPlanItem &Item,
-                         const std::vector<CacheSetPartition> &Into,
-                         const std::vector<CacheSetPartition> &Src,
-                         bool UseShadow) {
-  Part.Set = Item.Set;
-  if (Item.J == PackedAges::npos) {
-    // Our set only: MUST intersection is empty, MAY keeps our entries
-    // (untouched when shadows are off, matching the flat representation).
-    Part.Must.clear();
-    Part.May = Into[Item.I].May;
-  } else if (Item.I == PackedAges::npos) {
-    // Their set only: nothing joins MUST; MAY union adopts theirs.
-    Part.Must.clear();
-    if (UseShadow)
-      Part.May = Src[Item.J].May;
-    else
-      Part.May.clear();
-  } else {
-    Part.Must.assignMustMerge(Into[Item.I].Must, Src[Item.J].Must);
-    if (UseShadow)
-      Part.May.assignMayMerge(Into[Item.I].May, Src[Item.J].May);
-    else
-      Part.May = Into[Item.I].May;
-  }
-}
-
-/// Below this many output partitions a parallel join costs more than it
-/// saves; measured on the 512-set fuzz geometries (docs/PERFORMANCE.md).
-constexpr size_t ParallelJoinThreshold = 64;
-
 } // namespace
 
 bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
@@ -1158,66 +1119,43 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
   std::vector<CacheSetPartition> &Out = NewP->Parts;
   size_t OutN = 0;
 
-  IntraPool *Pool = IntraPool::activePool();
-  if (Pool && Into.size() + Src.size() >= ParallelJoinThreshold) {
-    // Plan the merged set walk, fan the independent per-set merges across
-    // the pool, then compact empties serially. Identical output order at
-    // any job count.
-    std::vector<JoinPlanItem> Plan;
-    Plan.reserve(Into.size() + Src.size());
-    size_t I = 0, J = 0;
-    while (I != Into.size() || J != Src.size()) {
-      if (J == Src.size() ||
-          (I != Into.size() && Into[I].Set < Src[J].Set)) {
-        Plan.push_back({Into[I].Set, I, PackedAges::npos});
-        ++I;
-      } else if (I == Into.size() || Into[I].Set > Src[J].Set) {
-        Plan.push_back({Src[J].Set, PackedAges::npos, J});
-        ++J;
-      } else {
-        Plan.push_back({Into[I].Set, I, J});
-        ++I;
-        ++J;
-      }
+  if (Out.capacity() < std::max(Into.size(), Src.size()))
+    Out.reserve(std::max(Into.size(), Src.size()));
+  size_t I = 0, J = 0;
+  while (I != Into.size() || J != Src.size()) {
+    // Recycled payloads carry leftover partitions; reuse them as output
+    // slots so a warm join allocates nothing.
+    if (OutN == Out.size())
+      Out.emplace_back();
+    CacheSetPartition &Part = Out[OutN];
+    if (J == Src.size() || (I != Into.size() && Into[I].Set < Src[J].Set)) {
+      // Our set only: MUST intersection is empty, MAY keeps our entries
+      // (untouched when shadows are off, matching the flat representation).
+      Part.Set = Into[I].Set;
+      Part.Must.clear();
+      Part.May = Into[I].May;
+      ++I;
+    } else if (I == Into.size() || Into[I].Set > Src[J].Set) {
+      // Their set only: nothing joins MUST; MAY union adopts theirs.
+      Part.Set = Src[J].Set;
+      Part.Must.clear();
+      if (UseShadow)
+        Part.May = Src[J].May;
+      else
+        Part.May.clear();
+      ++J;
+    } else {
+      Part.Set = Into[I].Set;
+      Part.Must.assignMustMerge(Into[I].Must, Src[J].Must);
+      if (UseShadow)
+        Part.May.assignMayMerge(Into[I].May, Src[J].May);
+      else
+        Part.May = Into[I].May;
+      ++I;
+      ++J;
     }
-    Out.resize(Plan.size());
-    Pool->run(Plan.size(), [&](size_t K) {
-      fillJoinedPartition(Out[K], Plan[K], Into, Src, UseShadow);
-    });
-    for (size_t K = 0; K != Out.size(); ++K) {
-      if (Out[K].Must.empty() && Out[K].May.empty())
-        continue;
-      if (OutN != K)
-        Out[OutN] = std::move(Out[K]);
+    if (!Part.Must.empty() || !Part.May.empty())
       ++OutN;
-    }
-  } else {
-    if (Out.capacity() < std::max(Into.size(), Src.size()))
-      Out.reserve(std::max(Into.size(), Src.size()));
-    size_t I = 0, J = 0;
-    while (I != Into.size() || J != Src.size()) {
-      JoinPlanItem Item;
-      if (J == Src.size() ||
-          (I != Into.size() && Into[I].Set < Src[J].Set)) {
-        Item = {Into[I].Set, I, PackedAges::npos};
-        ++I;
-      } else if (I == Into.size() || Into[I].Set > Src[J].Set) {
-        Item = {Src[J].Set, PackedAges::npos, J};
-        ++J;
-      } else {
-        Item = {Into[I].Set, I, J};
-        ++I;
-        ++J;
-      }
-      // Recycled payloads carry leftover partitions; reuse them as output
-      // slots so a warm join allocates nothing.
-      if (OutN == Out.size())
-        Out.emplace_back();
-      CacheSetPartition &Part = Out[OutN];
-      fillJoinedPartition(Part, Item, Into, Src, UseShadow);
-      if (!Part.Must.empty() || !Part.May.empty())
-        ++OutN;
-    }
   }
   Out.resize(OutN);
 

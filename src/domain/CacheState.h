@@ -85,7 +85,8 @@
 /// `mustEntries()/mayEntries()` materialize the canonical block-sorted
 /// entry order of the pre-packing representations, so every golden digest
 /// pinned by the fuzz corpus is bit-identical across representations; the
-/// retained reference implementation (RefCacheState.h) and the
+/// retained reference implementation (tests/reference/RefCacheState.h,
+/// built only into the tests) and the
 /// representation-differential harness (tests/packed_state_test.cpp) keep
 /// the two in lock-step.
 ///
@@ -282,7 +283,7 @@ struct CacheSetPartition {
 class CacheAbsState {
   /// Copy-on-write payload. RefCount and the lazy hash are atomic so
   /// shared payloads tolerate concurrent readers (docs/PERFORMANCE.md,
-  /// "Intra-analysis parallelism").
+  /// "Thread safety").
   struct Payload {
     std::atomic<uint32_t> RefCount{1};
     std::vector<CacheSetPartition> Parts;
@@ -402,10 +403,7 @@ public:
 
   /// this = this ⊔ \p From. Returns true iff this changed. Shared-storage
   /// and hash-equal states short-circuit to "no change" without touching
-  /// any entry. When an IntraPool is active on this thread
-  /// (support/Parallel.h) and the merge spans enough partitions, the
-  /// per-set merges fan out across the pool — set partitions are
-  /// independent, so the result is bit-identical at any job count.
+  /// any entry.
   bool joinInto(const CacheAbsState &From, bool UseShadow);
 
   /// Partial-order check: true iff this ⊑ RHS (RHS is at least as
@@ -490,8 +488,7 @@ private:
 };
 
 /// Namespace-scope alias for the per-analysis payload arena
-/// (AnalysisPipeline.cpp and the worker threads of support/Parallel.h
-/// activate one).
+/// (AnalysisPipeline.cpp activates one on the analysing thread).
 using CacheStateArenaScope = CacheAbsState::ArenaScope;
 
 } // namespace specai

@@ -154,7 +154,6 @@ std::optional<Violation> specai::checkLoweringDiff(
       OU.DepthMiss = Opts.DepthMiss;
       OU.DepthHit = Opts.DepthHit;
       OU.Bounding = B;
-      OU.IntraJobs = Opts.IntraJobs;
       MustHitOptions OS = OU;
       // The injected fault breaks the summarize side only; the unrolled
       // side stays the healthy reference the diff measures against.

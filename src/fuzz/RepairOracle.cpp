@@ -33,7 +33,6 @@ MustHitOptions repairAnalysisOptions(const SoundnessOracleOptions &Opts) {
   O.DepthMiss = Opts.DepthMiss;
   O.DepthHit = Opts.DepthHit;
   O.Bounding = BoundingMode::Fixed;
-  O.IntraJobs = Opts.IntraJobs;
   return O;
 }
 

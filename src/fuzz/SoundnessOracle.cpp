@@ -227,7 +227,6 @@ SoundnessOracle::SoundnessOracle(
       O.DepthHit = this->Options.DepthHit;
       O.Bounding = B;
       O.Fault = this->Options.Fault;
-      O.IntraJobs = this->Options.IntraJobs;
 
       ReportCtx Ctx;
       Ctx.Strategy = S;
@@ -267,7 +266,6 @@ SoundnessOracle::SoundnessOracle(
     NO.Cache = this->Options.Cache;
     NO.Speculative = false;
     NO.UseShadow = this->Options.UseShadow;
-    NO.IntraJobs = this->Options.IntraJobs;
     NonSpecReport =
         std::make_unique<MustHitReport>(runMustHitAnalysis(CP, NO));
     SideChannelOptions SCO{this->Options.VFault};

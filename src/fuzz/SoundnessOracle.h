@@ -157,10 +157,6 @@ struct SoundnessOracleOptions {
   /// self-test only); applied to the synthesis the oracle validates,
   /// never to its independent re-analysis or concrete replays.
   RepairFault RFault = RepairFault::None;
-  /// Intra-analysis worker threads (`--intra-jobs`), forwarded to every
-  /// analysis this oracle runs. Campaign summaries and digests are
-  /// bit-identical at any value (jobs-invariance tests).
-  unsigned IntraJobs = 1;
 };
 
 /// What went wrong, from most fundamental to most derived.

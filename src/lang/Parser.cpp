@@ -7,9 +7,21 @@
 
 #include "lang/Parser.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace specai;
+
+namespace {
+/// Deepest nesting the parser accepts, counted two ways: open recursion
+/// (statements, bracketed and ternary-arm expressions, prefix operators)
+/// and expression-tree height, which also grows along the left spine the
+/// binary-operator loop builds for `a + b + c ...`. Later phases recurse
+/// on the tree, so this bounds their stack use too (a desugared
+/// `x op= e` sits one level above its operand). Clang's default bracket
+/// depth is the same.
+constexpr uint32_t MaxNestingDepth = 256;
+} // namespace
 
 Parser::Parser(std::vector<Token> Tokens, AstContext &Context,
                DiagnosticEngine &Diags)
@@ -42,10 +54,36 @@ bool Parser::match(TokenKind Kind) {
 bool Parser::expect(TokenKind Kind, const char *Where) {
   if (match(Kind))
     return true;
-  Diags.error(current().Loc, std::string("expected ") + tokenKindName(Kind) +
-                                 " " + Where + ", found " +
-                                 tokenKindName(current().Kind));
+  error(current().Loc, std::string("expected ") + tokenKindName(Kind) + " " +
+                           Where + ", found " + tokenKindName(current().Kind));
   return false;
+}
+
+void Parser::error(SourceLoc Loc, std::string Message) {
+  if (!Abandoned)
+    Diags.error(Loc, std::move(Message));
+}
+
+void Parser::abandonTooDeep(SourceLoc Loc) {
+  error(Loc, "nesting too deep: expressions and statements may nest at "
+             "most " + std::to_string(MaxNestingDepth) + " levels");
+  Abandoned = true;
+  Pos = Tokens.size() - 1; // Eof.
+}
+
+bool Parser::nestedTooDeep() {
+  if (Depth <= MaxNestingDepth)
+    return false;
+  abandonTooDeep(current().Loc);
+  return true;
+}
+
+Expr *Parser::grown(Expr *E, uint32_t ChildHeight) {
+  Height = ChildHeight + 1;
+  if (Height <= MaxNestingDepth)
+    return E;
+  abandonTooDeep(E->Loc);
+  return nullptr;
 }
 
 void Parser::synchronizeToSemi() {
@@ -98,7 +136,7 @@ bool Parser::parseQualifiersAndType(QualType &Type, bool &SawAny) {
     Type.Kind = TypeKind::Void;
   } else {
     if (SawAny)
-      Diags.error(current().Loc, "expected type after qualifier");
+      error(current().Loc, "expected type after qualifier");
     return false;
   }
   SawAny = true;
@@ -111,7 +149,7 @@ Parser::parseVarDeclarators(QualType Type, bool IsGlobal, FuncDecl *Parent) {
   while (true) {
     SourceLoc Loc = current().Loc;
     if (!check(TokenKind::Identifier)) {
-      Diags.error(Loc, "expected variable name in declaration");
+      error(Loc, "expected variable name in declaration");
       synchronizeToSemi();
       return Decls;
     }
@@ -175,11 +213,11 @@ FuncDecl *Parser::parseFunction(QualType ReturnType, std::string Name,
         QualType ParamType;
         bool SawAny = false;
         if (!parseQualifiersAndType(ParamType, SawAny)) {
-          Diags.error(current().Loc, "expected parameter type");
+          error(current().Loc, "expected parameter type");
           break;
         }
         if (!check(TokenKind::Identifier)) {
-          Diags.error(current().Loc, "expected parameter name");
+          error(current().Loc, "expected parameter name");
           break;
         }
         SourceLoc ParamLoc = current().Loc;
@@ -197,7 +235,7 @@ FuncDecl *Parser::parseFunction(QualType ReturnType, std::string Name,
   expect(TokenKind::RParen, "after parameter list");
 
   if (!check(TokenKind::LBrace)) {
-    Diags.error(current().Loc, "expected function body");
+    error(current().Loc, "expected function body");
     CurrentFunction = SavedFunction;
     return Func;
   }
@@ -212,7 +250,7 @@ TranslationUnit Parser::parseTranslationUnit() {
     QualType Type;
     bool SawAny = false;
     if (!parseQualifiersAndType(Type, SawAny)) {
-      Diags.error(current().Loc, "expected declaration at top level");
+      error(current().Loc, "expected declaration at top level");
       advance();
       continue;
     }
@@ -248,6 +286,9 @@ Stmt *Parser::parseBlock() {
 }
 
 Stmt *Parser::parseStmt() {
+  NestingScope Nest(*this);
+  if (nestedTooDeep())
+    return nullptr;
   SourceLoc Loc = current().Loc;
   switch (current().Kind) {
   case TokenKind::LBrace:
@@ -450,7 +491,7 @@ Stmt *Parser::parseExprOrAssign(bool ConsumeSemi) {
   }
   if (const BinaryOpKind *Op = CompoundOp(current().Kind)) {
     if (!IsLValue) {
-      Diags.error(Loc, "left side of compound assignment is not an lvalue");
+      error(Loc, "left side of compound assignment is not an lvalue");
       synchronizeToSemi();
       return nullptr;
     }
@@ -465,7 +506,7 @@ Stmt *Parser::parseExprOrAssign(bool ConsumeSemi) {
   }
   if (check(TokenKind::PlusPlus) || check(TokenKind::MinusMinus)) {
     if (!IsLValue) {
-      Diags.error(Loc, "operand of increment is not an lvalue");
+      error(Loc, "operand of increment is not an lvalue");
       synchronizeToSemi();
       return nullptr;
     }
@@ -488,19 +529,29 @@ Stmt *Parser::parseExprOrAssign(bool ConsumeSemi) {
 // Expressions
 //===----------------------------------------------------------------------===//
 
-Expr *Parser::parseExpr() { return parseTernary(); }
+Expr *Parser::parseExpr() {
+  NestingScope Nest(*this);
+  if (nestedTooDeep())
+    return nullptr;
+  return parseTernary();
+}
 
 Expr *Parser::parseTernary() {
   Expr *Cond = parseBinary(0);
   if (!Cond || !match(TokenKind::Question))
     return Cond;
+  uint32_t CondHeight = Height;
   SourceLoc Loc = Cond->Loc;
   Expr *TrueExpr = parseExpr();
+  uint32_t TrueHeight = Height;
   expect(TokenKind::Colon, "in ternary expression");
-  Expr *FalseExpr = parseTernary();
+  // parseExpr rather than parseTernary: the same production, but a
+  // `c ? a : c ? a : ...` chain must count as nesting.
+  Expr *FalseExpr = parseExpr();
   if (!TrueExpr || !FalseExpr)
     return nullptr;
-  return Context.create<TernaryExpr>(Cond, TrueExpr, FalseExpr, Loc);
+  return grown(Context.create<TernaryExpr>(Cond, TrueExpr, FalseExpr, Loc),
+               std::max({CondHeight, TrueHeight, Height}));
 }
 
 namespace {
@@ -579,37 +630,44 @@ Expr *Parser::parseBinary(int MinPrec) {
     const BinOpInfo *Info = binOpInfo(current().Kind);
     if (!Info || Info->Prec < MinPrec)
       return LHS;
+    uint32_t LHSHeight = Height;
     SourceLoc Loc = current().Loc;
     advance();
     Expr *RHS = parseBinary(Info->Prec + 1);
     if (!RHS)
       return nullptr;
-    LHS = Context.create<BinaryExpr>(Info->Op, LHS, RHS, Loc);
+    // Each iteration deepens the left spine by one level.
+    LHS = grown(Context.create<BinaryExpr>(Info->Op, LHS, RHS, Loc),
+                std::max(LHSHeight, Height));
+    if (!LHS)
+      return nullptr;
   }
 }
 
 Expr *Parser::parseUnary() {
   SourceLoc Loc = current().Loc;
-  if (match(TokenKind::Minus)) {
-    Expr *Operand = parseUnary();
-    if (!Operand)
+  // Prefix operators and casts recurse here without passing parseExpr, so
+  // they count their own nesting.
+  auto ParseOperand = [&]() -> Expr * {
+    NestingScope Nest(*this);
+    if (nestedTooDeep())
       return nullptr;
-    return Context.create<UnaryExpr>(UnaryOpKind::Neg, Operand, Loc);
-  }
-  if (match(TokenKind::Plus))
     return parseUnary();
-  if (match(TokenKind::Tilde)) {
-    Expr *Operand = parseUnary();
+  };
+  auto MakeUnary = [&](UnaryOpKind Op) -> Expr * {
+    Expr *Operand = ParseOperand();
     if (!Operand)
       return nullptr;
-    return Context.create<UnaryExpr>(UnaryOpKind::BitNot, Operand, Loc);
-  }
-  if (match(TokenKind::Bang)) {
-    Expr *Operand = parseUnary();
-    if (!Operand)
-      return nullptr;
-    return Context.create<UnaryExpr>(UnaryOpKind::LogNot, Operand, Loc);
-  }
+    return grown(Context.create<UnaryExpr>(Op, Operand, Loc), Height);
+  };
+  if (match(TokenKind::Minus))
+    return MakeUnary(UnaryOpKind::Neg);
+  if (match(TokenKind::Plus))
+    return ParseOperand();
+  if (match(TokenKind::Tilde))
+    return MakeUnary(UnaryOpKind::BitNot);
+  if (match(TokenKind::Bang))
+    return MakeUnary(UnaryOpKind::LogNot);
   // C-style casts like (long) appear in the paper's code; accept and drop.
   if (check(TokenKind::LParen)) {
     TokenKind Next = peek(1).Kind;
@@ -622,7 +680,7 @@ Expr *Parser::parseUnary() {
       bool SawAny = false;
       parseQualifiersAndType(Ignored, SawAny);
       expect(TokenKind::RParen, "after cast type");
-      return parseUnary();
+      return ParseOperand();
     }
   }
   return parsePostfix();
@@ -638,10 +696,14 @@ Expr *Parser::parsePostfix() {
     if (!Index)
       return nullptr;
     if (E->Kind != ExprKind::VarRef) {
-      Diags.error(E->Loc, "only named arrays can be subscripted");
+      error(E->Loc, "only named arrays can be subscripted");
       return nullptr;
     }
-    E = Context.create<IndexExpr>(static_cast<VarRefExpr *>(E), Index, E->Loc);
+    E = grown(
+        Context.create<IndexExpr>(static_cast<VarRefExpr *>(E), Index, E->Loc),
+        Height);
+    if (!E)
+      return nullptr;
   }
   return E;
 }
@@ -650,23 +712,29 @@ Expr *Parser::parsePrimary() {
   SourceLoc Loc = current().Loc;
   if (check(TokenKind::IntLiteral)) {
     int64_t Value = advance().IntValue;
+    Height = 1;
     return Context.create<IntLitExpr>(Value, Loc);
   }
   if (check(TokenKind::Identifier)) {
     std::string Name = advance().Text;
     if (match(TokenKind::LParen)) {
       std::vector<Expr *> Args;
+      uint32_t ArgHeight = 0;
       if (!check(TokenKind::RParen)) {
         do {
-          if (Expr *Arg = parseExpr())
-            Args.push_back(Arg);
-          else
+          Expr *Arg = parseExpr();
+          if (!Arg)
             break;
+          Args.push_back(Arg);
+          ArgHeight = std::max(ArgHeight, Height);
         } while (match(TokenKind::Comma));
       }
       expect(TokenKind::RParen, "after call arguments");
-      return Context.create<CallExpr>(std::move(Name), std::move(Args), Loc);
+      return grown(
+          Context.create<CallExpr>(std::move(Name), std::move(Args), Loc),
+          ArgHeight);
     }
+    Height = 1;
     return Context.create<VarRefExpr>(std::move(Name), Loc);
   }
   if (match(TokenKind::LParen)) {
@@ -674,7 +742,7 @@ Expr *Parser::parsePrimary() {
     expect(TokenKind::RParen, "after parenthesized expression");
     return E;
   }
-  Diags.error(Loc, std::string("expected expression, found ") +
+  error(Loc, std::string("expected expression, found ") +
                        tokenKindName(current().Kind));
   advance();
   return nullptr;

@@ -12,6 +12,7 @@
 #include "lang/Token.h"
 #include "support/Diagnostics.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace specai {
@@ -19,6 +20,8 @@ namespace specai {
 /// Recursive-descent parser for mini-C. Compound assignments (`+=` etc.) and
 /// `++`/`--` statements are desugared into plain assignments during parsing,
 /// so later phases only see canonical AST forms.
+/// Trees deeper than MaxNestingDepth (Parser.cpp) are rejected with one
+/// error, as later phases recurse on them.
 class Parser {
 public:
   Parser(std::vector<Token> Tokens, AstContext &Context,
@@ -38,6 +41,25 @@ private:
   bool match(TokenKind Kind);
   bool expect(TokenKind Kind, const char *Context);
   void synchronizeToSemi();
+  /// Reports a syntax error; silent once the parse is abandoned.
+  void error(SourceLoc Loc, std::string Message);
+
+  // Nesting bound.
+  /// Holds one nesting level open for its lifetime.
+  struct NestingScope {
+    Parser &P;
+    explicit NestingScope(Parser &P) : P(P) { ++P.Depth; }
+    ~NestingScope() { --P.Depth; }
+    NestingScope(const NestingScope &) = delete;
+  };
+  /// True, after reporting, when the open levels exceed the bound.
+  bool nestedTooDeep();
+  /// \p E, one level taller than its tallest child, or null after
+  /// reporting when that exceeds the bound.
+  Expr *grown(Expr *E, uint32_t ChildHeight);
+  /// Reports the bound, then jumps to Eof so every open production unwinds
+  /// without descending further.
+  void abandonTooDeep(SourceLoc Loc);
 
   // Declarations.
   bool parseQualifiersAndType(QualType &Type, bool &SawAny);
@@ -59,7 +81,8 @@ private:
   /// for-headers).
   Stmt *parseExprOrAssign(bool ConsumeSemi);
 
-  // Expressions (precedence climbing).
+  // Expressions (precedence climbing). Each sets Height to the height of
+  // the tree it returns.
   Expr *parseExpr();
   Expr *parseTernary();
   Expr *parseBinary(int MinPrec);
@@ -74,6 +97,9 @@ private:
   FuncDecl *CurrentFunction = nullptr;
   std::vector<Token> Tokens;
   size_t Pos = 0;
+  uint32_t Depth = 0;  ///< Open statements, parseExpr calls, prefix ops.
+  uint32_t Height = 0; ///< Height of the last expression parsed.
+  bool Abandoned = false;
   AstContext &Context;
   DiagnosticEngine &Diags;
 };

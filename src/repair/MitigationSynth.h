@@ -121,7 +121,7 @@ struct Mitigation {
 struct RepairOptions {
   /// Analysis configuration for the initial run and every re-analysis.
   /// SiteDepthClamp must be empty (clamps are the synthesizer's output);
-  /// Budget, IntraJobs and faults are honored per analysis.
+  /// Budget and faults are honored per analysis.
   MustHitOptions Analysis;
   /// Cost model (also the timing the concrete revalidation runs under).
   WcetOptions Wcet;

@@ -34,7 +34,6 @@
 #include "cfg/LoopInfo.h"
 #include "domain/CacheDomain.h"
 #include "domain/CacheState.h"
-#include "domain/IntervalDomain.h"
 #include "driver/BatchRunner.h"
 #include "fuzz/FuzzCampaign.h"
 #include "fuzz/LoweringOracle.h"

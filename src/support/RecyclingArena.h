@@ -24,8 +24,8 @@
 ///     fixpoint's clone-transfer-join steady state stops allocating
 ///     entirely once the high-water mark is reached.
 ///  3. Thread safety by thread locality. The active arena is a
-///     thread_local pointer; each worker thread (support/Parallel.h) and
-///     each analysis scope activates its own. Objects released on a thread
+///     thread_local pointer; each analysis scope activates its own on the
+///     thread that runs it. Objects released on a thread
 ///     with no (or a different) active arena fall back to `delete` /
 ///     recycle-there — always safe, because every object is heap-born.
 ///

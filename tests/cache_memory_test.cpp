@@ -47,19 +47,19 @@ TEST(CacheConfigTest, InvalidGeometriesRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// LruCache
+// CacheSim under LRU
 //===----------------------------------------------------------------------===//
 
-TEST(LruCacheTest, MissThenHit) {
-  LruCache C(CacheConfig::fullyAssociative(4));
+TEST(LruCacheSimTest, MissThenHit) {
+  CacheSim C(CacheConfig::fullyAssociative(4));
   EXPECT_FALSE(C.access(1));
   EXPECT_TRUE(C.access(1));
   EXPECT_EQ(C.hits(), 1u);
   EXPECT_EQ(C.misses(), 1u);
 }
 
-TEST(LruCacheTest, LruEvictionOrder) {
-  LruCache C(CacheConfig::fullyAssociative(2));
+TEST(LruCacheSimTest, LruEvictionOrder) {
+  CacheSim C(CacheConfig::fullyAssociative(2));
   C.access(1);
   C.access(2);
   C.access(3); // Evicts 1.
@@ -68,8 +68,8 @@ TEST(LruCacheTest, LruEvictionOrder) {
   EXPECT_TRUE(C.contains(3));
 }
 
-TEST(LruCacheTest, HitRefreshesRecency) {
-  LruCache C(CacheConfig::fullyAssociative(2));
+TEST(LruCacheSimTest, HitRefreshesRecency) {
+  CacheSim C(CacheConfig::fullyAssociative(2));
   C.access(1);
   C.access(2);
   C.access(1); // 1 becomes MRU; 2 is now LRU.
@@ -78,8 +78,8 @@ TEST(LruCacheTest, HitRefreshesRecency) {
   EXPECT_FALSE(C.contains(2));
 }
 
-TEST(LruCacheTest, AgeReporting) {
-  LruCache C(CacheConfig::fullyAssociative(4));
+TEST(LruCacheSimTest, AgeReporting) {
+  CacheSim C(CacheConfig::fullyAssociative(4));
   C.access(10);
   C.access(20);
   C.access(30);
@@ -89,9 +89,9 @@ TEST(LruCacheTest, AgeReporting) {
   EXPECT_EQ(C.ageOf(99), 0u);
 }
 
-TEST(LruCacheTest, SetsAreIndependent) {
+TEST(LruCacheSimTest, SetsAreIndependent) {
   // 4 lines, 2 ways => 2 sets; even blocks to set 0, odd to set 1.
-  LruCache C(CacheConfig::setAssociative(4, 2));
+  CacheSim C(CacheConfig::setAssociative(4, 2));
   C.access(0);
   C.access(2);
   C.access(4); // Evicts 0 within set 0.
@@ -101,8 +101,8 @@ TEST(LruCacheTest, SetsAreIndependent) {
   EXPECT_TRUE(C.contains(2));
 }
 
-TEST(LruCacheTest, FlushEmptiesEverything) {
-  LruCache C(CacheConfig::fullyAssociative(4));
+TEST(LruCacheSimTest, FlushEmptiesEverything) {
+  CacheSim C(CacheConfig::fullyAssociative(4));
   C.access(1);
   C.access(2);
   C.flush();
@@ -110,10 +110,10 @@ TEST(LruCacheTest, FlushEmptiesEverything) {
   EXPECT_FALSE(C.contains(1));
 }
 
-TEST(LruCacheTest, MatchesReferenceModelOnRandomTrace) {
+TEST(LruCacheSimTest, MatchesReferenceModelOnRandomTrace) {
   // Differential test against a simple recency-list reference.
   Rng R(1234);
-  LruCache C(CacheConfig::fullyAssociative(8));
+  CacheSim C(CacheConfig::fullyAssociative(8));
   std::vector<BlockAddr> Reference; // Front = MRU.
   for (int I = 0; I != 5000; ++I) {
     BlockAddr B = R.nextBelow(24);

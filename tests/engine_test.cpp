@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalysisPipeline.h"
-#include "domain/IntervalDomain.h"
+#include "reference/IntervalDomain.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>

@@ -121,37 +121,6 @@ TEST_P(FuzzRegressionTest, PinnedDigestsAreStable) {
       << "analysis drift (no-merge/fixed) at seed " << E.Seed;
 }
 
-/// Satellite: parallel determinism. The intra-analysis pool (`--intra-jobs`,
-/// support/Parallel.h) must be bit-invisible: per-color drains batch only
-/// *pure* transfer computes and replay them serially, and per-set join
-/// partitions are independent, so the same golden digests must come out at
-/// every job count. Jobs=1 is the PinnedDigestsAreStable case above; this
-/// runs the same 20-seed corpus at 2 and 8 workers against the same goldens.
-TEST_P(FuzzRegressionTest, PinnedDigestsAreIntraJobsInvariant) {
-  const GoldenEntry &E = GetParam();
-  ProgramGen Gen(E.Seed);
-  GeneratedProgram G = Gen.generate();
-
-  DiagnosticEngine Diags;
-  auto CP = compileSource(G.source(), Diags);
-  ASSERT_TRUE(CP) << Diags.str();
-
-  for (unsigned Jobs : {2u, 8u}) {
-    MustHitOptions Jit;
-    Jit.Cache = CacheConfig::fullyAssociative(8);
-    Jit.DepthMiss = 24;
-    Jit.DepthHit = 6;
-    Jit.Strategy = MergeStrategy::JustInTime;
-    Jit.Bounding = BoundingMode::Dynamic;
-    Jit.IntraJobs = Jobs;
-    MustHitReport RJ = runMustHitAnalysis(*CP, Jit);
-    ASSERT_TRUE(RJ.Converged);
-    EXPECT_EQ(digestMustHitReport(*CP, RJ), E.JitDynamicDigest)
-        << "intra-jobs=" << Jobs
-        << " changed the analysis result at seed " << E.Seed;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(PinnedCorpus, FuzzRegressionTest,
                          ::testing::ValuesIn(Corpus),
                          [](const ::testing::TestParamInfo<GoldenEntry> &I) {

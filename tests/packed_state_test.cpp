@@ -25,7 +25,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "domain/CacheState.h"
-#include "domain/RefCacheState.h"
+#include "reference/RefCacheState.h"
 #include "memory/MemoryModel.h"
 
 #include <gtest/gtest.h>

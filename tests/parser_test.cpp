@@ -166,6 +166,65 @@ TEST(ParserTest, AssignmentToRValueIsError) {
   parse("void f() { 1 = 2; }", /*ExpectErrors=*/true);
 }
 
+/// Expects \p Source to fail with exactly one diagnostic, the nesting
+/// bound's.
+void expectNestingError(const std::string &Source) {
+  auto P = parse(Source, /*ExpectErrors=*/true);
+  ASSERT_EQ(P->Diags.errorCount(), 1u) << P->Diags.str();
+  EXPECT_NE(P->Diags.str().find("nesting too deep"), std::string::npos)
+      << P->Diags.str();
+}
+
+std::string nestedParens(size_t N) {
+  return "int x; void f() { x = " + std::string(N, '(') + "1" +
+         std::string(N, ')') + "; }";
+}
+
+std::string flatSum(size_t Terms) {
+  std::string Sum = "1";
+  for (size_t I = 1; I != Terms; ++I)
+    Sum += "+1";
+  return "int x; void f() { x = " + Sum + "; }";
+}
+
+std::string nestedBlocks(size_t N) {
+  return "void f() " + std::string(N, '{') + std::string(N, '}');
+}
+
+// Each of these used to overflow the stack (Sema and lowering recurse on
+// the tree; the paren and block shapes already overflowed the parser).
+TEST(ParserTest, DeepParenthesesAreOneError) {
+  expectNestingError(nestedParens(200000));
+}
+
+TEST(ParserTest, LongFlatOperatorChainIsOneError) {
+  // No recursion in the parser, but the binary-operator loop builds a
+  // left spine 200,000 nodes deep.
+  expectNestingError(flatSum(200000));
+}
+
+TEST(ParserTest, DeepBlocksAreOneError) {
+  expectNestingError(nestedBlocks(200000));
+}
+
+TEST(ParserTest, DeepPrefixAndTernaryChainsAreOneError) {
+  // Both recurse without passing through a parenthesis.
+  std::string Negations, Ternaries;
+  for (int I = 0; I != 200000; ++I) {
+    Negations += "- ";
+    Ternaries += "x ? 1 : ";
+  }
+  expectNestingError("int x; void f() { x = " + Negations + "1; }");
+  expectNestingError("int x; void f() { x = " + Ternaries + "2; }");
+}
+
+TEST(ParserTest, NestingJustUnderTheBoundParses) {
+  // The bound is 256 levels; the enclosing statement takes one or two.
+  parse(nestedParens(250));
+  parse(flatSum(250));
+  parse(nestedBlocks(250));
+}
+
 TEST(ParserTest, ParsesQuantlShape) {
   auto P = parse("int tab[31] = {1,2,3};\n"
                  "int quantl(int el, int detl) {\n"

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "domain/IntervalDomain.h"
+#include "reference/IntervalDomain.h"
 
 using namespace specai;
 
@@ -316,6 +316,7 @@ void IntervalDomain::transfer(State &S, NodeId N) {
   case Opcode::Br:
   case Opcode::Jmp:
   case Opcode::Ret:
+  case Opcode::Fence:
     return;
   }
 }

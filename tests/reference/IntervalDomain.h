@@ -15,8 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef SPECAI_DOMAIN_INTERVALDOMAIN_H
-#define SPECAI_DOMAIN_INTERVALDOMAIN_H
+#ifndef SPECAI_TESTS_REFERENCE_INTERVALDOMAIN_H
+#define SPECAI_TESTS_REFERENCE_INTERVALDOMAIN_H
 
 #include "cfg/FlatCfg.h"
 
@@ -134,4 +134,4 @@ private:
 
 } // namespace specai
 
-#endif // SPECAI_DOMAIN_INTERVALDOMAIN_H
+#endif // SPECAI_TESTS_REFERENCE_INTERVALDOMAIN_H

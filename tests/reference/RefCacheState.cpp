@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "domain/RefCacheState.h"
+#include "reference/RefCacheState.h"
 
 #include <algorithm>
 #include <cassert>

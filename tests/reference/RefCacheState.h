@@ -21,8 +21,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef SPECAI_DOMAIN_REFCACHESTATE_H
-#define SPECAI_DOMAIN_REFCACHESTATE_H
+#ifndef SPECAI_TESTS_REFERENCE_REFCACHESTATE_H
+#define SPECAI_TESTS_REFERENCE_REFCACHESTATE_H
 
 #include "domain/CacheState.h"
 #include "memory/MemoryModel.h"
@@ -112,4 +112,4 @@ private:
 
 } // namespace specai
 
-#endif // SPECAI_DOMAIN_REFCACHESTATE_H
+#endif // SPECAI_TESTS_REFERENCE_REFCACHESTATE_H

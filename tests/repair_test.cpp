@@ -13,10 +13,11 @@
 /// speculation sites at all (hoisting the conflicting scalar is the whole
 /// menu). Plus the two meta-properties the repair verb's consumers rely
 /// on: idempotence — repairing a repaired program is a no-op — and
-/// bit-identical results whatever the analysis parallelism.
+/// bit-identical results when syntheses run concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/BatchRunner.h"
 #include "repair/MitigationSynth.h"
 
 #include <gtest/gtest.h>
@@ -212,31 +213,43 @@ TEST(RepairTest, RepairingARepairedProgramIsANoOp) {
 }
 
 TEST(RepairTest, ResultsAreIdenticalAcrossAnalysisParallelism) {
-  // The service caches repair verdicts by request digest, so a daemon
-  // running --intra-jobs 8 must synthesize the byte-identical repair a
-  // single-threaded run would (the same determinism contract the analyze
-  // verb keeps).
-  for (const char *Source : {FenceOnly, ClampBeatsFence, HoistOnly}) {
-    auto CP = compile(Source);
-    RepairOptions Base = optionsWithLines(5);
-    RepairResult Want = synthesizeRepairs(*CP, Base);
-    for (unsigned Jobs : {2u, 8u}) {
-      RepairOptions RO = Base;
-      RO.Analysis.IntraJobs = Jobs;
-      RepairResult Got = synthesizeRepairs(*CP, RO);
-      EXPECT_EQ(Got.Repaired, Want.Repaired) << Jobs;
-      EXPECT_EQ(Got.LeaksBefore, Want.LeaksBefore) << Jobs;
-      EXPECT_EQ(Got.LeaksAfter, Want.LeaksAfter) << Jobs;
-      EXPECT_EQ(Got.WcetBefore, Want.WcetBefore) << Jobs;
-      EXPECT_EQ(Got.WcetAfter, Want.WcetAfter) << Jobs;
-      EXPECT_EQ(Got.Reanalyses, Want.Reanalyses) << Jobs;
-      EXPECT_EQ(Got.SiteClamps, Want.SiteClamps) << Jobs;
-      EXPECT_EQ(Got.Patched.str(), Want.Patched.str()) << Jobs;
-      ASSERT_EQ(Got.Applied.size(), Want.Applied.size()) << Jobs;
-      for (size_t I = 0; I != Got.Applied.size(); ++I)
-        EXPECT_EQ(Got.Applied[I].str(Got.Patched),
-                  Want.Applied[I].str(Want.Patched))
-            << Jobs;
-    }
+  // The service caches repair verdicts by request digest, and a
+  // `specaid --jobs N` daemon runs N syntheses at once on its analysis
+  // pool, so a repair synthesized next to others must be byte-identical
+  // to the one a lone single-threaded run produces. Each fixture runs
+  // four times concurrently, sharing its compiled program the way
+  // BatchRunner shares one across variants.
+  const char *Sources[] = {FenceOnly, ClampBeatsFence, HoistOnly};
+  constexpr size_t Fixtures = sizeof(Sources) / sizeof(Sources[0]);
+  constexpr size_t Copies = 4;
+  std::vector<std::unique_ptr<CompiledProgram>> CPs;
+  std::vector<RepairResult> Want;
+  RepairOptions RO = optionsWithLines(5);
+  for (const char *Source : Sources) {
+    CPs.push_back(compile(Source));
+    ASSERT_TRUE(CPs.back());
+    Want.push_back(synthesizeRepairs(*CPs.back(), RO));
+  }
+
+  std::vector<RepairResult> Got(Fixtures * Copies);
+  parallelFor(4, Got.size(), [&](size_t I) {
+    Got[I] = synthesizeRepairs(*CPs[I % Fixtures], RO);
+  });
+
+  for (size_t I = 0; I != Got.size(); ++I) {
+    const RepairResult &W = Want[I % Fixtures];
+    const RepairResult &G = Got[I];
+    EXPECT_EQ(G.Repaired, W.Repaired) << I;
+    EXPECT_EQ(G.LeaksBefore, W.LeaksBefore) << I;
+    EXPECT_EQ(G.LeaksAfter, W.LeaksAfter) << I;
+    EXPECT_EQ(G.WcetBefore, W.WcetBefore) << I;
+    EXPECT_EQ(G.WcetAfter, W.WcetAfter) << I;
+    EXPECT_EQ(G.Reanalyses, W.Reanalyses) << I;
+    EXPECT_EQ(G.SiteClamps, W.SiteClamps) << I;
+    EXPECT_EQ(G.Patched.str(), W.Patched.str()) << I;
+    ASSERT_EQ(G.Applied.size(), W.Applied.size()) << I;
+    for (size_t K = 0; K != G.Applied.size(); ++K)
+      EXPECT_EQ(G.Applied[K].str(G.Patched), W.Applied[K].str(W.Patched))
+          << I;
   }
 }

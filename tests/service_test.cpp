@@ -1448,6 +1448,37 @@ TEST(ServiceServerTest, OversizedRepairRequestsAnswerCleanlyAndMoveOn) {
   Server.wait();
 }
 
+TEST(ServiceServerTest, DeeplyNestedSourceIsAnErrorNotACrash) {
+  // 200,000 nested parentheses fit under the framing bound (~400 KB) and
+  // used to overflow the stack of the analysing worker, killing the whole
+  // daemon. The parser's nesting bound turns it into an error response;
+  // the same connection then gets its next request answered.
+  ServiceEngine Engine(smallEngine());
+  ServiceServer Server(Engine);
+  std::string Error;
+  const std::string Path = testSocketPath("deep");
+  ASSERT_TRUE(Server.start(Path, Error)) << Error;
+
+  constexpr size_t Depth = 200000;
+  ServiceRequest Deep = baseRequest();
+  Deep.Source = "int x; int main() { x = " + std::string(Depth, '(') + "1" +
+                std::string(Depth, ')') + "; return x; }";
+  ServiceClient C;
+  ASSERT_TRUE(C.connect(Path, Error)) << Error;
+  ServiceResponse R;
+  ASSERT_TRUE(C.call(Deep, R, Error)) << Error;
+  EXPECT_NE(R.Status, ServiceStatus::Ok);
+  EXPECT_NE(R.Error.find("nesting too deep"), std::string::npos) << R.Error;
+
+  ASSERT_TRUE(C.call(baseRequest(), R, Error)) << Error;
+  EXPECT_EQ(R.Status, ServiceStatus::Ok) << R.Error;
+
+  ServiceRequest Down;
+  Down.Op = ServiceOp::Shutdown;
+  ASSERT_TRUE(C.call(Down, R, Error)) << Error;
+  Server.wait();
+}
+
 TEST(ServiceServerTest, SlowClientFaultDribblesButStaysCorrect) {
   // The slow-client rung drips responses out a few bytes at a time. The
   // claim is containment: responses still arrive intact and shutdown

@@ -383,56 +383,6 @@ TEST(WorklistOrderTest, SpeculativeEngineReportsMemoAndInternerStats) {
   EXPECT_GT(Stats.get("spec.interner.states"), 0u);
 }
 
-TEST(WorklistOrderTest, PopAndDrainCountersAreIntraJobsInvariant) {
-  // The intra-analysis pool batches only the *pure transfer computes* of a
-  // drain (Phase A) and replays slots serially (Phase B), so not just the
-  // fixpoint but the whole engine trace — worklist pops/pushes, memo
-  // hits/misses, interner population — must be identical at any job
-  // count. A counter drifting here means a pool worker took over a
-  // decision (memo probe order, FIFO eviction, push dedup) that must stay
-  // on the replay thread.
-  for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
-    ProgramGen Gen(Seed);
-    GeneratedProgram G = Gen.generate();
-    DiagnosticEngine Diags;
-    auto CP = compileSource(G.source(), Diags);
-    ASSERT_TRUE(CP) << "seed " << Seed << "\n" << Diags.str();
-
-    static const char *Keys[] = {
-        "worklist.pops",      "worklist.pushes", "worklist.pushes.deduped",
-        "spec.worklist.pops", "spec.worklist.pushes",
-        "spec.memo.hits",     "spec.memo.misses",
-        "spec.interner.states"};
-
-    uint64_t Baseline[sizeof(Keys) / sizeof(Keys[0])];
-    uint64_t BaselineDigest = 0;
-    for (unsigned Jobs : {1u, 2u, 8u}) {
-      MustHitOptions O;
-      O.Cache = CacheConfig::fullyAssociative(8);
-      O.DepthMiss = 24;
-      O.DepthHit = 6;
-      O.IntraJobs = Jobs;
-      StatisticSet Stats;
-      O.Stats = &Stats;
-      MustHitReport R = runMustHitAnalysis(*CP, O);
-      ASSERT_TRUE(R.Converged);
-      uint64_t Digest = digestMustHitReport(*CP, R);
-      if (Jobs == 1) {
-        BaselineDigest = Digest;
-        for (size_t K = 0; K != sizeof(Keys) / sizeof(Keys[0]); ++K)
-          Baseline[K] = Stats.get(Keys[K]);
-        continue;
-      }
-      EXPECT_EQ(Digest, BaselineDigest)
-          << "fixpoint drifted at intra-jobs=" << Jobs << " seed " << Seed;
-      for (size_t K = 0; K != sizeof(Keys) / sizeof(Keys[0]); ++K)
-        EXPECT_EQ(Stats.get(Keys[K]), Baseline[K])
-            << Keys[K] << " drifted at intra-jobs=" << Jobs << " seed "
-            << Seed;
-    }
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Replacement-policy states reuse the same representation machinery
 //===----------------------------------------------------------------------===//

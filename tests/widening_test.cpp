@@ -23,7 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "domain/CacheState.h"
-#include "domain/IntervalDomain.h"
+#include "reference/IntervalDomain.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>

@@ -185,12 +185,14 @@ wait "$SPECAID_PID"
 trap - EXIT
 echo "chaos smoke: kill -9 + restart over $SPILL, replay bit-identical"
 
-# Thread-sanitizer leg (docs/PERFORMANCE.md, "Intra-analysis
-# parallelism"): the intra-analysis pool shares packed cache states
-# across per-set join partitions and batched pure-transfer drains, so the
-# unit suite and a fuzz smoke run once more under TSan with the pool
-# forced wide (--intra-jobs 8). Determinism is pinned separately by the
-# jobs-invariance golden tests; this leg pins data-race freedom.
+# Thread-sanitizer leg (docs/PERFORMANCE.md, "Thread safety"): each
+# analysis is serial, but parallelFor runs whole analyses side by side —
+# batch sweeps, fuzz campaigns, and the daemon's concurrent requests —
+# sharing compiled programs and copy-on-write cache states. The unit
+# suite (service tests included) and fuzz and repair campaigns at
+# --jobs 4 run once more under TSan. Determinism across --jobs is pinned
+# separately by the campaign and batch tests; this leg pins data-race
+# freedom.
 TSAN_BUILD="$REPO/build-tsan"
 cmake -B "$TSAN_BUILD" -S "$REPO" -DSPECAI_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -198,11 +200,10 @@ cmake -B "$TSAN_BUILD" -S "$REPO" -DSPECAI_WERROR=ON \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_BUILD" -j "$JOBS"
 ctest --test-dir "$TSAN_BUILD" -L unit --output-on-failure -j "$JOBS"
-"$TSAN_BUILD/tools/specai-fuzz" --seed 1 --programs 10 --jobs 1 \
-  --intra-jobs 8 --ce-dir "$TSAN_BUILD"
-# The repair synthesizer fans every re-analysis through the same pool, so
-# its search + revalidation loop gets its own TSan pass under the wide
-# pool (fewer programs: each one runs dozens of analyses).
-"$TSAN_BUILD/tools/specai-fuzz" --seed 1 --programs 5 --jobs 1 \
-  --intra-jobs 8 --oracle repair --ce-dir "$TSAN_BUILD"
-echo "tsan leg: unit suite + intra-jobs 8 fuzz and repair smokes race-free"
+"$TSAN_BUILD/tools/specai-fuzz" --seed 1 --programs 10 --jobs 4 \
+  --ce-dir "$TSAN_BUILD"
+# Four repair syntheses at once, each running dozens of re-analyses: the
+# search + revalidation loop gets its own TSan pass (fewer programs).
+"$TSAN_BUILD/tools/specai-fuzz" --seed 1 --programs 5 --jobs 4 \
+  --oracle repair --ce-dir "$TSAN_BUILD"
+echo "tsan leg: unit suite + --jobs 4 fuzz and repair smokes race-free"

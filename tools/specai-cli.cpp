@@ -32,9 +32,6 @@
 ///   --batch             run the Figure 6 sweep (all four merge strategies)
 ///                       in parallel and print one aggregated table
 ///   --jobs N            worker threads for --batch (default: all cores)
-///   --intra-jobs N      worker threads *inside* one analysis (0 = all
-///                       cores; default 1). Reports are bit-identical at
-///                       any value — a performance knob only
 ///   --digest            print the program and verdict digests instead of
 ///                       the full report — the same content-addressed
 ///                       digests the specaid service computes
@@ -76,7 +73,7 @@ void usage(std::FILE *To) {
       "       [--assoc N] [--depth-miss N] [--depth-hit N] [--strategy S]\n"
       "       [--policy lru|fifo|plru] [--no-shadow] [--refine]\n"
       "       [--dump-ir] [--dump-states] [--leaks] [--wcet] [--batch]\n"
-      "       [--jobs N] [--intra-jobs N] [--digest] [--repair]\n");
+      "       [--jobs N] [--digest] [--repair]\n");
 }
 
 } // namespace
@@ -148,16 +145,6 @@ int main(int Argc, char **Argv) {
                     P.c_str());
         return 1;
       }
-    } else if (Arg == "--intra-jobs") {
-      const char *Value = Next();
-      std::optional<unsigned> Parsed = parseUnsigned(Value);
-      if (!Parsed) {
-        std::fprintf(stderr,
-                     "error: --intra-jobs needs a non-negative number, got '%s'\n",
-                     Value);
-        return 1;
-      }
-      Opts.IntraJobs = *Parsed;
     } else if (Arg == "--no-shadow") {
       Opts.UseShadow = false;
     } else if (Arg == "--refine") {

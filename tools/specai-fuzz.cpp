@@ -18,9 +18,6 @@
 ///   --programs N        programs per campaign (default 100)
 ///   --jobs N            worker threads (default: all cores). Campaign
 ///                       summaries are identical for any --jobs value.
-///   --intra-jobs N      worker threads *inside* each analysis (0 = all
-///                       cores; default 1). Summaries and digests are
-///                       bit-identical at any value.
 ///   --oracle K          which differential oracles to run: cache
 ///                       (default; abstract-state containment) | wcet
 ///                       (concrete cycles vs estimateWcet bound) | leak
@@ -84,7 +81,6 @@ namespace {
 void usage(std::FILE *To) {
   std::fprintf(To,
       "usage: specai-fuzz [--seed N] [--programs N] [--jobs N] [--lines N]\n"
-      "       [--intra-jobs N]\n"
       "       [--oracle cache|wcet|leak|lowering|repair|all] [--assoc N]\n"
       "       [--policy lru|fifo|plru|all] [--depth-miss N]\n"
       "       [--depth-hit N] [--gen-deep]\n"
@@ -687,8 +683,6 @@ int main(int Argc, char **Argv) {
       O.Programs = parseNum("--programs", Next());
     } else if (Arg == "--jobs") {
       O.Jobs = parseNum("--jobs", Next());
-    } else if (Arg == "--intra-jobs") {
-      O.Oracle.IntraJobs = parseNum("--intra-jobs", Next());
     } else if (Arg == "--lines") {
       Lines = parseNum("--lines", Next());
     } else if (Arg == "--assoc") {
