@@ -138,6 +138,27 @@ BENCHMARK(BM_TransferKnownGeom)
     ->Args({512, 0})
     ->Args({512, 1});
 
+void BM_CloneTransferHashGeom(benchmark::State &State) {
+  // The engines' per-pop step: `Out = In; transfer(Out); hash(Out)`. In
+  // is shared and already hashed (as interned and memoised states are),
+  // so the transfer pays the copy-on-write clone and the hash is the
+  // incremental one. BM_TransferKnownGeom mutates a uniquely owned state
+  // and never clones.
+  GeomFixture F(geomOf(State.range(0), State.range(1)));
+  CacheStateArenaScope Arena;
+  CacheAbsState In = F.fullState(true);
+  benchmark::DoNotOptimize(In.structuralHash());
+  uint64_t V = 0;
+  for (auto _ : State) {
+    CacheAbsState Out = In;
+    Out.accessBlock(F.MM->blockOf(V % F.P.Vars.size(), 0), *F.MM, true);
+    benchmark::DoNotOptimize(Out.structuralHash());
+    ++V;
+  }
+  State.SetItemsProcessed(State.iterations());
+}
+BENCHMARK(BM_CloneTransferHashGeom)->Args({512, 0})->Args({512, 1});
+
 void BM_JoinGeom(benchmark::State &State) {
   GeomFixture F(geomOf(State.range(0), State.range(1)));
   CacheStateArenaScope Arena;

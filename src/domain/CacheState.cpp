@@ -438,26 +438,13 @@ bool PackedAges::mayJoinWouldChange(const PackedAges &From) const {
 
 namespace {
 
-/// Partition lookup in a set-sorted partition vector.
-std::vector<CacheSetPartition>::const_iterator
-findPartIn(const std::vector<CacheSetPartition> &Parts, uint32_t Set) {
-  auto It = std::lower_bound(
+/// First node of a set-sorted partition-pointer vector whose set is not
+/// below \p Set.
+template <typename NodePtrVec>
+auto lowerBoundSet(NodePtrVec &Parts, uint32_t Set) {
+  return std::lower_bound(
       Parts.begin(), Parts.end(), Set,
-      [](const CacheSetPartition &P, uint32_t S) { return P.Set < S; });
-  if (It != Parts.end() && It->Set == Set)
-    return It;
-  return Parts.end();
-}
-
-/// Find-or-insert the partition of \p Set, keeping the vector set-sorted.
-/// Returns an index (not a reference: the insert may reallocate).
-size_t ensurePart(std::vector<CacheSetPartition> &Parts, uint32_t Set) {
-  auto It = std::lower_bound(
-      Parts.begin(), Parts.end(), Set,
-      [](const CacheSetPartition &P, uint32_t S) { return P.Set < S; });
-  if (It == Parts.end() || It->Set != Set)
-    It = Parts.insert(It, CacheSetPartition{Set, {}, {}});
-  return static_cast<size_t>(It - Parts.begin());
+      [](const auto *N, uint32_t S) { return N->Part.Set < S; });
 }
 
 uint64_t splitmix64(uint64_t X) {
@@ -480,57 +467,134 @@ unsigned mayLanesOf(const MemoryModel &MM) {
 
 } // namespace
 
-const std::vector<CacheSetPartition> &CacheAbsState::emptyParts() {
-  static const std::vector<CacheSetPartition> Empty;
-  return Empty;
-}
-
 CacheAbsState::Payload *CacheAbsState::allocPayload() {
   Payload *PL = RecyclingArena<Payload>::allocateFromActive();
   PL->RefCount.store(1, std::memory_order_relaxed);
-  PL->HashKnown.store(false, std::memory_order_relaxed);
+  PL->Hash.store(0, std::memory_order_relaxed);
+  assert(PL->Parts.empty() && "retired payloads hold no partitions");
   return PL;
 }
 
+CacheAbsState::PartNode *CacheAbsState::allocNode() {
+  PartNode *N = RecyclingArena<PartNode>::allocateFromActive();
+  N->RefCount.store(1, std::memory_order_relaxed);
+  N->Hash.store(0, std::memory_order_relaxed);
+  return N;
+}
+
+CacheAbsState::PartNode *CacheAbsState::copyNode(const PartNode &From) {
+  PartNode *N = allocNode();
+  // Copy-assignment reuses a recycled node's entry buffers, so the
+  // clone-transfer-join steady state allocates nothing once the arena is
+  // warm.
+  N->Part = From.Part;
+  return N;
+}
+
+void CacheAbsState::unshareWith(size_t Idx, PartNode *Slot) {
+  // Copy the partition pointers, not the partitions: each mutator
+  // unshares only the partitions it writes. Slot Idx is filled before the
+  // old payload is released, so its old node is still alive to copy.
+  Payload *N = allocPayload();
+  N->Parts = P->Parts;
+  for (size_t I = 0; I != N->Parts.size(); ++I)
+    if (I != Idx)
+      retain(N->Parts[I]);
+    else
+      N->Parts[I] = Slot ? Slot : copyNode(*N->Parts[I]);
+  release(P);
+  P = N;
+}
+
 CacheAbsState::Payload &CacheAbsState::mut() {
-  if (!P) {
+  if (!P)
     P = allocPayload();
-    P->Parts.clear();
-  } else if (P->RefCount.load(std::memory_order_acquire) > 1) {
-    Payload *N = allocPayload();
-    // Element-wise vector copy-assignment reuses the recycled partition
-    // buffers — the fixpoint's clone-transfer-join steady state allocates
-    // nothing once the arena is warm.
-    N->Parts = P->Parts;
-    release(P);
-    P = N;
-  }
-  P->HashKnown.store(false, std::memory_order_relaxed);
+  else if (P->RefCount.load(std::memory_order_acquire) > 1)
+    unshareWith(PackedAges::npos, nullptr);
+  else
+    P->Hash.store(0, std::memory_order_relaxed);
   return *P;
+}
+
+CacheSetPartition &CacheAbsState::mutPart(size_t Idx) {
+  if (P->RefCount.load(std::memory_order_acquire) > 1) {
+    unshareWith(Idx, nullptr);
+    return P->Parts[Idx]->Part;
+  }
+  P->Hash.store(0, std::memory_order_relaxed);
+  PartNode *&Slot = P->Parts[Idx];
+  if (Slot->RefCount.load(std::memory_order_acquire) > 1) {
+    PartNode *N = copyNode(*Slot);
+    releaseNode(Slot);
+    Slot = N;
+  } else {
+    Slot->Hash.store(0, std::memory_order_relaxed);
+  }
+  return Slot->Part;
+}
+
+void CacheAbsState::setPart(size_t Idx, PartNode *N) {
+  if (P->RefCount.load(std::memory_order_acquire) > 1) {
+    unshareWith(Idx, N);
+    return;
+  }
+  P->Hash.store(0, std::memory_order_relaxed);
+  releaseNode(P->Parts[Idx]);
+  P->Parts[Idx] = N;
+}
+
+CacheSetPartition &CacheAbsState::ensurePart(uint32_t Set) {
+  if (P) {
+    auto It = lowerBoundSet(P->Parts, Set);
+    if (It != P->Parts.end() && (*It)->Part.Set == Set)
+      return mutPart(static_cast<size_t>(It - P->Parts.begin()));
+  }
+  Payload &PL = mut();
+  PartNode *N = allocNode();
+  N->Part.Set = Set;
+  N->Part.Must.clear();
+  N->Part.May.clear();
+  PL.Parts.insert(lowerBoundSet(PL.Parts, Set), N);
+  return N->Part;
 }
 
 void CacheAbsState::normalize() {
   if (!P)
     return;
   // A shared payload is never mutated here: partitions only need scrubbing
-  // after a mutator, which already unshared.
-  std::vector<CacheSetPartition> &Parts = P->Parts;
-  Parts.erase(std::remove_if(Parts.begin(), Parts.end(),
-                             [](const CacheSetPartition &Part) {
-                               return Part.Must.empty() && Part.May.empty();
-                             }),
-              Parts.end());
+  // after a mutator, which already unshared the payload (an empty
+  // partition is always one a mutator just wrote, so it is unique too).
+  std::vector<PartNode *> &Parts = P->Parts;
+  size_t Kept = 0;
+  for (PartNode *N : Parts) {
+    if (N->Part.Must.empty() && N->Part.May.empty())
+      releaseNode(N);
+    else
+      Parts[Kept++] = N;
+  }
+  Parts.resize(Kept);
   if (Parts.empty()) {
     release(P);
     P = nullptr;
   }
 }
 
-const CacheSetPartition *CacheAbsState::findPart(uint32_t Set) const {
+const CacheAbsState::PartNode *CacheAbsState::findNode(uint32_t Set) const {
   if (!P)
     return nullptr;
-  auto It = findPartIn(P->Parts, Set);
-  return It == P->Parts.end() ? nullptr : &*It;
+  auto It = lowerBoundSet(P->Parts, Set);
+  return It != P->Parts.end() && (*It)->Part.Set == Set ? *It : nullptr;
+}
+
+const CacheSetPartition *CacheAbsState::findPart(uint32_t Set) const {
+  const PartNode *N = findNode(Set);
+  return N ? &N->Part : nullptr;
+}
+
+bool CacheAbsState::sharesPartitionWith(const CacheAbsState &RHS,
+                                        uint32_t Set) const {
+  const PartNode *N = findNode(Set);
+  return N && N == RHS.findNode(Set);
 }
 
 uint32_t CacheAbsState::mustAge(BlockAddr Block, uint32_t Assoc) const {
@@ -564,6 +628,18 @@ bool CacheAbsState::isMustCached(BlockAddr Block) const {
 //===----------------------------------------------------------------------===//
 // Access transfers
 //===----------------------------------------------------------------------===//
+
+void CacheAbsState::ageSets(const std::vector<uint32_t> &Sets,
+                            uint32_t Cap) {
+  for (size_t I = 0; I != nodes().size(); ++I) {
+    const CacheSetPartition &Part = nodes()[I]->Part;
+    // Every tracked age is <= Cap, so any MUST entry ages: only partitions
+    // with entries are unshared.
+    if (!Part.Must.empty() &&
+        std::binary_search(Sets.begin(), Sets.end(), Part.Set))
+      mutPart(I).Must.agePredLE(Cap, PackedAges::npos, Cap);
+  }
+}
 
 void CacheAbsState::accessBlock(BlockAddr Block, const MemoryModel &MM,
                                 bool UseShadow) {
@@ -665,8 +741,7 @@ void CacheAbsState::accessBlockLru(BlockAddr Block, const MemoryModel &MM,
 
   // Previous ages, read before any update. Only the accessed set's
   // partition can hold the block. The found positions stay valid across
-  // mut(): cloning copies entry lists verbatim and ensurePart only ever
-  // inserts whole partitions.
+  // ensurePart: unsharing copies entry lists verbatim.
   const CacheSetPartition *Old = findPart(Set);
   size_t MustPos = Old ? Old->Must.find(Block) : PackedAges::npos;
   size_t MayPos = Old ? Old->May.find(Block) : PackedAges::npos;
@@ -675,8 +750,7 @@ void CacheAbsState::accessBlockLru(BlockAddr Block, const MemoryModel &MM,
   uint32_t VMayOld =
       MayPos == PackedAges::npos ? Assoc + 1 : Old->May.ageAt(MayPos);
 
-  Payload &PL = mut();
-  CacheSetPartition &Part = PL.Parts[ensurePart(PL.Parts, Set)];
+  CacheSetPartition &Part = ensurePart(Set);
 
   if (UseShadow) {
     // MAY (shadow) update first, Appendix B: ∃u with Age(∃u) <= Age(∃v)
@@ -717,8 +791,7 @@ void CacheAbsState::accessBlockFifo(BlockAddr Block, const MemoryModel &MM,
   uint32_t VMayOld = Old ? Old->May.ageOf(Block, Assoc + 1) : Assoc + 1;
   bool DefiniteMiss = UseShadow && VMayOld > Assoc;
 
-  Payload &PL = mut();
-  CacheSetPartition &Part = PL.Parts[ensurePart(PL.Parts, Set)];
+  CacheSetPartition &Part = ensurePart(Set);
 
   if (UseShadow) {
     if (DefiniteMiss)
@@ -754,8 +827,7 @@ void CacheAbsState::accessBlockPlru(BlockAddr Block, const MemoryModel &MM,
   uint32_t Cap = MM.config().mustAgeCap();
   uint32_t Set = MM.setOf(Block);
 
-  Payload &PL = mut();
-  CacheSetPartition &Part = PL.Parts[ensurePart(PL.Parts, Set)];
+  CacheSetPartition &Part = ensurePart(Set);
 
   Part.Must.agePredLE(Cap, Part.Must.find(Block), Cap);
   Part.Must.set(Block, 1, mustLanesOf(MM));
@@ -813,39 +885,32 @@ void CacheAbsState::accessUnknownLru(VarId Var, uint64_t InstanceK,
         break;
       }
     if (AnyAging) {
-      Payload &PL = mut();
-      for (CacheSetPartition &Part : PL.Parts)
-        if (IsCandidateSet(Part.Set))
+      for (size_t I = 0; I != nodes().size(); ++I) {
+        const CacheSetPartition &Part = nodes()[I]->Part;
+        if (IsCandidateSet(Part.Set) && Part.Must.anyAgeLT(MaxAge))
           // Aged lanes stay <= MaxAge <= Assoc: a hit evicts nothing.
-          Part.Must.agePredLE(MaxAge - 1, PackedAges::npos, Assoc);
+          mutPart(I).Must.agePredLE(MaxAge - 1, PackedAges::npos, Assoc);
+      }
     } else if (!UseShadow) {
       return;
     }
   } else {
     // Conservative MUST aging: the unknown line may be a miss in any
     // candidate set, displacing one position everywhere.
-    Payload &PL = mut();
-    for (CacheSetPartition &Part : PL.Parts)
-      if (IsCandidateSet(Part.Set))
-        Part.Must.agePredLE(Assoc, PackedAges::npos, Assoc);
+    ageSets(Sets, Assoc);
     // The nondeterministically picked fresh line (decis_levl[k*]).
     BlockAddr Instance = MM.symbolicBlock(Var, InstanceK);
-    size_t Idx = ensurePart(PL.Parts, MM.setOf(Instance));
-    PL.Parts[Idx].Must.set(Instance, 1, mustLanesOf(MM));
+    ensurePart(MM.setOf(Instance)).Must.set(Instance, 1, mustLanesOf(MM));
   }
 
   if (UseShadow) {
     // Any line of the array may now be the youngest in its set.
-    Payload &PL = mut();
     unsigned MayL = mayLanesOf(MM);
-    for (BlockAddr Block : ArrayBlocks) {
-      size_t Idx = ensurePart(PL.Parts, MM.setOf(Block));
-      PL.Parts[Idx].May.set(Block, 1, MayL);
-    }
+    for (BlockAddr Block : ArrayBlocks)
+      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
     if (!AllCached) {
       BlockAddr Instance = MM.symbolicBlock(Var, InstanceK);
-      size_t Idx = ensurePart(PL.Parts, MM.setOf(Instance));
-      PL.Parts[Idx].May.set(Instance, 1, MayL);
+      ensurePart(MM.setOf(Instance)).May.set(Instance, 1, MayL);
     }
   }
   normalize();
@@ -855,9 +920,6 @@ void CacheAbsState::accessUnknownFifo(VarId Var, const MemoryModel &MM,
                                       bool UseShadow) {
   uint32_t Assoc = MM.config().Associativity;
   std::vector<uint32_t> Sets = MM.setsOf(Var); // Sorted, deduplicated.
-  auto IsCandidateSet = [&](uint32_t Set) {
-    return std::binary_search(Sets.begin(), Sets.end(), Set);
-  };
 
   // When every line of the array is provably resident the access hits
   // whichever line it touches, and a FIFO hit is the identity.
@@ -876,17 +938,12 @@ void CacheAbsState::accessUnknownFifo(VarId Var, const MemoryModel &MM,
   // which line it is is unknown, so no MUST entry can claim it (a symbolic
   // instance at the weakest bound would be evicted by the next possible
   // miss anyway).
-  Payload &PL = mut();
-  for (CacheSetPartition &Part : PL.Parts)
-    if (IsCandidateSet(Part.Set))
-      Part.Must.agePredLE(Assoc, PackedAges::npos, Assoc);
+  ageSets(Sets, Assoc);
   if (UseShadow) {
     // Any line of the array may now sit at insertion position 1.
     unsigned MayL = mayLanesOf(MM);
-    for (BlockAddr Block : ArrayBlocks) {
-      size_t Idx = ensurePart(PL.Parts, MM.setOf(Block));
-      PL.Parts[Idx].May.set(Block, 1, MayL);
-    }
+    for (BlockAddr Block : ArrayBlocks)
+      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
   }
   normalize();
 }
@@ -895,32 +952,21 @@ void CacheAbsState::accessUnknownPlru(VarId Var, uint64_t InstanceK,
                                       const MemoryModel &MM, bool UseShadow) {
   uint32_t Cap = MM.config().mustAgeCap();
   std::vector<uint32_t> Sets = MM.setsOf(Var); // Sorted, deduplicated.
-  auto IsCandidateSet = [&](uint32_t Set) {
-    return std::binary_search(Sets.begin(), Sets.end(), Set);
-  };
 
   // Hit or miss, the access flips tree bits in whichever candidate set it
   // lands in, so every tracked block there ages one step toward the tree
   // bound; the touched line itself ends fully protected, represented by
   // the fresh symbolic instance at age 1 (its concrete age is 1 whether
   // the access hit or filled).
-  Payload &PL = mut();
-  for (CacheSetPartition &Part : PL.Parts)
-    if (IsCandidateSet(Part.Set))
-      Part.Must.agePredLE(Cap, PackedAges::npos, Cap);
+  ageSets(Sets, Cap);
   BlockAddr Instance = MM.symbolicBlock(Var, InstanceK);
-  size_t Idx = ensurePart(PL.Parts, MM.setOf(Instance));
-  PL.Parts[Idx].Must.set(Instance, 1, mustLanesOf(MM));
+  ensurePart(MM.setOf(Instance)).Must.set(Instance, 1, mustLanesOf(MM));
 
   if (UseShadow) {
     unsigned MayL = mayLanesOf(MM);
-    std::vector<BlockAddr> ArrayBlocks = MM.blocksOf(Var);
-    for (BlockAddr Block : ArrayBlocks) {
-      size_t I = ensurePart(PL.Parts, MM.setOf(Block));
-      PL.Parts[I].May.set(Block, 1, MayL);
-    }
-    size_t I = ensurePart(PL.Parts, MM.setOf(Instance));
-    PL.Parts[I].May.set(Instance, 1, MayL);
+    for (BlockAddr Block : MM.blocksOf(Var))
+      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
+    ensurePart(MM.setOf(Instance)).May.set(Instance, 1, MayL);
   }
   normalize();
 }
@@ -946,27 +992,24 @@ void CacheAbsState::applyCallEffect(const std::vector<uint32_t> &SetPressure,
         break;
       }
     if (AnyWork) {
-      Payload &PL = mut();
-      for (CacheSetPartition &Part : PL.Parts) {
+      for (size_t I = 0; I != nodes().size(); ++I) {
+        const CacheSetPartition &Part = nodes()[I]->Part;
         uint32_t K =
             Part.Set < SetPressure.size() ? SetPressure[Part.Set] : 0;
         if (K == 0 || Part.Must.empty())
           continue;
-        if (!IsLru) {
-          Part.Must.clear();
-          continue;
-        }
-        Part.Must.addPressure(K, Assoc);
+        if (IsLru)
+          mutPart(I).Must.addPressure(K, Assoc);
+        else
+          mutPart(I).Must.clear();
       }
     }
   }
 
   if (InsertExitMust && !ExitMust.empty()) {
-    Payload &PL = mut();
     unsigned MustL = mustLanesOf(MM);
     for (const AgedBlock &E : ExitMust) {
-      size_t Idx = ensurePart(PL.Parts, MM.setOf(E.Block));
-      PackedAges &Must = PL.Parts[Idx].Must;
+      PackedAges &Must = ensurePart(MM.setOf(E.Block)).Must;
       // Both the surviving caller bound and the callee exit bound are valid
       // age upper bounds; keep the tighter one.
       size_t Pos = Must.find(E.Block);
@@ -978,12 +1021,9 @@ void CacheAbsState::applyCallEffect(const std::vector<uint32_t> &SetPressure,
   }
 
   if (UseShadow && !MayBlocks.empty()) {
-    Payload &PL = mut();
     unsigned MayL = mayLanesOf(MM);
-    for (BlockAddr Block : MayBlocks) {
-      size_t Idx = ensurePart(PL.Parts, MM.setOf(Block));
-      PL.Parts[Idx].May.set(Block, 1, MayL);
-    }
+    for (BlockAddr Block : MayBlocks)
+      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
   }
   normalize();
 }
@@ -991,42 +1031,15 @@ void CacheAbsState::applyCallEffect(const std::vector<uint32_t> &SetPressure,
 //===----------------------------------------------------------------------===//
 // Join / order / widening
 //===----------------------------------------------------------------------===//
+//
+// Every walk below pairs the partitions of two states by set and skips
+// pairs held in the same node: a shared partition is equal to itself, so
+// it can neither change a join nor break an order or equality check.
 
-namespace {
-
-/// Would `Into ⊔= From` change Into? A pure read-only merge walk: MUST is
-/// intersection/max (change = a dropped entry or a grown age), MAY is
-/// union/min (change = a new entry or a shrunk age). Peer partitions with
-/// identical block lists compare a word at a time.
-bool joinWouldChange(const std::vector<CacheSetPartition> &Into,
-                     const std::vector<CacheSetPartition> &From,
-                     bool UseShadow) {
-  size_t I = 0, J = 0;
-  while (I != Into.size() || J != From.size()) {
-    if (J == From.size() ||
-        (I != Into.size() && Into[I].Set < From[J].Set)) {
-      if (!Into[I].Must.empty())
-        return true; // Whole partition leaves the MUST intersection.
-      ++I;
-      continue;
-    }
-    if (I == Into.size() || Into[I].Set > From[J].Set) {
-      if (UseShadow && !From[J].May.empty())
-        return true; // New MAY partition enters the union.
-      ++J;
-      continue;
-    }
-    if (Into[I].Must.mustJoinWouldChange(From[J].Must))
-      return true;
-    if (UseShadow && Into[I].May.mayJoinWouldChange(From[J].May))
-      return true;
-    ++I;
-    ++J;
-  }
-  return false;
+const std::vector<CacheAbsState::PartNode *> &CacheAbsState::noNodes() {
+  static const std::vector<PartNode *> None;
+  return None;
 }
-
-} // namespace
 
 bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
   if (From.Bottom)
@@ -1038,16 +1051,13 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
     if (P)
       P->RefCount.fetch_add(1, std::memory_order_relaxed);
     if (!UseShadow && P) {
-      bool AnyMay = false;
-      for (const CacheSetPartition &Part : P->Parts)
-        if (!Part.May.empty()) {
-          AnyMay = true;
-          break;
-        }
-      if (AnyMay) {
-        Payload &PL = mut();
-        for (CacheSetPartition &Part : PL.Parts)
-          Part.May.clear();
+      // Without shadows the join keeps no MAY entries: unshare and clear
+      // only the partitions that hold some.
+      auto HasMay = [](const PartNode *N) { return !N->Part.May.empty(); };
+      if (std::any_of(P->Parts.begin(), P->Parts.end(), HasMay)) {
+        for (size_t I = 0; I != P->Parts.size(); ++I)
+          if (HasMay(P->Parts[I]))
+            mutPart(I).May.clear();
         normalize();
       }
     }
@@ -1055,211 +1065,186 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
   }
   if (P == From.P)
     return false; // Shared storage: identical states, join is a no-op.
-  // Hash-equality early exit: equal structures join to themselves.
-  if (P && From.P && P->HashKnown.load(std::memory_order_acquire) &&
-      From.P->HashKnown.load(std::memory_order_acquire) &&
-      P->Hash.load(std::memory_order_relaxed) ==
-          From.P->Hash.load(std::memory_order_relaxed) &&
-      P->Parts == From.P->Parts)
-    return false;
 
-  const std::vector<CacheSetPartition> &Into = partitions();
-  const std::vector<CacheSetPartition> &Src = From.partitions();
-  if (!joinWouldChange(Into, Src, UseShadow))
-    return false;
-
-  // Uniquely-owned destination (the engines' slot accumulators after
-  // their first rebuild): merge in place — sameBlocks partitions update
-  // word-at-a-time with zero allocation, others swap through a reused
-  // scratch — instead of cloning every partition into a fresh payload.
-  if (P && P->RefCount.load(std::memory_order_relaxed) == 1) {
-    std::vector<CacheSetPartition> &Dst = P->Parts;
-    PackedAges ScratchMust, ScratchMay;
-    size_t I = 0, J = 0;
-    while (I != Dst.size() || J != Src.size()) {
-      if (J == Src.size() || (I != Dst.size() && Dst[I].Set < Src[J].Set)) {
-        Dst[I].Must.clear(); // Whole partition leaves the intersection.
-        ++I;
-      } else if (I == Dst.size() || Dst[I].Set > Src[J].Set) {
-        if (UseShadow && !Src[J].May.empty()) {
-          Dst.insert(Dst.begin() + static_cast<ptrdiff_t>(I),
-                     CacheSetPartition{Src[J].Set, {}, Src[J].May});
-          ++I;
-        }
-        ++J;
-      } else {
-        Dst[I].Must.mustMergeInPlace(Src[J].Must, ScratchMust);
-        if (UseShadow)
-          Dst[I].May.mayMergeInPlace(Src[J].May, ScratchMay);
-        ++I;
-        ++J;
-      }
-    }
-    size_t Kept = 0;
-    for (size_t K = 0; K != Dst.size(); ++K) {
-      if (Dst[K].Must.empty() && Dst[K].May.empty())
-        continue;
-      if (Kept != K)
-        Dst[Kept] = std::move(Dst[K]);
-      ++Kept;
-    }
-    Dst.resize(Kept);
-    P->HashKnown.store(false, std::memory_order_relaxed);
-    if (Dst.empty()) {
-      release(P);
-      P = nullptr;
-    }
-    return true;
-  }
-
-  // Build the merged payload fresh; the no-change path above keeps this
-  // allocation off the fixed-point steady state, and the arena recycles
-  // the partition buffers of the payload this replaces.
-  Payload *NewP = allocPayload();
-  std::vector<CacheSetPartition> &Out = NewP->Parts;
-  size_t OutN = 0;
-
-  if (Out.capacity() < std::max(Into.size(), Src.size()))
-    Out.reserve(std::max(Into.size(), Src.size()));
+  // One merge walk by set. The payload is unshared on the first partition
+  // the join changes, and then only the changed partitions are; a join
+  // that changes nothing copies nothing. Unsharing copies the node
+  // pointers in order, so the walk's indices stay valid across it.
+  const std::vector<PartNode *> &Src = From.nodes();
+  bool Changed = false;
+  PackedAges ScratchMust, ScratchMay;
   size_t I = 0, J = 0;
-  while (I != Into.size() || J != Src.size()) {
-    // Recycled payloads carry leftover partitions; reuse them as output
-    // slots so a warm join allocates nothing.
-    if (OutN == Out.size())
-      Out.emplace_back();
-    CacheSetPartition &Part = Out[OutN];
-    if (J == Src.size() || (I != Into.size() && Into[I].Set < Src[J].Set)) {
-      // Our set only: MUST intersection is empty, MAY keeps our entries
-      // (untouched when shadows are off, matching the flat representation).
-      Part.Set = Into[I].Set;
-      Part.Must.clear();
-      Part.May = Into[I].May;
+  while (I != nodes().size() || J != Src.size()) {
+    const std::vector<PartNode *> &Dst = nodes();
+    if (J == Src.size() ||
+        (I != Dst.size() && Dst[I]->Part.Set < Src[J]->Part.Set)) {
+      // Our set only: the MUST intersection is empty there; MAY keeps our
+      // entries (untouched when shadows are off).
+      if (!Dst[I]->Part.Must.empty()) {
+        mutPart(I).Must.clear();
+        Changed = true;
+      }
       ++I;
-    } else if (I == Into.size() || Into[I].Set > Src[J].Set) {
-      // Their set only: nothing joins MUST; MAY union adopts theirs.
-      Part.Set = Src[J].Set;
-      Part.Must.clear();
-      if (UseShadow)
-        Part.May = Src[J].May;
-      else
-        Part.May.clear();
+    } else if (I == Dst.size() || Dst[I]->Part.Set > Src[J]->Part.Set) {
+      // Their set only: nothing joins MUST; the MAY union adopts theirs.
+      const CacheSetPartition &Theirs = Src[J]->Part;
+      if (UseShadow && !Theirs.May.empty()) {
+        PartNode *N;
+        if (Theirs.Must.empty()) {
+          N = retain(Src[J]); // The joined partition is exactly theirs.
+        } else {
+          N = allocNode();
+          N->Part.Set = Theirs.Set;
+          N->Part.Must.clear();
+          N->Part.May = Theirs.May;
+        }
+        Payload &PL = mut();
+        PL.Parts.insert(PL.Parts.begin() + static_cast<ptrdiff_t>(I), N);
+        Changed = true;
+        ++I;
+      }
       ++J;
     } else {
-      Part.Set = Into[I].Set;
-      Part.Must.assignMustMerge(Into[I].Must, Src[J].Must);
-      if (UseShadow)
-        Part.May.assignMayMerge(Into[I].May, Src[J].May);
-      else
-        Part.May = Into[I].May;
+      if (Dst[I] != Src[J]) {
+        const CacheSetPartition &Mine = Dst[I]->Part, &Theirs = Src[J]->Part;
+        bool MustChanges = Mine.Must.mustJoinWouldChange(Theirs.Must);
+        bool MayChanges =
+            UseShadow && Mine.May.mayJoinWouldChange(Theirs.May);
+        if (MustChanges || MayChanges) {
+          joinPartInto(I, Src[J], MustChanges, MayChanges, UseShadow,
+                       ScratchMust, ScratchMay);
+          Changed = true;
+        }
+      }
       ++I;
       ++J;
     }
-    if (!Part.Must.empty() || !Part.May.empty())
-      ++OutN;
   }
-  Out.resize(OutN);
-
-  if (OutN == 0) {
-    release(NewP);
-    if (P)
-      release(P);
-    P = nullptr;
-  } else {
-    if (P)
-      release(P);
-    P = NewP;
-  }
+  if (!Changed)
+    return false;
+  normalize();
   return true;
 }
 
-bool CacheAbsState::leq(const CacheAbsState &RHS, uint32_t Assoc) const {
+void CacheAbsState::joinPartInto(size_t Idx, PartNode *From,
+                                 bool MustChanges, bool MayChanges,
+                                 bool UseShadow, PackedAges &ScratchMust,
+                                 PackedAges &ScratchMay) {
+  const PartNode *Ours = P->Parts[Idx];
+  const CacheSetPartition &Mine = Ours->Part, &Theirs = From->Part;
+  // Joins commute: when ours would not change theirs, the joined
+  // partition is theirs. Without shadows the join keeps our MAY entries,
+  // so that also needs them equal to theirs.
+  if (!Theirs.Must.mustJoinWouldChange(Mine.Must) &&
+      (UseShadow ? !Theirs.May.mayJoinWouldChange(Mine.May)
+                 : Mine.May == Theirs.May)) {
+    // Adopt their node instead of building an equal copy, so both states
+    // share it from here on.
+    setPart(Idx, retain(From));
+    return;
+  }
+  if (P->RefCount.load(std::memory_order_acquire) > 1 ||
+      Ours->RefCount.load(std::memory_order_acquire) > 1) {
+    // Shared: build the joined partition in a fresh node rather than
+    // copying ours and merging into the copy.
+    PartNode *N = allocNode();
+    N->Part.Set = Mine.Set;
+    if (MustChanges)
+      N->Part.Must.assignMustMerge(Mine.Must, Theirs.Must);
+    else
+      N->Part.Must = Mine.Must;
+    if (MayChanges)
+      N->Part.May.assignMayMerge(Mine.May, Theirs.May);
+    else
+      N->Part.May = Mine.May;
+    setPart(Idx, N);
+    return;
+  }
+  CacheSetPartition &Part = mutPart(Idx);
+  if (MustChanges)
+    Part.Must.mustMergeInPlace(Theirs.Must, ScratchMust);
+  if (MayChanges)
+    Part.May.mayMergeInPlace(Theirs.May, ScratchMay);
+}
+
+bool CacheAbsState::leq(const CacheAbsState &RHS, uint32_t /*Assoc*/) const {
   if (Bottom)
     return true;
   if (RHS.Bottom)
     return false;
-  // MUST ages are upper bounds and join takes max, so larger ages sit
-  // higher in the lattice: S ⊑ S' iff ∀b mustAge_S(b) <= mustAge_S'(b).
-  // Blocks RHS does not track have age Assoc+1 there, which dominates
-  // everything, so only RHS's tracked blocks need checking.
-  for (const CacheSetPartition &RPart : RHS.partitions()) {
-    const CacheSetPartition *LPart = findPart(RPart.Set);
-    if (!LPart) {
-      if (!RPart.Must.empty())
+  if (P == RHS.P)
+    return true; // Shared storage (or both empty).
+  // this ⊑ RHS iff joining this into RHS (with shadows) changes nothing:
+  // MUST ages are upper bounds joined by max over the intersection, MAY
+  // ages lower bounds joined by min over the union, and a block a side
+  // does not track sits at Assoc + 1 there.
+  const std::vector<PartNode *> &L = nodes(), &R = RHS.nodes();
+  size_t I = 0, J = 0;
+  while (I != L.size() || J != R.size()) {
+    if (J == R.size() || (I != L.size() && L[I]->Part.Set < R[J]->Part.Set)) {
+      // RHS tracks nothing in this set: any MAY entry of ours undercuts
+      // its Assoc + 1.
+      if (!L[I]->Part.May.empty())
         return false;
-      continue;
-    }
-    if (LPart->Must.sameBlocks(RPart.Must)) {
-      // Identical tracked blocks: one subtract-and-test per word.
-      if (!RPart.Must.allLanesGE(LPart->Must))
+      ++I;
+    } else if (I == L.size() || L[I]->Part.Set > R[J]->Part.Set) {
+      // We track nothing in this set: any MUST entry of RHS is tighter
+      // than our Assoc + 1.
+      if (!R[J]->Part.Must.empty())
         return false;
-      continue;
-    }
-    for (size_t K = 0, N = RPart.Must.size(); K != N; ++K) {
-      uint32_t Mine =
-          LPart->Must.ageOf(RPart.Must.blockAt(K), Assoc + 1);
-      if (Mine > RPart.Must.ageAt(K))
+      ++J;
+    } else {
+      const CacheSetPartition &Mine = L[I]->Part, &Theirs = R[J]->Part;
+      if (L[I] != R[J] && (Theirs.Must.mustJoinWouldChange(Mine.Must) ||
+                           Theirs.May.mayJoinWouldChange(Mine.May)))
         return false;
-    }
-  }
-  // MAY ages are lower bounds with min-join: S ⊑ S' iff
-  // ∀b mayAge_S(b) >= mayAge_S'(b); untracked blocks on our side are
-  // Assoc+1 and dominate.
-  for (const CacheSetPartition &LPart : partitions()) {
-    const CacheSetPartition *RPart = RHS.findPart(LPart.Set);
-    if (!RPart) {
-      if (!LPart.May.empty())
-        return false;
-      continue;
-    }
-    if (LPart.May.sameBlocks(RPart->May)) {
-      if (!LPart.May.allLanesGE(RPart->May))
-        return false;
-      continue;
-    }
-    for (size_t K = 0, N = LPart.May.size(); K != N; ++K) {
-      uint32_t Theirs = RPart->May.ageOf(LPart.May.blockAt(K), Assoc + 1);
-      if (LPart.May.ageAt(K) < Theirs)
-        return false;
+      ++I;
+      ++J;
     }
   }
   return true;
 }
 
 void CacheAbsState::widenFrom(const CacheAbsState &Prev, uint32_t Assoc) {
-  if (Bottom || Prev.Bottom)
+  if (Bottom || Prev.Bottom || P == Prev.P)
     return;
-  // Evict MUST entries whose age grew since the previous iterate. Probe
-  // first so the stable case never clones the payload.
-  auto Grew = [&](uint32_t Set, BlockAddr Block, uint16_t Age) {
-    const CacheSetPartition *PPart = Prev.findPart(Set);
-    uint32_t PrevAge =
-        PPart ? PPart->Must.ageOf(Block, Assoc + 1) : Assoc + 1;
-    return PrevAge <= Assoc && Age > PrevAge;
-  };
-  bool AnyGrew = false;
-  for (const CacheSetPartition &Part : partitions()) {
-    for (size_t I = 0, N = Part.Must.size(); I != N && !AnyGrew; ++I)
-      AnyGrew = Grew(Part.Set, Part.Must.blockAt(I), Part.Must.ageAt(I));
-    if (AnyGrew)
-      break;
-  }
-  if (!AnyGrew)
-    return;
-  Payload &PL = mut();
+  // Evict MUST entries whose age grew since the previous iterate. Only
+  // partitions with such an entry are unshared, so the stable case never
+  // clones anything.
+  const std::vector<PartNode *> &PrevParts = Prev.nodes();
   std::vector<char> Remove;
-  for (CacheSetPartition &Part : PL.Parts) {
-    size_t N = Part.Must.size();
+  bool Changed = false;
+  size_t J = 0;
+  for (size_t I = 0; I != nodes().size(); ++I) {
+    // Re-read through nodes(): unsharing the payload below replaces P.
+    const PartNode *Ours = nodes()[I];
+    uint32_t Set = Ours->Part.Set;
+    while (J != PrevParts.size() && PrevParts[J]->Part.Set < Set)
+      ++J;
+    // Prev tracks nothing in this set (every age Assoc+1, so nothing
+    // grew), or holds the very same partition.
+    if (J == PrevParts.size() || PrevParts[J]->Part.Set != Set ||
+        PrevParts[J] == Ours)
+      continue;
+    const PackedAges &Must = Ours->Part.Must;
+    const PackedAges &PrevMust = PrevParts[J]->Part.Must;
+    size_t N = Must.size();
     Remove.assign(N, 0);
     bool Any = false;
-    for (size_t I = 0; I != N; ++I)
-      if (Grew(Part.Set, Part.Must.blockAt(I), Part.Must.ageAt(I))) {
-        Remove[I] = 1;
+    for (size_t K = 0; K != N; ++K) {
+      uint32_t PrevAge = PrevMust.ageOf(Must.blockAt(K), Assoc + 1);
+      if (PrevAge <= Assoc && Must.ageAt(K) > PrevAge) {
+        Remove[K] = 1;
         Any = true;
       }
-    if (Any)
-      Part.Must.removeFlagged(Remove);
+    }
+    if (Any) {
+      mutPart(I).Must.removeFlagged(Remove);
+      Changed = true;
+    }
   }
-  normalize();
+  if (Changed)
+    normalize();
   // MAY ages descend toward 1 on a finite ladder; no acceleration needed.
 }
 
@@ -1272,12 +1257,23 @@ bool CacheAbsState::operator==(const CacheAbsState &RHS) const {
     return true; // Shared storage (or both empty).
   // Canonical form: a live payload always has at least one partition, so
   // an empty state never equals a non-empty one here.
-  if (P && RHS.P && P->HashKnown.load(std::memory_order_acquire) &&
-      RHS.P->HashKnown.load(std::memory_order_acquire) &&
-      P->Hash.load(std::memory_order_relaxed) !=
-          RHS.P->Hash.load(std::memory_order_relaxed))
+  if (!P || !RHS.P)
     return false;
-  return partitions() == RHS.partitions();
+  auto HashesDiffer = [](const std::atomic<uint64_t> &A,
+                         const std::atomic<uint64_t> &B) {
+    uint64_t HA = A.load(std::memory_order_relaxed);
+    uint64_t HB = B.load(std::memory_order_relaxed);
+    return HA && HB && HA != HB;
+  };
+  if (HashesDiffer(P->Hash, RHS.P->Hash) ||
+      P->Parts.size() != RHS.P->Parts.size())
+    return false;
+  for (size_t I = 0, N = P->Parts.size(); I != N; ++I) {
+    const PartNode *A = P->Parts[I], *B = RHS.P->Parts[I];
+    if (A != B && (HashesDiffer(A->Hash, B->Hash) || !(A->Part == B->Part)))
+      return false;
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1308,36 +1304,53 @@ std::vector<AgedBlock> CacheAbsState::mayEntries() const {
   return Out;
 }
 
+namespace {
+
+/// FNV-style accumulator over splitmix64-scrambled words.
+struct HashMixer {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  void mix(uint64_t V) { H = (H ^ splitmix64(V)) * 0x100000001b3ULL; }
+  /// The mixed value, never 0 (0 marks "not computed" in the caches).
+  uint64_t value() const { return H ? H : 1; }
+};
+
+} // namespace
+
+uint64_t CacheAbsState::nodeHash(const PartNode &N) {
+  if (uint64_t H = N.Hash.load(std::memory_order_relaxed))
+    return H;
+  HashMixer M;
+  M.mix(N.Part.Set);
+  M.mix(N.Part.Must.size());
+  for (const AgedBlock E : N.Part.Must) {
+    M.mix(E.Block);
+    M.mix(E.Age);
+  }
+  M.mix(N.Part.May.size());
+  for (const AgedBlock E : N.Part.May) {
+    M.mix(E.Block);
+    M.mix(E.Age);
+  }
+  // Racing readers of a shared node compute and store the same value.
+  N.Hash.store(M.value(), std::memory_order_relaxed);
+  return M.value();
+}
+
 uint64_t CacheAbsState::structuralHash() const {
   if (Bottom)
     return 0xB0770B0770ULL;
   if (!P)
     return 0x9E3779B97F4A7C15ULL; // The empty (entry) state.
-  if (P->HashKnown.load(std::memory_order_acquire))
-    return P->Hash.load(std::memory_order_relaxed);
-  uint64_t H = 0xcbf29ce484222325ULL;
-  auto Mix = [&H](uint64_t V) {
-    H = (H ^ splitmix64(V)) * 0x100000001b3ULL;
-  };
-  Mix(P->Parts.size());
-  for (const CacheSetPartition &Part : P->Parts) {
-    Mix(Part.Set);
-    Mix(Part.Must.size());
-    for (const AgedBlock E : Part.Must) {
-      Mix(E.Block);
-      Mix(E.Age);
-    }
-    Mix(Part.May.size());
-    for (const AgedBlock E : Part.May) {
-      Mix(E.Block);
-      Mix(E.Age);
-    }
-  }
-  // Racing readers of a shared payload compute the same value; the
-  // release/acquire pair orders the value before the flag.
-  P->Hash.store(H, std::memory_order_relaxed);
-  P->HashKnown.store(true, std::memory_order_release);
-  return H;
+  if (uint64_t H = P->Hash.load(std::memory_order_relaxed))
+    return H;
+  // Combine the per-partition hashes; only partitions written since they
+  // were last hashed walk their entries.
+  HashMixer M;
+  M.mix(P->Parts.size());
+  for (const PartNode *N : P->Parts)
+    M.mix(nodeHash(*N));
+  P->Hash.store(M.value(), std::memory_order_relaxed);
+  return M.value();
 }
 
 std::string CacheAbsState::str(const MemoryModel &MM) const {

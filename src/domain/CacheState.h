@@ -62,25 +62,37 @@
 ///    16/8/4 entries per instruction instead of one. The Appendix B NYoung
 ///    rule runs off a MAY-age histogram (O(n + cap) per transfer, not
 ///    O(n^2)). Zero lanes mark absent tail slots (real ages are >= 1).
-///  - The partition vector lives behind a *copy-on-write payload* with an
-///    intrusive atomic refcount: copying a state is a refcount bump, and
-///    the engines' ubiquitous `Out = In; transfer(Out)` pattern only
-///    clones when the transfer actually mutates. Two handles may share
-///    storage (`sharesStorageWith`), which joinInto exploits as an O(1)
-///    no-change fast path.
-///  - Payloads are recycled through a per-analysis arena
+///  - Copy-on-write at two levels. A state is a handle to a *payload*
+///    holding set-sorted pointers to *partition nodes*, one per cache set;
+///    both carry an intrusive atomic refcount. Copying a state is a
+///    refcount bump. The first mutation of a shared payload (`mut()`)
+///    copies only the node pointers, and each mutator unshares only the
+///    partition of the set it writes (`mutPart()`), so the engines'
+///    ubiquitous `Out = In; transfer(Out)` copies one cache set, and
+///    states derived from one another share every partition neither
+///    wrote (`sharesStorageWith`, `sharesPartitionWith`).
+///  - Joins, `leq`, `widenFrom` and `operator==` walk the partitions of
+///    two states paired by set and skip pairs held in the same node. A
+///    join whose result for a set equals the source's partition adopts
+///    the source's node instead of building an equal copy, so sharing
+///    survives joins; a join that changes nothing copies nothing.
+///  - Payloads and nodes are recycled through a per-analysis arena
 ///    (CacheAbsState::ArenaScope over support/RecyclingArena.h): retiring
-///    a payload hands its partition buffers to the next clone instead of
-///    the allocator, so a converging fixpoint stops allocating. States may
-///    outlive the arena — every payload is individually heap-deletable.
-///  - Each payload caches a lazily computed 64-bit structural hash
-///    (`structuralHash`), giving equality a fast negative path and backing
-///    the engines' transfer memoization and the StateInterner pool.
+///    a node hands its entry buffers to the next clone instead of the
+///    allocator, so a converging fixpoint stops allocating. States may
+///    outlive the arena — every payload and node is individually
+///    heap-deletable.
+///  - Hashes are incremental: each node caches a 64-bit hash of its
+///    partition and each payload the combination of its nodes' hashes
+///    (`structuralHash`); a mutation resets only the payload's hash and
+///    those of the partitions it wrote. The hash gives equality a fast
+///    negative path and backs the engines' transfer memoization and the
+///    StateInterner pool.
 ///
-/// Handles are cheap to copy across threads; refcounts and the lazy hash
-/// are atomic, so concurrent *reads* (including lazy hashing) of a shared
-/// payload are safe. Mutation still requires exclusive ownership of the
-/// handle, which copy-on-write guarantees.
+/// Handles are cheap to copy across threads; refcounts and the lazy
+/// hashes are atomic, so concurrent *reads* (including lazy hashing) of
+/// shared payloads and nodes are safe. Mutation still requires exclusive
+/// ownership of the handle, which copy-on-write guarantees.
 ///
 /// `mustEntries()/mayEntries()` materialize the canonical block-sorted
 /// entry order of the pre-packing representations, so every golden digest
@@ -281,25 +293,93 @@ struct CacheSetPartition {
 
 /// Abstract cache state: MUST ages plus optional MAY (shadow) ages.
 class CacheAbsState {
-  /// Copy-on-write payload. RefCount and the lazy hash are atomic so
-  /// shared payloads tolerate concurrent readers (docs/PERFORMANCE.md,
-  /// "Thread safety").
+  /// Copy-on-write node of one cache-set partition. RefCount and the
+  /// lazy hash are atomic so shared nodes tolerate concurrent readers
+  /// (docs/PERFORMANCE.md, "Thread safety").
+  struct PartNode {
+    std::atomic<uint32_t> RefCount{1};
+    CacheSetPartition Part;
+    /// Lazily computed partition hash; 0 means "not computed yet" (a
+    /// computed 0 is stored as 1). Reset by every mutation.
+    mutable std::atomic<uint64_t> Hash{0};
+  };
+
+  /// Copy-on-write payload: set-sorted pointers to partition nodes, each
+  /// holding one reference.
   struct Payload {
     std::atomic<uint32_t> RefCount{1};
-    std::vector<CacheSetPartition> Parts;
-    /// Lazily computed by structuralHash(); invalidated on mutation.
+    std::vector<PartNode *> Parts;
+    /// Lazily computed by structuralHash() from the partition hashes; 0
+    /// means "not computed yet". Reset by every mutation.
     mutable std::atomic<uint64_t> Hash{0};
-    mutable std::atomic<bool> HashKnown{false};
+
+    ~Payload() { dropParts(); }
+    /// Releases every partition reference and empties Parts, keeping
+    /// the vector's capacity for the next user of a recycled payload.
+    void dropParts() {
+      for (PartNode *N : Parts)
+        releaseNode(N);
+      Parts.clear();
+    }
   };
 
 public:
-  /// RAII per-analysis payload arena: while a scope is active on a thread,
-  /// payloads released there are recycled into the next allocation with
-  /// their partition buffers intact (zero-malloc steady state). States may
-  /// outlive the scope — payloads fall back to plain heap delete.
+  /// RAII per-analysis arena for payloads and partition nodes: while a
+  /// scope is active on a thread, objects released there are recycled
+  /// into the next allocation with their buffers intact (zero-malloc
+  /// steady state). States may outlive the scope — objects fall back to
+  /// plain heap delete.
   class ArenaScope {
   private:
-    RecyclingArena<Payload>::Scope S;
+    RecyclingArena<PartNode>::Scope Nodes;
+    RecyclingArena<Payload>::Scope Payloads;
+  };
+
+  /// Read-only view of the partitions, iterated as
+  /// `const CacheSetPartition &` in canonical (set-sorted) order.
+  class PartitionView {
+  public:
+    class const_iterator {
+    public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = CacheSetPartition;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const CacheSetPartition *;
+      using reference = const CacheSetPartition &;
+
+      const_iterator() = default;
+      explicit const_iterator(PartNode *const *It) : It(It) {}
+      const CacheSetPartition &operator*() const { return (*It)->Part; }
+      const CacheSetPartition *operator->() const { return &(*It)->Part; }
+      const_iterator &operator++() {
+        ++It;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator T = *this;
+        ++It;
+        return T;
+      }
+      bool operator==(const const_iterator &RHS) const = default;
+
+    private:
+      PartNode *const *It = nullptr;
+    };
+
+    PartitionView() = default;
+    explicit PartitionView(const std::vector<PartNode *> &Parts)
+        : First(Parts.data()), N(Parts.size()) {}
+    const_iterator begin() const { return const_iterator(First); }
+    const_iterator end() const { return const_iterator(First + N); }
+    size_t size() const { return N; }
+    bool empty() const { return N == 0; }
+    const CacheSetPartition &operator[](size_t I) const {
+      return First[I]->Part;
+    }
+
+  private:
+    PartNode *const *First = nullptr;
+    size_t N = 0;
   };
 
   CacheAbsState() = default;
@@ -421,8 +501,8 @@ public:
 
   /// Per-set partitions in canonical form (sorted by set id, no empty
   /// partitions). The zero-copy view for hot iteration.
-  const std::vector<CacheSetPartition> &partitions() const {
-    return P ? P->Parts : emptyParts();
+  PartitionView partitions() const {
+    return P ? PartitionView(P->Parts) : PartitionView();
   }
 
   /// All MUST entries merged across partitions, sorted by block — the
@@ -433,9 +513,10 @@ public:
   /// All MAY entries merged across partitions, sorted by block.
   std::vector<AgedBlock> mayEntries() const;
 
-  /// 64-bit hash of the canonical structure, cached in the payload until
-  /// the next mutation. Equal states always hash equal, whatever their
-  /// lane widths.
+  /// 64-bit hash of the canonical structure: a combination of per-
+  /// partition hashes, each cached in its node, with the combination
+  /// cached in the payload until the next mutation. Equal states always
+  /// hash equal, whatever their lane widths or sharing.
   uint64_t structuralHash() const;
 
   /// True iff both handles alias the same payload (copy-on-write aliasing;
@@ -445,30 +526,89 @@ public:
     return P && P == RHS.P;
   }
 
+  /// True iff both states hold set \p Set's partition in the same
+  /// copy-on-write node (per-set aliasing; implies that partition is
+  /// equal). False when either state has no partition for the set.
+  bool sharesPartitionWith(const CacheAbsState &RHS, uint32_t Set) const;
+
   /// Renders like the paper's tables: blocks grouped youngest-first, e.g.
   /// "{mil, wd, el}". MAY entries render with the ∃ prefix when present.
   std::string str(const MemoryModel &MM) const;
 
 private:
-  static const std::vector<CacheSetPartition> &emptyParts();
-
-  static void release(Payload *PL) {
-    if (PL->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      RecyclingArena<Payload>::releaseToActive(PL);
+  /// True iff the caller held the last reference to \p Obj. A sole
+  /// owner skips the atomic read-modify-write: no other thread holds a
+  /// reference it could copy from.
+  template <typename T> static bool dropRef(T *Obj) {
+    return Obj->RefCount.load(std::memory_order_acquire) == 1 ||
+           Obj->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1;
   }
-  /// A fresh unique payload (possibly recycled; Parts contents
-  /// unspecified until the caller overwrites them).
+  static void release(Payload *PL) {
+    if (dropRef(PL)) {
+      PL->dropParts();
+      RecyclingArena<Payload>::releaseToActive(PL);
+    }
+  }
+  static void releaseNode(PartNode *N) {
+    if (dropRef(N))
+      RecyclingArena<PartNode>::releaseToActive(N);
+  }
+  static PartNode *retain(PartNode *N) {
+    N->RefCount.fetch_add(1, std::memory_order_relaxed);
+    return N;
+  }
+  /// A fresh unique payload with no partitions (possibly recycled).
   static Payload *allocPayload();
+  /// A fresh unique node (possibly recycled; Part contents unspecified
+  /// until the caller overwrites them).
+  static PartNode *allocNode();
+  /// The cached hash of \p N's partition, computed on first use.
+  static uint64_t nodeHash(const PartNode &N);
 
-  /// Unshares the payload (clone if aliased, allocate-empty if absent) and
-  /// invalidates the cached hash. Every mutator goes through here.
+  /// A fresh unique node holding a copy of \p From's partition.
+  static PartNode *copyNode(const PartNode &From);
+
+  /// Unshares the payload (a copy of the partition *pointers* if aliased,
+  /// allocate-empty if absent) and invalidates the cached state hash.
+  /// Mutators that insert partitions go through here; the others unshare
+  /// partition by partition through mutPart/setPart.
   Payload &mut();
+  /// Replaces the shared payload by a unique copy that holds a reference
+  /// to each node, except that slot \p Idx (npos: none) takes \p Slot,
+  /// or a copy of its old node when \p Slot is null.
+  void unshareWith(size_t Idx, PartNode *Slot);
+  /// Unshares partition \p Idx, and the payload when shared, and
+  /// invalidates the partition's cached hash and the state's.
+  CacheSetPartition &mutPart(size_t Idx);
+  /// Puts \p N (whose reference the payload takes) in slot \p Idx,
+  /// unsharing the payload when shared.
+  void setPart(size_t Idx, PartNode *N);
+  /// Find-or-insert the partition of \p Set, unshared. The reference
+  /// stays valid across later inserts: partitions live in their nodes,
+  /// not in the pointer vector.
+  CacheSetPartition &ensurePart(uint32_t Set);
+  /// Ages by one every MUST entry in the partitions of \p Sets (sorted),
+  /// evicting past \p Cap — an access that may miss in any of those sets.
+  void ageSets(const std::vector<uint32_t> &Sets, uint32_t Cap);
+  /// Joins \p From into partition \p Idx, both of one set, given which
+  /// of our MUST and MAY sides the join changes (at least one). Adopts
+  /// \p From's node when the result equals it.
+  void joinPartInto(size_t Idx, PartNode *From, bool MustChanges,
+                    bool MayChanges, bool UseShadow, PackedAges &ScratchMust,
+                    PackedAges &ScratchMay);
   /// Drops empty partitions; releases the payload when nothing is left so
   /// the empty state has a unique representation.
   void normalize();
 
+  /// The partition nodes (empty for the empty and bottom states).
+  const std::vector<PartNode *> &nodes() const {
+    return P ? P->Parts : noNodes();
+  }
+  static const std::vector<PartNode *> &noNodes();
   /// Partition of \p Set, or nullptr.
   const CacheSetPartition *findPart(uint32_t Set) const;
+  /// Node of \p Set's partition, or nullptr.
+  const PartNode *findNode(uint32_t Set) const;
 
   // Per-policy transfer bodies behind the accessBlock/accessUnknown
   // dispatchers (docs/DOMAINS.md). The Lru bodies are the paper's rules,

@@ -375,6 +375,89 @@ INSTANTIATE_TEST_SUITE_P(PinnedVerdictCorpus, VerdictRegressionTest,
                          });
 
 //===----------------------------------------------------------------------===//
+// Set-associative corpus: the same 20 programs at a 64-line, 4-way cache
+// (16 sets), under just-in-time/dynamic and no-merge/fixed. Every corpus
+// above runs a fully associative geometry, whose states hold exactly one
+// cache-set partition; this one pins the multi-partition paths of
+// CacheAbsState (per-set copy-on-write, partition-skipping joins and
+// comparisons, per-partition hashing). Regenerate with the snippet at the
+// bottom, with Jit.Cache = CacheConfig::setAssociative(64, 4).
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct SetAssocGoldenEntry {
+  uint64_t Seed;
+  uint64_t JitDynamicDigest;
+  uint64_t NoMergeFixedDigest;
+};
+
+const SetAssocGoldenEntry SetAssocCorpus[] = {
+    {1, 0x69be0d0ca7e68fa3ULL, 0x863faa02a4daff0dULL},
+    {2, 0x974c88c9747f9279ULL, 0x974c88c9747f9279ULL},
+    {3, 0x1478129b9de0ac0eULL, 0xb85888d92c437ae2ULL},
+    {4, 0x44f876d2004faf0bULL, 0x44f876d2004faf0bULL},
+    {5, 0x0064587df456adbbULL, 0x0064587df456adbbULL},
+    {6, 0x530f166aa2fc2d73ULL, 0x530f166aa2fc2d73ULL},
+    {7, 0x8eb7ac973283005cULL, 0x826f83792a7937c4ULL},
+    {8, 0x4e1a7bfb99d309f7ULL, 0x4e1a7bfb99d309f7ULL},
+    {9, 0xeaea3065f9e9eafcULL, 0xba9b421310885ce9ULL},
+    {10, 0xcc198215a29ae13eULL, 0x2206241caee609acULL},
+    {11, 0x0ee033ac8e739d50ULL, 0x871243abdc90624dULL},
+    {12, 0x39ce5769427a9300ULL, 0xbc49c7cdc258305aULL},
+    {13, 0x927d9ee1dc068002ULL, 0xae1f038b32257764ULL},
+    {14, 0x21db8846d5bc50cdULL, 0xe94caaca9029aedfULL},
+    {15, 0x5d70e93b28197bb3ULL, 0x7490cf67e6804d51ULL},
+    {16, 0x118f469a7b5f0235ULL, 0x67af7a885524a44dULL},
+    {17, 0x4de57484b41ff33aULL, 0xc668c9855500c63dULL},
+    {18, 0x6820b854c826852fULL, 0xb7748291a80b5295ULL},
+    {19, 0x4225868bc0063077ULL, 0xd74e8ff452a3b968ULL},
+    {20, 0x853bcc5af45376ffULL, 0x2b7cbca7d3ea11beULL},
+};
+
+class SetAssocRegressionTest
+    : public ::testing::TestWithParam<SetAssocGoldenEntry> {};
+
+} // namespace
+
+TEST_P(SetAssocRegressionTest, PinnedSetAssociativeDigestsAreStable) {
+  const SetAssocGoldenEntry &E = GetParam();
+  ProgramGen Gen(E.Seed);
+  GeneratedProgram G = Gen.generate();
+
+  DiagnosticEngine Diags;
+  auto CP = compileSource(G.source(), Diags);
+  ASSERT_TRUE(CP) << Diags.str();
+
+  MustHitOptions Jit;
+  Jit.Cache = CacheConfig::setAssociative(64, 4);
+  ASSERT_EQ(Jit.Cache.numSets(), 16u);
+  Jit.DepthMiss = 24;
+  Jit.DepthHit = 6;
+  Jit.Strategy = MergeStrategy::JustInTime;
+  Jit.Bounding = BoundingMode::Dynamic;
+  MustHitReport RJ = runMustHitAnalysis(*CP, Jit);
+  ASSERT_TRUE(RJ.Converged);
+  EXPECT_EQ(digestMustHitReport(*CP, RJ), E.JitDynamicDigest)
+      << "set-associative drift (just-in-time/dynamic) at seed " << E.Seed;
+
+  MustHitOptions Nm = Jit;
+  Nm.Strategy = MergeStrategy::NoMerge;
+  Nm.Bounding = BoundingMode::Fixed;
+  MustHitReport RN = runMustHitAnalysis(*CP, Nm);
+  ASSERT_TRUE(RN.Converged);
+  EXPECT_EQ(digestMustHitReport(*CP, RN), E.NoMergeFixedDigest)
+      << "set-associative drift (no-merge/fixed) at seed " << E.Seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(PinnedSetAssocCorpus, SetAssocRegressionTest,
+                         ::testing::ValuesIn(SetAssocCorpus),
+                         [](const ::testing::TestParamInfo<
+                             SetAssocGoldenEntry> &I) {
+                           return "seed" + std::to_string(I.param.Seed);
+                         });
+
+//===----------------------------------------------------------------------===//
 // Summarize corpus: 20 deep-mode programs (ProgramGenOptions::Functions —
 // helper functions, call statements, rolled widened loops) compiled under
 // LoweringMode::Summarize and digested at module granularity: the entry

@@ -166,6 +166,106 @@ TEST(CowStateTest, EmptyAndBottomNeverReportSharing) {
 }
 
 //===----------------------------------------------------------------------===//
+// Per-set copy-on-write partitions
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The stress benchmark's geometry: 512 lines, 8 ways, 64 sets.
+CacheConfig stressGeometry() { return CacheConfig::setAssociative(512, 8); }
+
+/// Touches every line of every variable of \p F, in variable order.
+CacheAbsState fillAll(const Blocks &F, unsigned NumVars) {
+  CacheAbsState S = CacheAbsState::empty();
+  for (unsigned V = 0; V != NumVars; ++V)
+    for (uint64_t Elem : {uint64_t(0), uint64_t(64)})
+      S.accessBlock(F.block(V, Elem), *F.MM, /*UseShadow=*/true);
+  return S;
+}
+
+size_t sharedPartitions(const CacheAbsState &A, const CacheAbsState &B) {
+  size_t N = 0;
+  for (const CacheSetPartition &Part : A.partitions())
+    N += A.sharesPartitionWith(B, Part.Set);
+  return N;
+}
+
+} // namespace
+
+TEST(PartitionCowTest, OneAccessUnsharesOnlyTheAccessedSet) {
+  // 32 two-line variables cover the 64 sets once each.
+  Blocks F(32, stressGeometry());
+  CacheAbsState A = fillAll(F, 32);
+  ASSERT_EQ(A.partitions().size(), 64u);
+
+  CacheAbsState B = A;
+  BlockAddr Touched = F.block(5, 64);
+  B.accessBlock(Touched, *F.MM, /*UseShadow=*/true);
+  EXPECT_FALSE(B.sharesStorageWith(A));
+  EXPECT_EQ(sharedPartitions(B, A), 63u)
+      << "a transfer must copy only the partition of the set it writes";
+  EXPECT_FALSE(B.sharesPartitionWith(A, F.MM->setOf(Touched)));
+}
+
+TEST(PartitionCowTest, EqualStatesFromDifferentOpOrdersHashEqual) {
+  // B copies two partitions of a hashed state, re-hashes, then rewrites
+  // one of them in place, reusing the other 62 cached partition hashes;
+  // C is built from scratch with Y's access moved first (another set, so
+  // it commutes). Equal states, equal hashes.
+  Blocks F(64, stressGeometry());
+  CacheAbsState A = fillAll(F, 64);
+  uint64_t HA = A.structuralHash();
+
+  BlockAddr X = F.block(3, 0), Y = F.block(40, 64), X2 = X;
+  for (unsigned V = 0; V != 64 && X2 == X; ++V)
+    if (F.block(V) != X && F.MM->setOf(F.block(V)) == F.MM->setOf(X))
+      X2 = F.block(V);
+  ASSERT_NE(X2, X);
+  ASSERT_NE(F.MM->setOf(X), F.MM->setOf(Y));
+
+  CacheAbsState B = A;
+  B.accessBlock(X2, *F.MM, true);
+  uint64_t HB = B.structuralHash();
+  B.accessBlock(X, *F.MM, true); // X's partition is B's own now.
+  B.accessBlock(Y, *F.MM, true);
+  CacheAbsState C = fillAll(F, 64);
+  C.accessBlock(Y, *F.MM, true);
+  C.accessBlock(X2, *F.MM, true);
+  C.accessBlock(X, *F.MM, true);
+
+  EXPECT_EQ(sharedPartitions(B, C), 0u);
+  EXPECT_EQ(B, C);
+  EXPECT_EQ(B.structuralHash(), C.structuralHash());
+  EXPECT_NE(B.structuralHash(), HB);
+  EXPECT_NE(B.structuralHash(), HA);
+  EXPECT_EQ(A.structuralHash(), HA);
+}
+
+TEST(PartitionCowTest, JoinAdoptsTheSourcePartitionItEquals) {
+  // Two lines per set, so an access reorders the ages within its set.
+  Blocks F(64, stressGeometry());
+  CacheAbsState A = fillAll(F, 64);
+  CacheAbsState B = A;
+  BlockAddr X = F.block(7, 0);
+  uint32_t Set = F.MM->setOf(X);
+  B.accessBlock(X, *F.MM, true);
+
+  // Joined = A ⊔ B differs from A only in X's set, where it covers A.
+  CacheAbsState Joined = A;
+  ASSERT_TRUE(Joined.joinInto(B, true));
+  ASSERT_FALSE(Joined.sharesPartitionWith(A, Set));
+
+  // So A ⊔ Joined equals Joined's partition there: the join must adopt
+  // that node rather than build an equal copy, and keep the rest shared.
+  CacheAbsState Into = A;
+  EXPECT_TRUE(Into.joinInto(Joined, true));
+  EXPECT_EQ(Into, Joined);
+  EXPECT_TRUE(Into.sharesPartitionWith(Joined, Set));
+  EXPECT_EQ(sharedPartitions(Into, Joined), Into.partitions().size());
+  EXPECT_FALSE(Into.sharesStorageWith(Joined));
+}
+
+//===----------------------------------------------------------------------===//
 // Partitioned layout and canonical views
 //===----------------------------------------------------------------------===//
 

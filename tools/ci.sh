@@ -92,6 +92,18 @@ cat "$BUILD/fuzz_repair_smoke.json"
   > "$BUILD/fuzz_lowering_smoke.json"
 cat "$BUILD/fuzz_lowering_smoke.json"
 
+# Set-associative stress smoke: perfbench/stress.mc at 512 lines, 8-way
+# (64 cache sets) is the one fixed workload whose states hold many
+# partitions, so it pins the per-set copy-on-write joins and hashes of
+# docs/PERFORMANCE.md end to end. Its verdict digest must not move.
+STRESS_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
+  --lines 512 --assoc 8 --digest | grep '^verdict-digest:')
+if [ "$STRESS_DIGEST" != "verdict-digest: 0x381190335582f93f" ]; then
+  echo "ci: FAIL - stress verdict digest moved: $STRESS_DIGEST" >&2
+  exit 1
+fi
+echo "stress smoke: $STRESS_DIGEST"
+
 # Fixed-coverage perf smoke: the 50-program campaign behind
 # BENCH_fuzz.json, with timing JSON written next to the build
 # (informational — timings are machine-dependent and never gate; the
@@ -207,3 +219,37 @@ ctest --test-dir "$TSAN_BUILD" -L unit --output-on-failure -j "$JOBS"
 "$TSAN_BUILD/tools/specai-fuzz" --seed 1 --programs 5 --jobs 4 \
   --oracle repair --ce-dir "$TSAN_BUILD"
 echo "tsan leg: unit suite + --jobs 4 fuzz and repair smokes race-free"
+
+# Address/undefined-behaviour sanitizer leg (the sanitize-service CI job):
+# the service/support suite, the two state-representation suites (cache
+# states are built from two refcounted copy-on-write node types, payloads
+# and partitions, so a refcount slip fails here as a leak or a
+# use-after-free), and a sanitized daemon serving a --check trace.
+ASAN_BUILD="$REPO/build-asan"
+cmake -B "$ASAN_BUILD" -S "$REPO" -DSPECAI_WERROR=ON \
+  -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target service_test \
+  packed_state_test state_repr_test specaid specaid-cli
+"$ASAN_BUILD/tests/service_test"
+"$ASAN_BUILD/tests/packed_state_test"
+"$ASAN_BUILD/tests/state_repr_test"
+SOCK="$ASAN_BUILD/specaid-asan.sock"
+SPILL="$ASAN_BUILD/asan-spill"
+rm -f "$SOCK"
+mkdir -p "$SPILL"
+"$ASAN_BUILD/tools/specaid" --socket "$SOCK" --jobs 2 --cache 8 \
+  --spill "$SPILL" > "$ASAN_BUILD/specaid-asan.log" 2>&1 &
+SPECAID_PID=$!
+trap 'kill "$SPECAID_PID" 2>/dev/null || true' EXIT
+for _ in 1 2 3 4 5 6 7 8 9 10; do
+  [ -S "$SOCK" ] && break
+  sleep 1
+done
+"$ASAN_BUILD/tools/specaid-cli" --socket "$SOCK" \
+  --trace 60 --unique 12 --seed 1 --check
+"$ASAN_BUILD/tools/specaid-cli" --socket "$SOCK" --shutdown
+wait "$SPECAID_PID"
+trap - EXIT
+echo "asan leg: service and state-representation suites and daemon clean"
