@@ -386,50 +386,67 @@ void PackedAges::mayMergeInPlace(const PackedAges &From,
   std::swap(LaneLog, Scratch.LaneLog);
 }
 
-bool PackedAges::mustJoinWouldChange(const PackedAges &From) const {
+unsigned PackedAges::mustJoinOrder(const PackedAges &From) const {
   if (empty())
-    return false; // Intersection stays empty.
+    return JoinKeepsThis | (From.empty() ? JoinYieldsFrom : 0);
   if (From.empty())
-    return true; // Every entry leaves the intersection.
-  if (sameBlocks(From))
-    return !allLanesGE(From); // Change iff some From age exceeds ours.
-  size_t I = 0, J = 0;
-  while (I != size()) {
-    if (J == From.size() || blockAt(I) < From.blockAt(J))
-      return true; // Dropped from the intersection.
-    if (blockAt(I) > From.blockAt(J)) {
-      ++J;
-      continue;
-    }
-    if (From.ageAt(J) > ageAt(I))
-      return true; // Age grows to the max.
-    ++I;
-    ++J;
+    return JoinYieldsFrom; // Every entry leaves the intersection.
+  if (sameBlocks(From)) {
+    // Lane max. Keeping ours and yielding theirs at once means equal lanes.
+    if (allLanesGE(From))
+      return JoinKeepsThis | (Words == From.Words ? JoinYieldsFrom : 0);
+    return From.allLanesGE(*this) ? JoinYieldsFrom : 0;
   }
-  return false;
+  unsigned Order = JoinKeepsThis | JoinYieldsFrom;
+  size_t I = 0, J = 0;
+  while (Order && (I != size() || J != From.size())) {
+    if (J == From.size() || (I != size() && blockAt(I) < From.blockAt(J))) {
+      Order &= ~JoinKeepsThis; // Ours leaves the intersection.
+      ++I;
+    } else if (I == size() || blockAt(I) > From.blockAt(J)) {
+      Order &= ~JoinYieldsFrom; // Theirs leaves the intersection.
+      ++J;
+    } else {
+      if (From.ageAt(J) > ageAt(I))
+        Order &= ~JoinKeepsThis; // Our age grows to the max.
+      else if (ageAt(I) > From.ageAt(J))
+        Order &= ~JoinYieldsFrom;
+      ++I;
+      ++J;
+    }
+  }
+  return Order;
 }
 
-bool PackedAges::mayJoinWouldChange(const PackedAges &From) const {
+unsigned PackedAges::mayJoinOrder(const PackedAges &From) const {
   if (From.empty())
-    return false;
+    return JoinKeepsThis | (empty() ? JoinYieldsFrom : 0);
   if (empty())
-    return true; // New shadow entries enter the union.
-  if (sameBlocks(From))
-    return !From.allLanesGE(*this); // Change iff some From age undercuts.
-  size_t I = 0, J = 0;
-  while (J != From.size()) {
-    if (I == size() || blockAt(I) > From.blockAt(J))
-      return true; // New shadow entry.
-    if (blockAt(I) < From.blockAt(J)) {
-      ++I;
-      continue;
-    }
-    if (From.ageAt(J) < ageAt(I))
-      return true; // Age shrinks to the min.
-    ++I;
-    ++J;
+    return JoinYieldsFrom; // Their shadow entries enter the union.
+  if (sameBlocks(From)) { // Lane min: the mirror image of the MUST case.
+    if (From.allLanesGE(*this))
+      return JoinKeepsThis | (Words == From.Words ? JoinYieldsFrom : 0);
+    return allLanesGE(From) ? JoinYieldsFrom : 0;
   }
-  return false;
+  unsigned Order = JoinKeepsThis | JoinYieldsFrom;
+  size_t I = 0, J = 0;
+  while (Order && (I != size() || J != From.size())) {
+    if (J == From.size() || (I != size() && blockAt(I) < From.blockAt(J))) {
+      Order &= ~JoinYieldsFrom; // Ours joins the union.
+      ++I;
+    } else if (I == size() || blockAt(I) > From.blockAt(J)) {
+      Order &= ~JoinKeepsThis; // Theirs joins the union.
+      ++J;
+    } else {
+      if (From.ageAt(J) < ageAt(I))
+        Order &= ~JoinKeepsThis; // Our age shrinks to the min.
+      else if (ageAt(I) < From.ageAt(J))
+        Order &= ~JoinYieldsFrom;
+      ++I;
+      ++J;
+    }
+  }
+  return Order;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1036,6 +1053,25 @@ void CacheAbsState::applyCallEffect(const std::vector<uint32_t> &SetPressure,
 // pairs held in the same node: a shared partition is equal to itself, so
 // it can neither change a join nor break an order or equality check.
 
+namespace {
+
+/// Where `Into ⊔ From` lands for two partitions of one set, as a
+/// PackedAges::JoinKeepsThis / JoinYieldsFrom mask over both sides.
+/// Without shadows the join leaves Into's MAY entries alone, so it
+/// yields From only when those already equal From's.
+unsigned partJoinOrder(const CacheSetPartition &Into,
+                       const CacheSetPartition &From, bool UseShadow) {
+  unsigned Must = Into.Must.mustJoinOrder(From.Must);
+  if (!Must)
+    return 0; // Changes ours and is not theirs, whatever MAY does.
+  if (UseShadow)
+    return Must & Into.May.mayJoinOrder(From.May);
+  return Must & (PackedAges::JoinKeepsThis |
+                 (Into.May == From.May ? PackedAges::JoinYieldsFrom : 0));
+}
+
+} // namespace
+
 const std::vector<CacheAbsState::PartNode *> &CacheAbsState::noNodes() {
   static const std::vector<PartNode *> None;
   return None;
@@ -1071,8 +1107,11 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
   // that changes nothing copies nothing. Unsharing copies the node
   // pointers in order, so the walk's indices stay valid across it.
   const std::vector<PartNode *> &Src = From.nodes();
-  bool Changed = false;
-  PackedAges ScratchMust, ScratchMay;
+  bool Changed = false, EmptiedSome = false;
+  auto WroteEmpty = [&](size_t Idx) {
+    const CacheSetPartition &Part = nodes()[Idx]->Part;
+    return Part.Must.empty() && Part.May.empty();
+  };
   size_t I = 0, J = 0;
   while (I != nodes().size() || J != Src.size()) {
     const std::vector<PartNode *> &Dst = nodes();
@@ -1083,6 +1122,7 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
       if (!Dst[I]->Part.Must.empty()) {
         mutPart(I).Must.clear();
         Changed = true;
+        EmptiedSome |= WroteEmpty(I);
       }
       ++I;
     } else if (I == Dst.size() || Dst[I]->Part.Set > Src[J]->Part.Set) {
@@ -1106,54 +1146,41 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
       ++J;
     } else {
       if (Dst[I] != Src[J]) {
-        const CacheSetPartition &Mine = Dst[I]->Part, &Theirs = Src[J]->Part;
-        bool MustChanges = Mine.Must.mustJoinWouldChange(Theirs.Must);
-        bool MayChanges =
-            UseShadow && Mine.May.mayJoinWouldChange(Theirs.May);
-        if (MustChanges || MayChanges) {
-          joinPartInto(I, Src[J], MustChanges, MayChanges, UseShadow,
-                       ScratchMust, ScratchMay);
+        unsigned Order = partJoinOrder(Dst[I]->Part, Src[J]->Part, UseShadow);
+        if (!(Order & PackedAges::JoinKeepsThis)) {
+          joinPartInto(I, Src[J], Order & PackedAges::JoinYieldsFrom,
+                       UseShadow);
           Changed = true;
+          EmptiedSome |= WroteEmpty(I);
         }
       }
       ++I;
       ++J;
     }
   }
-  if (!Changed)
-    return false;
-  normalize();
-  return true;
+  if (EmptiedSome)
+    normalize();
+  return Changed;
 }
 
 void CacheAbsState::joinPartInto(size_t Idx, PartNode *From,
-                                 bool MustChanges, bool MayChanges,
-                                 bool UseShadow, PackedAges &ScratchMust,
-                                 PackedAges &ScratchMay) {
-  const PartNode *Ours = P->Parts[Idx];
-  const CacheSetPartition &Mine = Ours->Part, &Theirs = From->Part;
-  // Joins commute: when ours would not change theirs, the joined
-  // partition is theirs. Without shadows the join keeps our MAY entries,
-  // so that also needs them equal to theirs.
-  if (!Theirs.Must.mustJoinWouldChange(Mine.Must) &&
-      (UseShadow ? !Theirs.May.mayJoinWouldChange(Mine.May)
-                 : Mine.May == Theirs.May)) {
+                                 bool YieldsFrom, bool UseShadow) {
+  if (YieldsFrom) {
     // Adopt their node instead of building an equal copy, so both states
     // share it from here on.
     setPart(Idx, retain(From));
     return;
   }
+  const PartNode *Ours = P->Parts[Idx];
+  const CacheSetPartition &Mine = Ours->Part, &Theirs = From->Part;
   if (P->RefCount.load(std::memory_order_acquire) > 1 ||
       Ours->RefCount.load(std::memory_order_acquire) > 1) {
     // Shared: build the joined partition in a fresh node rather than
     // copying ours and merging into the copy.
     PartNode *N = allocNode();
     N->Part.Set = Mine.Set;
-    if (MustChanges)
-      N->Part.Must.assignMustMerge(Mine.Must, Theirs.Must);
-    else
-      N->Part.Must = Mine.Must;
-    if (MayChanges)
+    N->Part.Must.assignMustMerge(Mine.Must, Theirs.Must);
+    if (UseShadow)
       N->Part.May.assignMayMerge(Mine.May, Theirs.May);
     else
       N->Part.May = Mine.May;
@@ -1161,10 +1188,10 @@ void CacheAbsState::joinPartInto(size_t Idx, PartNode *From,
     return;
   }
   CacheSetPartition &Part = mutPart(Idx);
-  if (MustChanges)
-    Part.Must.mustMergeInPlace(Theirs.Must, ScratchMust);
-  if (MayChanges)
-    Part.May.mayMergeInPlace(Theirs.May, ScratchMay);
+  PackedAges Scratch;
+  Part.Must.mustMergeInPlace(Theirs.Must, Scratch);
+  if (UseShadow)
+    Part.May.mayMergeInPlace(Theirs.May, Scratch);
 }
 
 bool CacheAbsState::leq(const CacheAbsState &RHS, uint32_t /*Assoc*/) const {
@@ -1194,9 +1221,9 @@ bool CacheAbsState::leq(const CacheAbsState &RHS, uint32_t /*Assoc*/) const {
         return false;
       ++J;
     } else {
-      const CacheSetPartition &Mine = L[I]->Part, &Theirs = R[J]->Part;
-      if (L[I] != R[J] && (Theirs.Must.mustJoinWouldChange(Mine.Must) ||
-                           Theirs.May.mayJoinWouldChange(Mine.May)))
+      if (L[I] != R[J] &&
+          !(partJoinOrder(R[J]->Part, L[I]->Part, /*UseShadow=*/true) &
+            PackedAges::JoinKeepsThis))
         return false;
       ++I;
       ++J;

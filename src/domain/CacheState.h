@@ -249,10 +249,15 @@ public:
   void mustMergeInPlace(const PackedAges &From, PackedAges &Scratch);
   /// this ⊔may= From, mutating in place; see mustMergeInPlace.
   void mayMergeInPlace(const PackedAges &From, PackedAges &Scratch);
-  /// Would a MUST join of this and From change this?
-  bool mustJoinWouldChange(const PackedAges &From) const;
-  /// Would a MAY join of this and From change this?
-  bool mayJoinWouldChange(const PackedAges &From) const;
+  /// Result bits of mustJoinOrder/mayJoinOrder.
+  static constexpr unsigned JoinKeepsThis = 1;  ///< this ⊔ From == this.
+  static constexpr unsigned JoinYieldsFrom = 2; ///< this ⊔ From == From.
+  /// Where a MUST join (intersection, lane max) of this and From lands,
+  /// in one walk: JoinKeepsThis iff From ⊑ this, JoinYieldsFrom iff
+  /// this ⊑ From.
+  unsigned mustJoinOrder(const PackedAges &From) const;
+  /// The same for a MAY join (union, lane min).
+  unsigned mayJoinOrder(const PackedAges &From) const;
   /// Precondition sameBlocks(RHS): true iff every lane here >= RHS's.
   bool allLanesGE(const PackedAges &RHS) const;
 
@@ -373,9 +378,6 @@ public:
     const_iterator end() const { return const_iterator(First + N); }
     size_t size() const { return N; }
     bool empty() const { return N == 0; }
-    const CacheSetPartition &operator[](size_t I) const {
-      return First[I]->Part;
-    }
 
   private:
     PartNode *const *First = nullptr;
@@ -536,21 +538,14 @@ public:
   std::string str(const MemoryModel &MM) const;
 
 private:
-  /// True iff the caller held the last reference to \p Obj. A sole
-  /// owner skips the atomic read-modify-write: no other thread holds a
-  /// reference it could copy from.
-  template <typename T> static bool dropRef(T *Obj) {
-    return Obj->RefCount.load(std::memory_order_acquire) == 1 ||
-           Obj->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1;
-  }
   static void release(Payload *PL) {
-    if (dropRef(PL)) {
+    if (PL->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       PL->dropParts();
       RecyclingArena<Payload>::releaseToActive(PL);
     }
   }
   static void releaseNode(PartNode *N) {
-    if (dropRef(N))
+    if (N->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
       RecyclingArena<PartNode>::releaseToActive(N);
   }
   static PartNode *retain(PartNode *N) {
@@ -590,12 +585,11 @@ private:
   /// Ages by one every MUST entry in the partitions of \p Sets (sorted),
   /// evicting past \p Cap — an access that may miss in any of those sets.
   void ageSets(const std::vector<uint32_t> &Sets, uint32_t Cap);
-  /// Joins \p From into partition \p Idx, both of one set, given which
-  /// of our MUST and MAY sides the join changes (at least one). Adopts
-  /// \p From's node when the result equals it.
-  void joinPartInto(size_t Idx, PartNode *From, bool MustChanges,
-                    bool MayChanges, bool UseShadow, PackedAges &ScratchMust,
-                    PackedAges &ScratchMay);
+  /// Joins \p From into partition \p Idx, both of one set, when the
+  /// join changes ours; adopts \p From's node when the result is
+  /// \p From's partition (\p YieldsFrom).
+  void joinPartInto(size_t Idx, PartNode *From, bool YieldsFrom,
+                    bool UseShadow);
   /// Drops empty partitions; releases the payload when nothing is left so
   /// the empty state has a unique representation.
   void normalize();
