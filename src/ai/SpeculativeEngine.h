@@ -59,7 +59,10 @@
 /// shared-storage fast path. All of it is gated on the optional domain
 /// hooks (isTransferIdentity/isTransferPure/stateHash) and changes no
 /// result: identity and pure transfers are replayed bit-identically, and
-/// stateful (symbolic-instance) transfers are never memoized.
+/// stateful (symbolic-instance) transfers are never memoized. Independent
+/// of the hooks, PR slots are folded into PostRollback while iterating
+/// only at the condition loads the §6.2 bound reads, and each site's bound
+/// is cached until a state it reads changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -369,6 +372,27 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   std::vector<uint32_t> JoinCounts(N, 0);
   NodeWorklist Worklist(G, Options.Order);
 
+  // Joins made while iterating, per flow kind; reported once at the end.
+  uint64_t NormalJoins = 0, SpecJoins = 0, PrJoins = 0, FoldJoins = 0,
+           BoundJoins = 0;
+
+  // §6.2 dynamic bounding reads only the observable states at condition
+  // loads. Map each such load to the sites whose bound reads it (none
+  // under fixed bounding or for overridden sites), and cache every site's
+  // all-hit bit until a state it was computed from changes.
+  enum : char { BoundStale, BoundMiss, BoundHit };
+  std::vector<std::vector<uint32_t>> BoundSitesOf(N);
+  std::vector<char> SiteBound(Plan.siteCount(), BoundStale);
+  if (Options.Bounding == BoundingMode::Dynamic)
+    for (uint32_t Site = Options.SiteDepthOverride.size();
+         Site < Plan.siteCount(); ++Site)
+      for (NodeId Load : Plan.sites()[Site].CondLoads)
+        BoundSitesOf[Load].push_back(Site);
+  auto InvalidateBounds = [&](NodeId Node) {
+    for (uint32_t Site : BoundSitesOf[Node])
+      SiteBound[Site] = BoundStale;
+  };
+
   // Fault injection only (SkipBackedges): true iff From->To is a back edge
   // (To heads a loop whose body contains From); mirrors the baseline
   // engine's check in WorklistEngine.h.
@@ -386,12 +410,14 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   auto JoinNormal = [&](NodeId Node, const State &From) {
     bool UseWiden = Options.UseWidening && LI && LI->isHeader(Node) &&
                     JoinCounts[Node] >= Options.WideningDelay;
+    ++NormalJoins;
     if (UseWiden) {
       State Prev = R.Normal[Node];
       if (D.joinInto(R.Normal[Node], From)) {
         D.widen(R.Normal[Node], Prev);
         ++JoinCounts[Node];
         NormalDirty[Node] = 1;
+        InvalidateBounds(Node);
         if (!Options.DropWidenPush)
           Worklist.push(Node);
       }
@@ -400,6 +426,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     if (D.joinInto(R.Normal[Node], From)) {
       ++JoinCounts[Node];
       NormalDirty[Node] = 1;
+      InvalidateBounds(Node);
       Worklist.push(Node);
     }
   };
@@ -413,6 +440,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     bool UseWiden = Options.UseWidening && LI && LI->isHeader(Node) &&
                     JoinCounts[Node] >= Options.WideningDelay;
     State Prev = UseWiden ? Slot->second.St : D.bottom();
+    ++PrJoins;
     bool Changed = D.joinInto(Slot->second.St, From);
     if (Changed) {
       if (UseWiden)
@@ -423,14 +451,19 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     } else if (Inserted) {
       Worklist.push(Node);
     }
-    // Keep the folded per-node join current while iterating: the §6.2
-    // dynamic depth bound reads it, and a bound computed without the
-    // rollback pollution at the condition loads would under-size windows
-    // (found by specai-fuzz). Slots grow monotonically, so folding on
-    // change equals folding everything at the end.
     if (Changed || Inserted) {
       Slot->second.Dirty = true;
-      D.joinInto(R.PostRollback[Node], Slot->second.St);
+      // The §6.2 dynamic bound is the only reader of R.PostRollback while
+      // iterating, and it reads it only at condition loads: a bound
+      // computed without the rollback pollution there would under-size
+      // windows (found by specai-fuzz). So fold eagerly at those loads
+      // alone; everywhere else the end-of-run fold computes the same join,
+      // because slots only grow.
+      if (!BoundSitesOf[Node].empty()) {
+        ++FoldJoins;
+        if (D.joinInto(R.PostRollback[Node], Slot->second.St))
+          InvalidateBounds(Node);
+      }
     }
   };
 
@@ -438,6 +471,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
                       uint32_t Depth) {
     auto [Slot, Inserted] =
         SS[Node].tryEmplace(Color, SpecSlot{D.bottom(), 0, true});
+    ++SpecJoins;
     bool Changed = D.joinInto(Slot->second.St, From);
     if (Depth > Slot->second.Depth) {
       Slot->second.Depth = Depth;
@@ -455,17 +489,20 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     if (Site < Options.SiteDepthOverride.size()) {
       Depth = Options.SiteDepthOverride[Site];
     } else if (Options.Bounding == BoundingMode::Dynamic) {
-      const SpecSite &SS_ = Plan.sites()[Site];
-      bool AllHit = !SS_.CondLoads.empty();
-      for (NodeId Load : SS_.CondLoads) {
-        State Obs = R.Normal[Load];
-        D.joinInto(Obs, R.PostRollback[Load]);
-        if (D.isBottom(Obs) || !D.isMustHit(Obs, Load)) {
-          AllHit = false;
-          break;
+      if (SiteBound[Site] == BoundStale) {
+        const SpecSite &SS_ = Plan.sites()[Site];
+        bool AllHit = !SS_.CondLoads.empty();
+        for (NodeId Load : SS_.CondLoads) {
+          ++BoundJoins;
+          State Obs = R.observable(D, Load);
+          if (D.isBottom(Obs) || !D.isMustHit(Obs, Load)) {
+            AllHit = false;
+            break;
+          }
         }
+        SiteBound[Site] = AllHit ? BoundHit : BoundMiss;
       }
-      if (AllHit)
+      if (SiteBound[Site] == BoundHit)
         Depth = Options.DepthHit;
     }
     // A repair clamp caps whatever the engine derived, refinement
@@ -667,6 +704,11 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   if (Options.Stats) {
     Options.Stats->increment("spec.memo.hits", MemoHits);
     Options.Stats->increment("spec.memo.misses", MemoMisses);
+    Options.Stats->increment("spec.joins.normal", NormalJoins);
+    Options.Stats->increment("spec.joins.spec", SpecJoins);
+    Options.Stats->increment("spec.joins.pr", PrJoins);
+    Options.Stats->increment("spec.joins.fold", FoldJoins);
+    Options.Stats->increment("spec.joins.bound", BoundJoins);
     if constexpr (HasMemoHooks) {
       Options.Stats->increment("spec.interner.hits", Interner.hits());
       Options.Stats->increment("spec.interner.states", Interner.size());

@@ -626,6 +626,13 @@ uint32_t CacheAbsState::mustAge(BlockAddr Block, uint32_t Assoc) const {
   return Assoc + 1;
 }
 
+uint32_t CacheAbsState::mustAgeInSet(BlockAddr Block,
+                                     const MemoryModel &MM) const {
+  uint32_t Absent = MM.config().Associativity + 1;
+  const CacheSetPartition *Part = findPart(MM.setOf(Block));
+  return Part ? Part->Must.ageOf(Block, Absent) : Absent;
+}
+
 uint32_t CacheAbsState::mayAge(BlockAddr Block, uint32_t Assoc) const {
   for (const CacheSetPartition &Part : partitions()) {
     size_t I = Part.May.find(Block);
@@ -884,7 +891,7 @@ void CacheAbsState::accessUnknownLru(VarId Var, uint64_t InstanceK,
   uint32_t MaxAge = 0;
   bool AllCached = true;
   for (BlockAddr Block : ArrayBlocks) {
-    uint32_t Age = mustAge(Block, Assoc);
+    uint32_t Age = mustAgeInSet(Block, MM);
     if (Age > Assoc) {
       AllCached = false;
       break;
@@ -943,7 +950,7 @@ void CacheAbsState::accessUnknownFifo(VarId Var, const MemoryModel &MM,
   std::vector<BlockAddr> ArrayBlocks = MM.blocksOf(Var);
   bool AllCached = true;
   for (BlockAddr Block : ArrayBlocks)
-    if (mustAge(Block, Assoc) > Assoc) {
+    if (mustAgeInSet(Block, MM) > Assoc) {
       AllCached = false;
       break;
     }
@@ -1194,7 +1201,7 @@ void CacheAbsState::joinPartInto(size_t Idx, PartNode *From,
     Part.May.mayMergeInPlace(Theirs.May, Scratch);
 }
 
-bool CacheAbsState::leq(const CacheAbsState &RHS, uint32_t /*Assoc*/) const {
+bool CacheAbsState::leq(const CacheAbsState &RHS) const {
   if (Bottom)
     return true;
   if (RHS.Bottom)

@@ -490,7 +490,7 @@ public:
 
   /// Partial-order check: true iff this ⊑ RHS (RHS is at least as
   /// conservative). Bottom ⊑ everything.
-  bool leq(const CacheAbsState &RHS, uint32_t Assoc) const;
+  bool leq(const CacheAbsState &RHS) const;
 
   /// Widening: this = \p Prev ∇ this. Any MUST entry whose age grew since
   /// \p Prev is evicted, jumping chains to the top of the per-block ladder
@@ -603,6 +603,9 @@ private:
   const CacheSetPartition *findPart(uint32_t Set) const;
   /// Node of \p Set's partition, or nullptr.
   const PartNode *findNode(uint32_t Set) const;
+  /// mustAge() with the MemoryModel at hand: probes only the partition of
+  /// \p Block's own set instead of scanning every partition.
+  uint32_t mustAgeInSet(BlockAddr Block, const MemoryModel &MM) const;
 
   // Per-policy transfer bodies behind the accessBlock/accessUnknown
   // dispatchers (docs/DOMAINS.md). The Lru bodies are the paper's rules,

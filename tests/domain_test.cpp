@@ -309,8 +309,8 @@ TEST_P(CacheLatticeTest, JoinIsUpperBoundPerLeq) {
     CacheAbsState B = randomState(F, R, true);
     CacheAbsState J = A;
     J.joinInto(B, true);
-    EXPECT_TRUE(A.leq(J, 4));
-    EXPECT_TRUE(B.leq(J, 4));
+    EXPECT_TRUE(A.leq(J));
+    EXPECT_TRUE(B.leq(J));
   }
 }
 
@@ -325,7 +325,7 @@ TEST_P(CacheLatticeTest, BottomIsJoinIdentity) {
   CacheAbsState Bot2 = CacheAbsState::bottom();
   EXPECT_TRUE(Bot2.joinInto(A, true));
   EXPECT_EQ(Bot2, A);
-  EXPECT_TRUE(Bot.leq(A, 4));
+  EXPECT_TRUE(Bot.leq(A));
 }
 
 TEST_P(CacheLatticeTest, TransferIsMonotoneInTheState) {
@@ -336,11 +336,11 @@ TEST_P(CacheLatticeTest, TransferIsMonotoneInTheState) {
     CacheAbsState A = randomState(F, R, false);
     CacheAbsState B = A;
     B.joinInto(randomState(F, R, false), false); // B ⊒ A by construction.
-    ASSERT_TRUE(A.leq(B, 4));
+    ASSERT_TRUE(A.leq(B));
     unsigned V = static_cast<unsigned>(R.nextBelow(6));
     A.accessBlock(F.block(V), *F.MM, false);
     B.accessBlock(F.block(V), *F.MM, false);
-    EXPECT_TRUE(A.leq(B, 4));
+    EXPECT_TRUE(A.leq(B));
   }
 }
 

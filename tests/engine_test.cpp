@@ -22,6 +22,41 @@ std::unique_ptr<CompiledProgram> compile(const std::string &Source) {
   return CP;
 }
 
+/// Two nested sites on a 4-line cache. `y` is loaded first, so on the
+/// normal path the inner condition load of `y` is a must-hit. The outer
+/// condition `c` misses, and its mispredicted then-side loads e1..e4,
+/// evicting `y` before the rollback to the else-side. Only that
+/// post-rollback flow degrades the inner condition load.
+std::string nestedSiteSource() {
+  return R"MC(
+char c[64]; char y[64];
+char e1[64]; char e2[64]; char e3[64]; char e4[64];
+char z1[64]; char z2[64]; char z3[64]; char z4[64]; char z5[64]; char z6[64];
+
+int main() {
+  reg int t;
+  t = y[0];
+  if (c[0] != 0) {
+    t = e1[0]; t = e2[0]; t = e3[0]; t = e4[0];
+  } else {
+    if (y[0] != 0) {
+      t = z1[0]; t = z2[0]; t = z3[0]; t = z4[0]; t = z5[0]; t = z6[0];
+    }
+  }
+  return t;
+}
+)MC";
+}
+
+/// The first load of `Name`, or InvalidNode.
+NodeId loadOf(const CompiledProgram &CP, const std::string &Name) {
+  VarId Var = CP.P->findVar(Name);
+  for (NodeId N = 0; N != CP.G.size(); ++N)
+    if (CP.G.inst(N).Op == Opcode::Load && CP.G.inst(N).Var == Var)
+      return N;
+  return InvalidNode;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -167,6 +202,80 @@ TEST(EngineTest, DynamicBoundingConvergesAndIsSane) {
   MustHitReport R = runMustHitAnalysis(*CP, Opts);
   EXPECT_TRUE(R.Converged);
   EXPECT_GE(R.MissCount, 513u);
+}
+
+TEST(EngineTest, CachedBoundSeesPostRollbackPollution) {
+  // The inner site is first seeded while its condition load still looks
+  // like a must-hit; only later does the outer site's post-rollback flow
+  // evict `y` at that load. The cached window bound must notice and
+  // re-seed the inner site at DepthMiss. Each `t = zN[0]` is two nodes,
+  // so the outer site's own window (also DepthMiss) ends before z5 and
+  // only the inner site's full window reaches it speculatively.
+  auto CP = compile(nestedSiteSource());
+  ASSERT_EQ(CP->Plan.siteCount(), 2u);
+  NodeId YLoad = InvalidNode;
+  for (const SpecSite &S : CP->Plan.sites())
+    if (S.CondLoads.size() == 1 && CP->G.inst(S.CondLoads[0]).Var ==
+                                       CP->P->findVar("y"))
+      YLoad = S.CondLoads[0];
+  ASSERT_NE(YLoad, InvalidNode);
+  NodeId Far = loadOf(*CP, "z5");
+  ASSERT_NE(Far, InvalidNode);
+
+  MustHitOptions Opts;
+  Opts.Cache = CacheConfig::fullyAssociative(4);
+  Opts.Speculative = true;
+  Opts.Bounding = BoundingMode::Dynamic;
+  Opts.DepthMiss = 10;
+  Opts.DepthHit = 1;
+  MustHitReport R = runMustHitAnalysis(*CP, Opts);
+  ASSERT_TRUE(R.Converged);
+
+  CacheDomain D(CP->G, *R.MM, CacheDomainOptions{});
+  EXPECT_TRUE(D.isMustHit(R.States.Normal[YLoad], YLoad));
+  EXPECT_FALSE(R.States.PostRollback[YLoad].isBottom());
+  EXPECT_FALSE(D.isMustHit(R.States.observable(D, YLoad), YLoad));
+  EXPECT_FALSE(R.States.Speculative[Far].isBottom())
+      << "inner site never re-seeded at DepthMiss";
+}
+
+TEST(EngineTest, JoinCountersSplitByFlow) {
+  auto CP = compile(nestedSiteSource());
+  MustHitOptions Opts;
+  Opts.Cache = CacheConfig::fullyAssociative(4);
+  Opts.Speculative = true;
+  StatisticSet Dynamic;
+  Opts.Stats = &Dynamic;
+  runMustHitAnalysis(*CP, Opts);
+  for (const char *Flow : {"normal", "spec", "pr", "fold", "bound"})
+    EXPECT_GT(Dynamic.get(std::string("spec.joins.") + Flow), 0u) << Flow;
+
+  // Fixed bounding never reads a window bound.
+  Opts.Bounding = BoundingMode::Fixed;
+  StatisticSet Fixed;
+  Opts.Stats = &Fixed;
+  runMustHitAnalysis(*CP, Opts);
+  EXPECT_GT(Fixed.get("spec.joins.pr"), 0u);
+  EXPECT_EQ(Fixed.get("spec.joins.bound"), 0u);
+}
+
+TEST(EngineTest, NoFoldWithoutConditionLoads) {
+  // A branch on a register argument reads no memory. Planned as a site
+  // anyway (the paper's memory-dependence filter off), it rolls back into
+  // post-rollback slots, but no condition load ever needs their fold.
+  auto CP = compile("char a[64]; char b[64]; int main(reg int c) { "
+                    "reg int t; if (c) { t = a[0]; } else { t = b[0]; } "
+                    "return t; }");
+  CP->Plan = SpecPlan::compute(CP->G, CP->Pdom, /*OnlyMemoryDependent=*/false);
+  ASSERT_EQ(CP->Plan.siteCount(), 1u);
+  ASSERT_TRUE(CP->Plan.sites().front().CondLoads.empty());
+  MustHitOptions Opts;
+  Opts.Speculative = true;
+  StatisticSet Stats;
+  Opts.Stats = &Stats;
+  runMustHitAnalysis(*CP, Opts);
+  EXPECT_GT(Stats.get("spec.joins.pr"), 0u);
+  EXPECT_EQ(Stats.get("spec.joins.fold"), 0u);
 }
 
 TEST(EngineTest, UnreachableCodeStaysBottom) {

@@ -287,8 +287,8 @@ struct DiffHarness {
       // directions (it is the fixpoint-termination predicate).
       ++Checks;
       uint32_t Assoc = Config.Associativity;
-      if (S[0].leq(S[1], Assoc) != R[0].leq(R[1], Assoc) ||
-          S[1].leq(S[0], Assoc) != R[1].leq(R[0], Assoc)) {
+      if (S[0].leq(S[1]) != R[0].leq(R[1], Assoc) ||
+          S[1].leq(S[0]) != R[1].leq(R[0], Assoc)) {
         if (FailAt)
           *FailAt = I;
         if (Why)
@@ -447,18 +447,18 @@ TEST_P(PackedStateDiff, LatticeLaws) {
       EXPECT_EQ(L.mayEntries(), Rj.mayEntries());
 
       // x ⊑ x ⊔ y, and ⊑ is reflexive.
-      EXPECT_TRUE(A.leq(AB, Assoc));
-      EXPECT_TRUE(B.leq(AB, Assoc));
-      EXPECT_TRUE(A.leq(A, Assoc));
+      EXPECT_TRUE(A.leq(AB));
+      EXPECT_TRUE(B.leq(AB));
+      EXPECT_TRUE(A.leq(A));
 
       // Antisymmetry on the MUST projection ⊑ orders.
-      if (A.leq(B, Assoc) && B.leq(A, Assoc)) {
+      if (A.leq(B) && B.leq(A)) {
         EXPECT_EQ(A.mustEntries(), B.mustEntries());
       }
 
       // Transitivity.
-      if (A.leq(B, Assoc) && B.leq(C, Assoc)) {
-        EXPECT_TRUE(A.leq(C, Assoc));
+      if (A.leq(B) && B.leq(C)) {
+        EXPECT_TRUE(A.leq(C));
       }
 
       // Monotone known-block transfer: A ⊑ A ⊔ B is preserved by
@@ -467,7 +467,7 @@ TEST_P(PackedStateDiff, LatticeLaws) {
       BlockAddr Blk = H.randomBlock(R.next());
       TA.accessBlock(Blk, *H.MM, Shadow);
       TAB.accessBlock(Blk, *H.MM, Shadow);
-      EXPECT_TRUE(TA.leq(TAB, Assoc))
+      EXPECT_TRUE(TA.leq(TAB))
           << "transfer not monotone under " << G.Name << " policy="
           << replacementPolicyName(Policy) << " shadow=" << Shadow;
 

@@ -447,8 +447,8 @@ TEST_P(PolicyLatticeTest, JoinIsCommutativeIdempotentAndAboveBothArgs) {
     EXPECT_FALSE(AA.joinInto(A, Shadow));
     EXPECT_EQ(AA, A);
 
-    EXPECT_TRUE(A.leq(AB, 8));
-    EXPECT_TRUE(B.leq(AB, 8));
+    EXPECT_TRUE(A.leq(AB));
+    EXPECT_TRUE(B.leq(AB));
   }
 }
 
@@ -474,7 +474,7 @@ TEST_P(PolicyLatticeTest, TransferIsMonotoneAcrossJoin) {
 
     CacheAbsState JoinOfOut = A;
     JoinOfOut.joinInto(B, Shadow);
-    EXPECT_TRUE(JoinOfOut.leq(J, 8))
+    EXPECT_TRUE(JoinOfOut.leq(J))
         << "transfer(A) ⊔ transfer(B) must be below transfer(A ⊔ B)";
   }
 }

@@ -85,12 +85,12 @@ TEST_P(CacheWideningTest, WidenUpperBoundsJoin) {
     CacheAbsState Prev = randomState(R, F);
     CacheAbsState Cur = Prev;
     Cur.joinInto(randomState(R, F), /*UseShadow=*/true);
-    ASSERT_TRUE(Prev.leq(Cur, Assoc)); // join moved up; precondition
+    ASSERT_TRUE(Prev.leq(Cur)); // join moved up; precondition
     CacheAbsState W = Cur;
     W.widenFrom(Prev, Assoc);
-    EXPECT_TRUE(Cur.leq(W, Assoc))
+    EXPECT_TRUE(Cur.leq(W))
         << "widen is not an upper bound of the joined iterate";
-    EXPECT_TRUE(Prev.leq(W, Assoc))
+    EXPECT_TRUE(Prev.leq(W))
         << "widen is not an upper bound of the previous iterate";
   }
 }
@@ -131,12 +131,12 @@ TEST_P(CacheWideningTest, WidenIsMonotone) {
     B.joinInto(randomState(R, F), /*UseShadow=*/true);
     CacheAbsState A = B;
     A.joinInto(randomState(R, F), /*UseShadow=*/true);
-    ASSERT_TRUE(B.leq(A, Assoc)); // by join's upper-bound law
+    ASSERT_TRUE(B.leq(A)); // by join's upper-bound law
 
     CacheAbsState WB = B, WA = A;
     WB.widenFrom(Prev, Assoc);
     WA.widenFrom(Prev, Assoc);
-    EXPECT_TRUE(WB.leq(WA, Assoc))
+    EXPECT_TRUE(WB.leq(WA))
         << "widen is not monotone in the current iterate";
   }
 }
@@ -163,7 +163,7 @@ TEST_P(CacheWideningTest, WidenChainStabilizesWithinMustAgeCap) {
         Next.accessBlock(Block, *F.MM, /*UseShadow=*/true);
       Next.joinInto(S, /*UseShadow=*/true);
       Next.widenFrom(S, Assoc);
-      EXPECT_TRUE(S.leq(Next, Assoc)) << "widening chain is not ascending";
+      EXPECT_TRUE(S.leq(Next)) << "widening chain is not ascending";
       if (Next == S)
         break;
       S = std::move(Next);

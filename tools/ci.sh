@@ -104,6 +104,18 @@ if [ "$STRESS_DIGEST" != "verdict-digest: 0x381190335582f93f" ]; then
 fi
 echo "stress smoke: $STRESS_DIGEST"
 
+# The same program under --lowering summarize keeps its rolled loops, so
+# the speculative engine widens at loop headers: this pins the widening
+# path through the lazy post-rollback fold and the cached window bounds.
+SUMMARIZE_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
+  --lines 512 --assoc 8 --lowering summarize --digest \
+  | grep '^verdict-digest:')
+if [ "$SUMMARIZE_DIGEST" != "verdict-digest: 0x6d716bd620266606" ]; then
+  echo "ci: FAIL - summarize stress verdict digest moved: $SUMMARIZE_DIGEST" >&2
+  exit 1
+fi
+echo "summarize stress smoke: $SUMMARIZE_DIGEST"
+
 # Fixed-coverage perf smoke: the 50-program campaign behind
 # BENCH_fuzz.json, with timing JSON written next to the build
 # (informational — timings are machine-dependent and never gate; the
