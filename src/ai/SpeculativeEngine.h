@@ -6,8 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The paper's core contribution, Algorithms 2 and 3: abstract
-/// interpretation made sound under speculative execution.
+/// The paper's fixed-point engine, generic over the abstract domain:
+/// Algorithm 1 (the standard worklist fixpoint over the flat CFG) lifted
+/// by Algorithms 2 and 3 to be sound under speculative execution. The
+/// lifting only adds virtual control flow — the n -> vn_start and
+/// vn_stop -> n edges of the speculation plan — so over an empty SpecPlan
+/// the engine *is* Algorithm 1: the non-speculative baseline the
+/// evaluation compares against (the "state-of-the-art, non-speculative
+/// static cache analysis").
 ///
 /// Per node n the engine maintains three families of states:
 ///
@@ -49,20 +55,38 @@
 /// the analysis driver additionally offers an iterative outer refinement
 /// that re-runs with bounds derived from the previous sound fixpoint.
 ///
-/// Hot-path machinery (docs/PERFORMANCE.md): the worklist pops in reverse
-/// post-order with an on-worklist bitmap; SS/PR slots live in sorted flat
-/// vectors (same iteration order as the former std::maps, no per-slot node
-/// allocations); window transfers are memoized per (node, in-state-hash)
-/// for pure nodes, so re-drains across colors and re-seeding rounds reuse
-/// results; and seeded/rolled-back states are interned through a
-/// StateInterner, which makes the repeated slot joins hit the domain's
-/// shared-storage fast path. All of it is gated on the optional domain
-/// hooks (isTransferIdentity/isTransferPure/stateHash) and changes no
-/// result: identity and pure transfers are replayed bit-identically, and
-/// stateful (symbolic-instance) transfers are never memoized. Independent
-/// of the hooks, PR slots are folded into PostRollback while iterating
-/// only at the condition loads the §6.2 bound reads, and each site's bound
-/// is cached until a state it reads changes.
+/// Domain concept:
+///   using State;
+///   State  bottom() const;            // join identity / unreachable
+///   State  entry() const;             // state at the program entry
+///   bool   isBottom(const State&) const;
+///   void   transfer(State&, NodeId);  // may be stateful (instance picks)
+///   void   transferSpeculative(State&, NodeId); // in-flight (SS) flows
+///   bool   joinInto(State &Into, const State &From) const; // true if grew
+///   void   widen(State &Cur, const State &Prev) const;
+///   bool   isMustHit(const State&, NodeId) const; // §6.2 bounding
+///
+/// Optional hot-path hooks (detected via requires-expressions; the cache
+/// domain provides them, the interval domain runs without):
+///   bool     isTransferIdentity(NodeId, bool Speculative) const;
+///   bool     isTransferPure(NodeId, bool Speculative) const;
+///   uint64_t stateHash(const State&) const;
+///
+/// Hot-path machinery (docs/PERFORMANCE.md): the worklist pops in the
+/// order EngineOptions::Order names (the analysis pipeline picks reverse
+/// post-order for the baseline and FIFO for speculative runs) with an
+/// on-worklist bitmap; SS/PR slots live in sorted flat vectors (no
+/// per-slot node allocations); with a non-empty plan, window transfers
+/// are memoized per (node, in-state-hash) for pure nodes, so re-drains
+/// across colors and re-seeding rounds reuse results; and seeded/rolled-
+/// back states are interned through a StateInterner, which makes the
+/// repeated slot joins hit the domain's shared-storage fast path. All of
+/// it is gated on the optional domain hooks and changes no result:
+/// identity and pure transfers are replayed bit-identically, and stateful
+/// (symbolic-instance) transfers are never memoized. Independent of the
+/// hooks, PR slots are folded into PostRollback while iterating only at
+/// the condition loads the §6.2 bound reads, and each site's bound is
+/// cached until a state it reads changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,26 +94,29 @@
 #define SPECAI_AI_SPECULATIVEENGINE_H
 
 #include "ai/Vcfg.h"
-#include "ai/WorklistEngine.h"
+#include "cfg/FlatCfg.h"
 #include "cfg/LoopInfo.h"
+#include "support/ExecBudget.h"
 #include "support/StateInterner.h"
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <deque>
+#include <queue>
 #include <utility>
 #include <vector>
 
 namespace specai {
 
-#ifdef SPECAI_DEBUG_PR
-/// Debug-build-only trace hook: called on every PR-slot join with
-/// (node, color, source, joined-from state). Never compiled into the
-/// library; a diagnostics TU defines the pointer and instantiates the
-/// engine template itself.
-inline void (*SpecaiPrTraceHook)(NodeId, uint32_t, NodeId,
-                                 const void *) = nullptr;
-#endif
+/// Pop discipline of the fixed-point worklist.
+enum class WorklistOrder {
+  /// FIFO queue (the pre-RPO engines' order).
+  Fifo,
+  /// Reverse post-order priority: among pending nodes, the earliest in RPO
+  /// pops first, so loop bodies settle before their exits re-enter.
+  Rpo,
+};
 
 /// Figure 6's four strategies for merging speculative flows.
 enum class MergeStrategy {
@@ -126,18 +153,21 @@ enum class EngineFault : uint8_t {
   SkipRollback,
 };
 
-/// Options of the speculative engine.
-struct SpecEngineOptions : EngineOptions {
-  /// The speculative engine defaults to the legacy FIFO drain order, not
-  /// Rpo: with statically unknown indices the domain's transfer is
-  /// stateful (each application draws the next symbolic instance), so the
-  /// pop order is observable in the fixpoint, and the pinned golden
-  /// digests of the fuzz corpus encode the FIFO sequence. Rpo remains
-  /// available and computes an equally sound envelope in fewer pops;
-  /// programs without unknown-index accesses get bit-identical results
-  /// either way (see state_repr_test).
-  SpecEngineOptions() { Order = WorklistOrder::Fifo; }
-
+/// Options of the fixed-point engine.
+struct EngineOptions {
+  /// Apply the widening operator at loop headers once a node has been
+  /// re-joined more than WideningDelay times (paper §6.3). The cache
+  /// domain's lattice is finite so this is an accelerator; for unbounded
+  /// domains (intervals) it is required for termination.
+  bool UseWidening = false;
+  uint32_t WideningDelay = 8;
+  /// Safety valve: abort (with Converged=false) after this many worklist
+  /// pops.
+  uint64_t MaxIterations = 200000000;
+  /// Worklist pop discipline; Rpo minimizes re-processing. The analysis
+  /// pipeline runs speculative analyses in Fifo order unless asked
+  /// otherwise (see MustHitOptions::Order).
+  WorklistOrder Order = WorklistOrder::Rpo;
   MergeStrategy Strategy = MergeStrategy::JustInTime;
   /// Speculation window (instructions) when the branch condition misses in
   /// the cache. The paper derives 200 from GEM5 traces of the Alpha-like
@@ -154,11 +184,128 @@ struct SpecEngineOptions : EngineOptions {
   /// unlike SiteDepthOverride they can only shrink a window, never grow
   /// it. Empty means none; UINT32_MAX entries leave their site unclamped.
   std::vector<uint32_t> SiteDepthClamp;
+  /// Cooperative cancellation: when set, every worklist pop charges one
+  /// step and an exhausted budget aborts the fixpoint with Converged=false
+  /// and BudgetExceeded=true. Unlike MaxIterations (a per-fixpoint safety
+  /// valve whose trip still yields an Ok verdict), a tripped budget means
+  /// the *request* is over — the service answers `status: timeout` and
+  /// never caches the partial result. Not part of any cache key.
+  ExecBudget *Budget = nullptr;
   /// Test-only fault injection; see EngineFault.
   EngineFault Fault = EngineFault::None;
+  /// Fault injection (drop-widen): after widening fires at a loop header,
+  /// the header is *not* re-queued, so the widened state never propagates
+  /// into the loop body. Terminates (widening is still applied) but is
+  /// deliberately unsound; only the lowering self-test sets this
+  /// (specai-fuzz --selftest lowering).
+  bool DropWidenPush = false;
+  /// Fault injection (skip-backedge): joins along loop back edges (an edge
+  /// into a loop header from inside that loop's body) are skipped entirely,
+  /// so loop-carried cache effects never reach the header. Deliberately
+  /// unsound; only the lowering self-test sets this.
+  bool SkipBackedges = false;
 };
 
-/// Result of a speculative run.
+/// Work counters of one engine run; the analysis pipeline reports them
+/// into MustHitOptions::Stats.
+struct EngineCounters {
+  uint64_t Pops = 0;
+  uint64_t Pushes = 0;
+  /// Pushes of a node already on the worklist (no second pop follows).
+  uint64_t Deduped = 0;
+  uint64_t MemoHits = 0;
+  uint64_t MemoMisses = 0;
+  /// Joins per flow kind: into S, SS and PR slots, the eager PR fold at
+  /// condition loads, and the observable states the §6.2 bound reads.
+  uint64_t NormalJoins = 0;
+  uint64_t SpecJoins = 0;
+  uint64_t PrJoins = 0;
+  uint64_t FoldJoins = 0;
+  uint64_t BoundJoins = 0;
+  uint64_t InternerHits = 0;
+  uint64_t InternerStates = 0;
+};
+
+/// Work queue over CFG nodes with an on-worklist bitmap: a node is never
+/// queued twice, so every push past the first is deduped rather than
+/// producing a duplicate pop later.
+class NodeWorklist {
+public:
+  NodeWorklist(const FlatCfg &G, WorklistOrder Order) : Order(Order) {
+    size_t N = G.size();
+    InList.assign(N, false);
+    if (Order == WorklistOrder::Rpo) {
+      Rank.resize(N);
+      NodeOf.resize(N);
+      std::vector<bool> Ranked(N, false);
+      uint32_t R = 0;
+      for (NodeId Node : G.reversePostOrder()) {
+        Rank[Node] = R;
+        NodeOf[R] = Node;
+        Ranked[Node] = true;
+        ++R;
+      }
+      // Unreachable nodes rank after every reachable one, in id order.
+      for (NodeId Node = 0; Node != N; ++Node)
+        if (!Ranked[Node]) {
+          Rank[Node] = R;
+          NodeOf[R] = Node;
+          ++R;
+        }
+    }
+  }
+
+  void push(NodeId Node) {
+    ++PushCount;
+    if (InList[Node]) {
+      ++DedupCount;
+      return;
+    }
+    InList[Node] = true;
+    if (Order == WorklistOrder::Rpo)
+      Heap.push(Rank[Node]);
+    else
+      Fifo.push_back(Node);
+  }
+
+  bool empty() const {
+    return Order == WorklistOrder::Rpo ? Heap.empty() : Fifo.empty();
+  }
+
+  NodeId pop() {
+    ++PopCount;
+    NodeId Node;
+    if (Order == WorklistOrder::Rpo) {
+      Node = NodeOf[Heap.top()];
+      Heap.pop();
+    } else {
+      Node = Fifo.front();
+      Fifo.pop_front();
+    }
+    InList[Node] = false;
+    return Node;
+  }
+
+  uint64_t pushes() const { return PushCount; }
+  uint64_t deduped() const { return DedupCount; }
+  uint64_t pops() const { return PopCount; }
+
+private:
+  WorklistOrder Order;
+  std::vector<bool> InList;
+  /// RPO rank per node and its inverse (identity-sized; unreachable nodes
+  /// rank last).
+  std::vector<uint32_t> Rank;
+  std::vector<NodeId> NodeOf;
+  std::priority_queue<uint32_t, std::vector<uint32_t>, std::greater<uint32_t>>
+      Heap;
+  std::deque<NodeId> Fifo;
+  uint64_t PushCount = 0;
+  uint64_t DedupCount = 0;
+  uint64_t PopCount = 0;
+};
+
+/// Result of an engine run.
 template <typename DomainT> struct SpecResult {
   using State = typename DomainT::State;
   /// Normal input states (architectural, prediction-correct executions).
@@ -175,6 +322,7 @@ template <typename DomainT> struct SpecResult {
   /// True iff an ExecBudget cut the run short (see EngineOptions::Budget);
   /// distinct from a MaxIterations trip, which only clears Converged.
   bool BudgetExceeded = false;
+  EngineCounters Counters;
 
   /// The observable (architectural) input state at \p N: Normal joined
   /// with PostRollback. Classification of real cache behavior must use
@@ -199,9 +347,9 @@ struct PrKey {
 };
 
 /// A sorted flat map from K to V: the per-node SS/PR slot containers.
-/// Iteration order matches std::map (ascending keys) so drain order — and
-/// therefore every stateful-transfer sequence — is unchanged; lookups are
-/// a binary search with no per-entry node allocation.
+/// Iteration is in ascending key order, which fixes the drain order — and
+/// therefore every stateful-transfer sequence; lookups are a binary search
+/// with no per-entry node allocation.
 template <typename K, typename V> class FlatSlotMap {
 public:
   using Entry = std::pair<K, V>;
@@ -232,7 +380,7 @@ private:
 };
 
 /// Detects the optional domain hot-path hooks (transfer purity + state
-/// hashing); see WorklistEngine.h's domain concept.
+/// hashing); see the domain concept in the file comment.
 template <typename DomainT>
 concept HasTransferMemoHooks = requires(const DomainT &D, NodeId N,
                                         const typename DomainT::State &S) {
@@ -242,11 +390,15 @@ concept HasTransferMemoHooks = requires(const DomainT &D, NodeId N,
 };
 } // namespace detail
 
-/// Runs Algorithms 2/3 over \p G with speculation plan \p Plan.
+/// Runs Algorithms 2/3 over \p G with speculation plan \p Plan; over an
+/// empty plan this is Algorithm 1. Initializes the entry to
+/// Domain::entry() and every other node to bottom, then iterates
+/// transfer/join to a fixed point. \p LI may be null when widening and
+/// SkipBackedges are off.
 template <typename DomainT>
 SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
                                            const SpecPlan &Plan,
-                                           const SpecEngineOptions &Options,
+                                           const EngineOptions &Options,
                                            const LoopInfo *LI = nullptr) {
   using State = typename DomainT::State;
   using detail::PrKey;
@@ -306,19 +458,24 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   // the committed transfer (S/PR flows) and one for the speculative window
   // transfer (SS flows, where stores are squashed). Entries verify the
   // stored input structurally, so a hash collision recomputes instead of
-  // corrupting the run.
+  // corrupting the run. Only colored plans memoize: without colors there
+  // is no SS or PR flow, and a node's Normal input only grows between its
+  // pops, so no entry could ever hit.
   struct MemoEntry {
     State In;
     State Out;
     uint64_t Hash;
   };
   [[maybe_unused]] constexpr size_t MemoPerNode = 8;
+  [[maybe_unused]] const bool Memoize = Plan.colorCount() != 0;
   std::vector<std::vector<MemoEntry>> CommitMemo, SpecMemo;
   if constexpr (HasMemoHooks) {
-    CommitMemo.resize(N);
-    SpecMemo.resize(N);
+    if (Memoize) {
+      CommitMemo.resize(N);
+      SpecMemo.resize(N);
+    }
   }
-  uint64_t MemoHits = 0, MemoMisses = 0;
+  EngineCounters &Count = R.Counters;
 
   // Hash-consing pool behind the SS/PR slot seeds: both colors of a site
   // and every re-drain seed from the same branch output share one payload,
@@ -340,13 +497,13 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     if constexpr (HasMemoHooks) {
       if (D.isTransferIdentity(Node, Speculative))
         return In;
-      if (D.isTransferPure(Node, Speculative)) {
+      if (Memoize && D.isTransferPure(Node, Speculative)) {
         std::vector<MemoEntry> &Table =
             Speculative ? SpecMemo[Node] : CommitMemo[Node];
         uint64_t H = D.stateHash(In);
         for (const MemoEntry &E : Table)
           if (E.Hash == H && E.In == In) {
-            ++MemoHits;
+            ++Count.MemoHits;
             return E.Out;
           }
         State Out = In;
@@ -354,7 +511,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
           D.transferSpeculative(Out, Node);
         else
           D.transfer(Out, Node);
-        ++MemoMisses;
+        ++Count.MemoMisses;
         if (Table.size() >= MemoPerNode)
           Table.erase(Table.begin());
         Table.push_back(MemoEntry{In, Out, H});
@@ -371,10 +528,6 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
 
   std::vector<uint32_t> JoinCounts(N, 0);
   NodeWorklist Worklist(G, Options.Order);
-
-  // Joins made while iterating, per flow kind; reported once at the end.
-  uint64_t NormalJoins = 0, SpecJoins = 0, PrJoins = 0, FoldJoins = 0,
-           BoundJoins = 0;
 
   // §6.2 dynamic bounding reads only the observable states at condition
   // loads. Map each such load to the sites whose bound reads it (none
@@ -393,9 +546,9 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
       SiteBound[Site] = BoundStale;
   };
 
-  // Fault injection only (SkipBackedges): true iff From->To is a back edge
-  // (To heads a loop whose body contains From); mirrors the baseline
-  // engine's check in WorklistEngine.h.
+  // Fault injection only (SkipBackedges): true iff From->To is a back edge,
+  // i.e. To heads a loop whose body contains From. Loops sharing a header
+  // are merged by LoopInfo, so at most one loop matches.
   auto IsBackEdge = [&](NodeId From, NodeId To) {
     if (!LI || !LI->isHeader(To))
       return false;
@@ -410,7 +563,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   auto JoinNormal = [&](NodeId Node, const State &From) {
     bool UseWiden = Options.UseWidening && LI && LI->isHeader(Node) &&
                     JoinCounts[Node] >= Options.WideningDelay;
-    ++NormalJoins;
+    ++Count.NormalJoins;
     if (UseWiden) {
       State Prev = R.Normal[Node];
       if (D.joinInto(R.Normal[Node], From)) {
@@ -432,15 +585,11 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   };
 
   auto JoinPr = [&](NodeId Node, PrKey Key, const State &From) {
-#ifdef SPECAI_DEBUG_PR
-    if (SpecaiPrTraceHook)
-      SpecaiPrTraceHook(Node, Key.Color, Key.Source, &From);
-#endif
     auto [Slot, Inserted] = PR[Node].tryEmplace(Key, PrSlot{D.bottom(), true});
     bool UseWiden = Options.UseWidening && LI && LI->isHeader(Node) &&
                     JoinCounts[Node] >= Options.WideningDelay;
     State Prev = UseWiden ? Slot->second.St : D.bottom();
-    ++PrJoins;
+    ++Count.PrJoins;
     bool Changed = D.joinInto(Slot->second.St, From);
     if (Changed) {
       if (UseWiden)
@@ -460,7 +609,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
       // alone; everywhere else the end-of-run fold computes the same join,
       // because slots only grow.
       if (!BoundSitesOf[Node].empty()) {
-        ++FoldJoins;
+        ++Count.FoldJoins;
         if (D.joinInto(R.PostRollback[Node], Slot->second.St))
           InvalidateBounds(Node);
       }
@@ -471,7 +620,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
                       uint32_t Depth) {
     auto [Slot, Inserted] =
         SS[Node].tryEmplace(Color, SpecSlot{D.bottom(), 0, true});
-    ++SpecJoins;
+    ++Count.SpecJoins;
     bool Changed = D.joinInto(Slot->second.St, From);
     if (Depth > Slot->second.Depth) {
       Slot->second.Depth = Depth;
@@ -493,7 +642,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
         const SpecSite &SS_ = Plan.sites()[Site];
         bool AllHit = !SS_.CondLoads.empty();
         for (NodeId Load : SS_.CondLoads) {
-          ++BoundJoins;
+          ++Count.BoundJoins;
           State Obs = R.observable(D, Load);
           if (D.isBottom(Obs) || !D.isMustHit(Obs, Load)) {
             AllHit = false;
@@ -700,20 +849,11 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
       D.joinInto(R.PostRollback[Node], Slot.St);
   }
 
-  Worklist.report(Options.Stats, "spec.worklist");
-  if (Options.Stats) {
-    Options.Stats->increment("spec.memo.hits", MemoHits);
-    Options.Stats->increment("spec.memo.misses", MemoMisses);
-    Options.Stats->increment("spec.joins.normal", NormalJoins);
-    Options.Stats->increment("spec.joins.spec", SpecJoins);
-    Options.Stats->increment("spec.joins.pr", PrJoins);
-    Options.Stats->increment("spec.joins.fold", FoldJoins);
-    Options.Stats->increment("spec.joins.bound", BoundJoins);
-    if constexpr (HasMemoHooks) {
-      Options.Stats->increment("spec.interner.hits", Interner.hits());
-      Options.Stats->increment("spec.interner.states", Interner.size());
-    }
-  }
+  Count.Pops = Worklist.pops();
+  Count.Pushes = Worklist.pushes();
+  Count.Deduped = Worklist.deduped();
+  Count.InternerHits = Interner.hits();
+  Count.InternerStates = Interner.size();
   return R;
 }
 

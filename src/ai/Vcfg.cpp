@@ -126,11 +126,3 @@ SpecPlan SpecPlan::compute(const FlatCfg &G, const DominatorTree &Pdom,
   }
   return Plan;
 }
-
-std::vector<ColorId> SpecPlan::colorsAtBranch(NodeId N) const {
-  std::vector<ColorId> Out;
-  for (ColorId C = 0; C != Colors.size(); ++C)
-    if (Sites[Colors[C].Site].Branch == N)
-      Out.push_back(C);
-  return Out;
-}

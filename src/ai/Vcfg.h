@@ -98,9 +98,6 @@ public:
     return Colors[C].WrongIsTaken ? S.FallEntry : S.TakenEntry;
   }
 
-  /// Colors seeded at branch node \p N (empty for non-sites).
-  std::vector<ColorId> colorsAtBranch(NodeId N) const;
-
 private:
   std::vector<SpecSite> Sites;
   std::vector<SpecColor> Colors;

@@ -136,9 +136,9 @@ namespace {
 
 /// Converts MustHitOptions into engine options (site overrides installed by
 /// the refinement loop).
-SpecEngineOptions makeEngineOptions(const MustHitOptions &O,
-                                    std::vector<uint32_t> SiteOverrides) {
-  SpecEngineOptions E;
+EngineOptions makeEngineOptions(const MustHitOptions &O,
+                                std::vector<uint32_t> SiteOverrides) {
+  EngineOptions E;
   E.Strategy = O.Strategy;
   E.DepthMiss = O.DepthMiss;
   E.DepthHit = O.DepthHit;
@@ -148,16 +148,39 @@ SpecEngineOptions makeEngineOptions(const MustHitOptions &O,
   E.UseWidening = O.UseWidening;
   E.WideningDelay = O.WideningDelay;
   E.MaxIterations = O.MaxIterations;
-  // SpecEngineOptions already defaulted Order to the speculative engine's
-  // digest-stable Fifo; only an explicit request overrides it.
-  if (O.Order)
-    E.Order = *O.Order;
-  E.Stats = O.Stats;
+  E.Order = O.Order.value_or(O.Speculative ? WorklistOrder::Fifo
+                                           : WorklistOrder::Rpo);
   E.Budget = O.Budget;
   E.Fault = O.Fault;
   E.DropWidenPush = O.LFault == LoweringFault::DropWiden;
   E.SkipBackedges = O.LFault == LoweringFault::SkipBackedge;
   return E;
+}
+
+/// Accumulates one engine run's counters into \p Stats (no-op when null):
+/// "worklist.*" for the baseline, "spec.*" for a speculative run.
+void reportCounters(const EngineCounters &C, bool Speculative,
+                    StatisticSet *Stats) {
+  if (!Stats)
+    return;
+  if (!Speculative) {
+    Stats->increment("worklist.pops", C.Pops);
+    Stats->increment("worklist.pushes", C.Pushes);
+    Stats->increment("worklist.pushes.deduped", C.Deduped);
+    return;
+  }
+  Stats->increment("spec.worklist.pops", C.Pops);
+  Stats->increment("spec.worklist.pushes", C.Pushes);
+  Stats->increment("spec.worklist.pushes.deduped", C.Deduped);
+  Stats->increment("spec.memo.hits", C.MemoHits);
+  Stats->increment("spec.memo.misses", C.MemoMisses);
+  Stats->increment("spec.joins.normal", C.NormalJoins);
+  Stats->increment("spec.joins.spec", C.SpecJoins);
+  Stats->increment("spec.joins.pr", C.PrJoins);
+  Stats->increment("spec.joins.fold", C.FoldJoins);
+  Stats->increment("spec.joins.bound", C.BoundJoins);
+  Stats->increment("spec.interner.hits", C.InternerHits);
+  Stats->increment("spec.interner.states", C.InternerStates);
 }
 
 /// Classifies the access nodes of a finished run into the report fields.
@@ -196,8 +219,9 @@ void classify(const CompiledProgram &CP, CacheDomain &D,
   }
 }
 
-/// Runs the engines over one Program (the pre-Summarize runMustHitAnalysis
-/// body); \p DomOpts carries the summary table in Summarize mode.
+/// Runs the engine, and any §6.2 refinement rounds, over one Program (the
+/// pre-Summarize runMustHitAnalysis body); \p DomOpts carries the summary
+/// table in Summarize mode.
 MustHitReport runEngines(const CompiledProgram &CP,
                          const MustHitOptions &Options,
                          const CacheDomainOptions &DomOpts) {
@@ -205,44 +229,26 @@ MustHitReport runEngines(const CompiledProgram &CP,
   Report.MM = std::make_unique<MemoryModel>(*CP.P, Options.Cache);
   Report.BranchCount = CP.Plan.siteCount();
 
-  if (!Options.Speculative) {
-    // Baseline Algorithm 1: no virtual control flow at all.
-    CacheDomain D(CP.G, *Report.MM, DomOpts);
-    EngineOptions E;
-    E.UseWidening = Options.UseWidening;
-    E.WideningDelay = Options.WideningDelay;
-    E.MaxIterations = Options.MaxIterations;
-    E.Order = Options.Order.value_or(WorklistOrder::Rpo);
-    E.Stats = Options.Stats;
-    E.Budget = Options.Budget;
-    E.DropWidenPush = Options.LFault == LoweringFault::DropWiden;
-    E.SkipBackedges = Options.LFault == LoweringFault::SkipBackedge;
-    FixpointResult<CacheDomain> F = runFixpoint(D, CP.G, E, &CP.LI);
-    Report.States.Normal = std::move(F.In);
-    Report.States.PostRollback.assign(CP.G.size(), CacheAbsState::bottom());
-    Report.States.Speculative.assign(CP.G.size(), CacheAbsState::bottom());
-    Report.Iterations = F.Iterations;
-    Report.Converged = F.Converged;
-    Report.BudgetExceeded = F.BudgetExceeded;
-    if (Report.BudgetExceeded)
-      return Report; // Partial states: the report is void, skip classify.
-    classify(CP, D, Report);
-    return Report;
-  }
+  // The baseline (Algorithm 1) is the same engine without virtual control
+  // flow: an empty speculation plan, which also ends the refinement below
+  // after one round.
+  const SpecPlan NoSpeculation;
+  const SpecPlan &Plan = Options.Speculative ? CP.Plan : NoSpeculation;
 
-  // Speculative analysis, optionally with the §6.2 outer refinement:
-  // bounds start at b_miss and shrink to b_hit for sites whose condition
-  // loads are must-hits under the previous (sound) fixpoint.
+  // One fixpoint, optionally with the §6.2 outer refinement: bounds start
+  // at b_miss and shrink to b_hit for sites whose condition loads are
+  // must-hits under the previous (sound) fixpoint.
   std::vector<uint32_t> Overrides;
   unsigned Round = 0;
   while (true) {
     ++Round;
     CacheDomain D(CP.G, *Report.MM, DomOpts);
-    SpecEngineOptions E = makeEngineOptions(Options, Overrides);
+    EngineOptions E = makeEngineOptions(Options, Overrides);
     if (Options.IterativeDepthRefinement)
       E.Bounding = BoundingMode::Fixed; // Bounds come from Overrides.
-    Report.States =
-        runSpeculativeFixpoint(D, CP.G, CP.Plan, E, &CP.LI);
+    Report.States = runSpeculativeFixpoint(D, CP.G, Plan, E, &CP.LI);
+    reportCounters(Report.States.Counters, Options.Speculative,
+                   Options.Stats);
     Report.Iterations += Report.States.Iterations;
     Report.Converged = Report.States.Converged;
     Report.BudgetExceeded = Report.States.BudgetExceeded;
@@ -255,9 +261,9 @@ MustHitReport runEngines(const CompiledProgram &CP,
       break;
 
     // Derive per-site bounds from this round's classification.
-    std::vector<uint32_t> Next(CP.Plan.siteCount(), Options.DepthMiss);
-    for (size_t Site = 0; Site != CP.Plan.siteCount(); ++Site) {
-      const SpecSite &S = CP.Plan.sites()[Site];
+    std::vector<uint32_t> Next(Plan.siteCount(), Options.DepthMiss);
+    for (size_t Site = 0; Site != Plan.siteCount(); ++Site) {
+      const SpecSite &S = Plan.sites()[Site];
       bool AllHit = !S.CondLoads.empty();
       for (NodeId Load : S.CondLoads) {
         if (!Report.Reachable[Load])
@@ -276,17 +282,6 @@ MustHitReport runEngines(const CompiledProgram &CP,
   }
   Report.RefinementRounds = Round;
   return Report;
-}
-
-/// Wraps a constant element index like the concrete machine and the cache
-/// domain do (modulo the element count, total semantics).
-uint64_t wrapElement(int64_t Index, uint64_t NumElements) {
-  if (NumElements == 0)
-    return 0;
-  int64_t M = Index % static_cast<int64_t>(NumElements);
-  if (M < 0)
-    M += static_cast<int64_t>(NumElements);
-  return static_cast<uint64_t>(M);
 }
 
 /// Builds the call summary of one analyzed callee (DESIGN.md §4).
@@ -313,8 +308,7 @@ CallSummary buildSummary(const CompiledProgram &CP, const MustHitReport &R,
         continue;
       const MemVar &Var = P.Vars[I.Var];
       if (Var.NumElements == 1 || I.Index.isImm()) {
-        uint64_t Elem =
-            I.Index.isImm() ? wrapElement(I.Index.Imm, Var.NumElements) : 0;
+        uint64_t Elem = I.Index.isImm() ? Var.wrapIndex(I.Index.Imm) : 0;
         Sum.MayBlocks.push_back(MM.blockOf(I.Var, Elem));
       } else {
         std::vector<BlockAddr> All = MM.blocksOf(I.Var);

@@ -14,8 +14,9 @@
 ///
 /// `compileSource` runs lexer/parser/sema/lowering and the CFG analyses;
 /// `runMustHitAnalysis` runs the static cache analysis, either the
-/// non-speculative baseline (Algorithm 1) or the speculative lifting
-/// (Algorithms 2/3), including the §6.2 iterative depth refinement.
+/// non-speculative baseline (Algorithm 1: the engine over an empty
+/// speculation plan) or the speculative lifting (Algorithms 2/3),
+/// including the §6.2 iterative depth refinement.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 #include "domain/CacheDomain.h"
 #include "ir/Lowering.h"
 #include "support/Diagnostics.h"
+#include "support/Statistics.h"
 
 #include <memory>
 #include <optional>
@@ -152,20 +154,22 @@ struct MustHitOptions {
   bool UseWidening = false;
   uint32_t WideningDelay = 8;
   uint64_t MaxIterations = 200000000;
-  /// Worklist pop discipline (WorklistEngine.h). Unset picks the engine
-  /// default: Rpo for the baseline engine (fewer pops; bit-identical
-  /// fixpoints on every paper kernel, enforced by bench_table6_merging
-  /// and state_repr_test), Fifo for the speculative engine, whose
-  /// symbolic-instance transfer sequence is order-observable and pinned
-  /// by the fuzz corpus's golden digests. Caveat: baseline runs over
+  /// Worklist pop discipline (EngineOptions::Order). Unset picks Rpo for
+  /// the baseline (fewer pops; bit-identical fixpoints on every paper
+  /// kernel, enforced by bench_table6_merging and state_repr_test) and
+  /// Fifo for speculative runs, whose symbolic-instance transfer sequence
+  /// is order-observable and pinned by the fuzz corpus's golden digests;
+  /// programs without unknown-index accesses get bit-identical results
+  /// either way (see state_repr_test). Caveat: baseline runs over
   /// programs with statically *unknown* indices draw symbolic instances
   /// in pop order too, so their states can differ between orders (both
   /// remain sound); pass Fifo explicitly to reproduce pre-RPO baseline
   /// states on such programs.
   std::optional<WorklistOrder> Order;
-  /// When set, engine counters (worklist pops/pushes/dedup, transfer-memo
-  /// and interner hits) accumulate here across the run's engine
-  /// invocations.
+  /// When set, engine counters accumulate here across the run's engine
+  /// invocations: "worklist.{pops,pushes,pushes.deduped}" for the
+  /// baseline; for speculative runs the same under "spec.worklist." plus
+  /// "spec.memo.*", "spec.joins.*" and "spec.interner.*".
   StatisticSet *Stats = nullptr;
   /// Test-only engine fault injection for the fuzzer self-test; see
   /// EngineFault. Never set outside tests.

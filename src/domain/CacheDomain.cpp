@@ -9,17 +9,6 @@
 
 using namespace specai;
 
-/// Wraps a constant element index the same way the concrete machine does
-/// (modulo the element count, total semantics).
-static uint64_t wrapElement(int64_t Index, uint64_t NumElements) {
-  if (NumElements == 0)
-    return 0;
-  int64_t M = Index % static_cast<int64_t>(NumElements);
-  if (M < 0)
-    M += static_cast<int64_t>(NumElements);
-  return static_cast<uint64_t>(M);
-}
-
 void CacheDomain::applyCall(State &S, const Instruction &I, bool Speculative) {
   if (!Options.Summaries || I.Callee >= Options.Summaries->size())
     return; // No summary table: Call is identity (never the case in
@@ -44,8 +33,7 @@ void CacheDomain::transfer(State &S, NodeId N) {
 
   const MemVar &Var = MM->program().Vars[I.Var];
   if (Var.NumElements == 1 || I.Index.isImm()) {
-    uint64_t Elem =
-        I.Index.isImm() ? wrapElement(I.Index.Imm, Var.NumElements) : 0;
+    uint64_t Elem = I.Index.isImm() ? Var.wrapIndex(I.Index.Imm) : 0;
     S.accessBlock(MM->blockOf(I.Var, Elem), *MM, Options.UseShadow);
     return;
   }
@@ -64,8 +52,7 @@ bool CacheDomain::isMustHit(const State &S, NodeId N) const {
     return false;
   const MemVar &Var = MM->program().Vars[I.Var];
   if (Var.NumElements == 1 || I.Index.isImm()) {
-    uint64_t Elem =
-        I.Index.isImm() ? wrapElement(I.Index.Imm, Var.NumElements) : 0;
+    uint64_t Elem = I.Index.isImm() ? Var.wrapIndex(I.Index.Imm) : 0;
     return S.isMustCached(MM->blockOf(I.Var, Elem));
   }
   // Unknown index: a hit is guaranteed only if every line of the array is
@@ -93,8 +80,7 @@ CacheDomain::AccessClass CacheDomain::classifyAccess(const State &S,
   };
 
   if (Var.NumElements == 1 || I.Index.isImm()) {
-    uint64_t Elem =
-        I.Index.isImm() ? wrapElement(I.Index.Imm, Var.NumElements) : 0;
+    uint64_t Elem = I.Index.isImm() ? Var.wrapIndex(I.Index.Imm) : 0;
     return DefinitelyOut(MM->blockOf(I.Var, Elem)) ? AccessClass::MustMiss
                                                    : AccessClass::Mixed;
   }

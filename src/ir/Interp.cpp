@@ -72,15 +72,6 @@ int64_t Machine::evalOperand(const Operand &Op) const {
   return 0;
 }
 
-uint64_t Machine::wrapIndex(VarId Var, int64_t Index) const {
-  uint64_t N = P.Vars[Var].NumElements;
-  assert(N != 0 && "variable with zero elements");
-  int64_t M = Index % static_cast<int64_t>(N);
-  if (M < 0)
-    M += static_cast<int64_t>(N);
-  return static_cast<uint64_t>(M);
-}
-
 Machine::StepResult Machine::step() {
   StepResult R;
   if (Halted) {
@@ -102,7 +93,7 @@ Machine::StepResult Machine::step() {
     break;
   case Opcode::Load: {
     uint64_t Elem =
-        I.Index.isNone() ? 0 : wrapIndex(I.Var, evalOperand(I.Index));
+        I.Index.isNone() ? 0 : P.Vars[I.Var].wrapIndex(evalOperand(I.Index));
     Regs[I.Dst] = Memory[I.Var][Elem];
     R.DidAccess = true;
     R.Access = {I.Var, Elem, /*IsLoad=*/true, CurBlock, CurInst};
@@ -111,7 +102,7 @@ Machine::StepResult Machine::step() {
   }
   case Opcode::Store: {
     uint64_t Elem =
-        I.Index.isNone() ? 0 : wrapIndex(I.Var, evalOperand(I.Index));
+        I.Index.isNone() ? 0 : P.Vars[I.Var].wrapIndex(evalOperand(I.Index));
     if (!SuppressStores)
       Memory[I.Var][Elem] = evalOperand(I.A);
     R.DidAccess = true;

@@ -109,7 +109,6 @@ public:
 
 private:
   int64_t evalOperand(const Operand &Op) const;
-  uint64_t wrapIndex(VarId Var, int64_t Index) const;
 
   const Program &P;
   std::vector<int64_t> Regs;

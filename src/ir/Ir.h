@@ -167,6 +167,18 @@ struct MemVar {
   std::vector<int64_t> Init;
 
   uint64_t sizeInBytes() const { return NumElements * ElemSize; }
+
+  /// The element an index names: modulo the element count, with total
+  /// semantics (negative indices wrap too), so the concrete machine and
+  /// the cache analyses agree on out-of-range indices.
+  uint64_t wrapIndex(int64_t Index) const {
+    if (NumElements == 0)
+      return 0;
+    int64_t M = Index % static_cast<int64_t>(NumElements);
+    if (M < 0)
+      M += static_cast<int64_t>(NumElements);
+    return static_cast<uint64_t>(M);
+  }
 };
 
 /// A basic block: zero or more straight-line instructions followed by a

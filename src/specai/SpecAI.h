@@ -23,7 +23,6 @@
 
 #include "ai/SpeculativeEngine.h"
 #include "ai/Vcfg.h"
-#include "ai/WorklistEngine.h"
 #include "analysis/AnalysisPipeline.h"
 #include "analysis/SideChannel.h"
 #include "analysis/Taint.h"

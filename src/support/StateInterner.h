@@ -18,7 +18,7 @@
 /// handles), `uint64_t structuralHash() const`, and structural
 /// `operator==`. Methods instantiate lazily, so declaring an interner for
 /// a state type without these hooks is harmless as long as intern() is
-/// never called (the engines gate on the domain's capability).
+/// never called (the engine gates on the domain's capability).
 ///
 //===----------------------------------------------------------------------===//
 

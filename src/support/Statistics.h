@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Named counters that the engines update while running (worklist
-/// iterations, transfer applications, joins, spawned speculations). The
-/// bench harness reads these to populate the paper's #Iteration/#Branch
+/// Named counters that analysis runs accumulate (worklist pops and
+/// pushes, memo and interner hits, joins per flow kind). The bench
+/// harness reads these to populate the paper's #Iteration/#Branch
 /// columns.
 ///
 //===----------------------------------------------------------------------===//

@@ -311,7 +311,8 @@ TEST(EngineTest, WideningStillSound) {
 }
 
 //===----------------------------------------------------------------------===//
-// Interval domain through the same engines (domain genericity)
+// Interval domain through the same engine (domain genericity). The
+// baseline cases run Algorithm 1 as the engine over an empty SpecPlan.
 //===----------------------------------------------------------------------===//
 
 TEST(IntervalEngineTest, BaselineFixpointBoundsAScalar) {
@@ -319,11 +320,12 @@ TEST(IntervalEngineTest, BaselineFixpointBoundsAScalar) {
   IntervalDomain D(CP->G);
   EngineOptions Opts;
   Opts.UseWidening = true;
-  FixpointResult<IntervalDomain> R = runFixpoint(D, CP->G, Opts, &CP->LI);
+  SpecResult<IntervalDomain> R =
+      runSpeculativeFixpoint(D, CP->G, SpecPlan(), Opts, &CP->LI);
   // At the return, x == 3.
   NodeId Ret = CP->G.exits().front();
   VarId X = CP->P->findVar("x");
-  Interval I = R.In[Ret].scalar(X);
+  Interval I = R.Normal[Ret].scalar(X);
   EXPECT_EQ(I.Lo, 3);
   EXPECT_EQ(I.Hi, 3);
 }
@@ -332,9 +334,10 @@ TEST(IntervalEngineTest, JoinWidensOverBranches) {
   auto CP = compile("int c; int x; int main() { if (c) { x = 1; } else "
                     "{ x = 10; } return x; }");
   IntervalDomain D(CP->G);
-  FixpointResult<IntervalDomain> R = runFixpoint(D, CP->G);
+  SpecResult<IntervalDomain> R =
+      runSpeculativeFixpoint(D, CP->G, SpecPlan(), EngineOptions());
   NodeId Ret = CP->G.exits().front();
-  Interval I = R.In[Ret].scalar(CP->P->findVar("x"));
+  Interval I = R.Normal[Ret].scalar(CP->P->findVar("x"));
   EXPECT_EQ(I.Lo, 1);
   EXPECT_EQ(I.Hi, 10);
 }
@@ -347,10 +350,11 @@ TEST(IntervalEngineTest, LoopTerminatesWithWidening) {
   Opts.UseWidening = true;
   Opts.WideningDelay = 2;
   Opts.MaxIterations = 100000;
-  FixpointResult<IntervalDomain> R = runFixpoint(D, CP->G, Opts, &CP->LI);
+  SpecResult<IntervalDomain> R =
+      runSpeculativeFixpoint(D, CP->G, SpecPlan(), Opts, &CP->LI);
   EXPECT_TRUE(R.Converged);
   NodeId Ret = CP->G.exits().front();
-  Interval I = R.In[Ret].scalar(CP->P->findVar("main.i"));
+  Interval I = R.Normal[Ret].scalar(CP->P->findVar("main.i"));
   EXPECT_EQ(I.Lo, 0); // i never goes below its initialization.
 }
 
@@ -361,7 +365,7 @@ TEST(IntervalEngineTest, SpeculativeEngineRunsOverIntervals) {
   auto CP = compile("int c; int x; int main() { if (c) { x = 1; } else "
                     "{ x = 2; } return x; }");
   IntervalDomain D(CP->G);
-  SpecEngineOptions Opts;
+  EngineOptions Opts;
   Opts.UseWidening = true;
   SpecResult<IntervalDomain> R =
       runSpeculativeFixpoint(D, CP->G, CP->Plan, Opts, &CP->LI);

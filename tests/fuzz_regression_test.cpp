@@ -9,7 +9,8 @@
 /// the generated source and the full per-node analysis results (states,
 /// classification, counters) for two far-apart configurations:
 /// just-in-time/dynamic (the paper's default) and no-merge/fixed (the
-/// finest/most expensive corner). Any drift — generator, frontend,
+/// finest/most expensive corner), plus the non-speculative baseline over
+/// the same cache. Any drift — generator, frontend,
 /// lowering, engine, domain — fails deterministically here with the seed
 /// that moved. Three more corpora ride on the same seeds: per-policy
 /// cache-state digests (FIFO/PLRU), per-policy verdict-level digests
@@ -36,6 +37,8 @@
 #include "fuzz/StateDigest.h"
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 using namespace specai;
 
@@ -84,6 +87,33 @@ const GoldenEntry Corpus[] = {
     {20, 0xf54a7f3b297e3c73ULL, 0x155cb35042d4a1d9ULL, 0x3543b7ad115f481fULL},
 };
 
+// Non-speculative baseline (Algorithm 1) digests of the same programs under
+// the same cache, indexed by Seed - 1. They sit beside Corpus instead of in
+// GoldenEntry because each entry's bytes are part of its test case's name.
+const uint64_t BaselineDigests[] = {
+    0x837b771ae6128e8cULL,
+    0x2ba970b2d8ed8fb0ULL,
+    0x71c6c7949f2e14b5ULL,
+    0x4a9ae05d4a8a0af0ULL,
+    0x9d16227395b50ed3ULL,
+    0x5eb2a816f8c10fb7ULL,
+    0x63a76f9f29f233cdULL,
+    0xbe7c16da491ace04ULL,
+    0xf632a9f9084c7185ULL,
+    0x95d1cf6356a9a6e1ULL,
+    0x8515616eeac7f7d3ULL,
+    0x46f43564528395aeULL,
+    0x4ab4980aa54742a3ULL,
+    0x8c3e62519b8b72feULL,
+    0x6f5c4e0eb250b562ULL,
+    0x6411fc3ec083df37ULL,
+    0x7880338292771386ULL,
+    0x69a1e56a6e37e93cULL,
+    0xdfdcf1057c4174bbULL,
+    0x853995183fb5bc0bULL,
+};
+static_assert(std::size(BaselineDigests) == std::size(Corpus));
+
 class FuzzRegressionTest : public ::testing::TestWithParam<GoldenEntry> {};
 
 } // namespace
@@ -119,6 +149,13 @@ TEST_P(FuzzRegressionTest, PinnedDigestsAreStable) {
   ASSERT_TRUE(RN.Converged);
   EXPECT_EQ(digestMustHitReport(*CP, RN), E.NoMergeFixedDigest)
       << "analysis drift (no-merge/fixed) at seed " << E.Seed;
+
+  MustHitOptions Base = Jit;
+  Base.Speculative = false;
+  MustHitReport RB = runMustHitAnalysis(*CP, Base);
+  ASSERT_TRUE(RB.Converged);
+  EXPECT_EQ(digestMustHitReport(*CP, RB), BaselineDigests[E.Seed - 1])
+      << "analysis drift (non-speculative baseline) at seed " << E.Seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(PinnedCorpus, FuzzRegressionTest,
@@ -558,6 +595,7 @@ INSTANTIATE_TEST_SUITE_P(PinnedSummarizeCorpus, SummarizeRegressionTest,
 //   #include <cstdio>
 //   using namespace specai;
 //   int main() {
+//     uint64_t Baseline[20];
 //     for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
 //       ProgramGen Gen(Seed);
 //       GeneratedProgram G = Gen.generate();
@@ -573,12 +611,18 @@ INSTANTIATE_TEST_SUITE_P(PinnedSummarizeCorpus, SummarizeRegressionTest,
 //       Nm.Strategy = MergeStrategy::NoMerge;
 //       Nm.Bounding = BoundingMode::Fixed;
 //       MustHitReport RN = runMustHitAnalysis(*CP, Nm);
+//       MustHitOptions Base = Jit;
+//       Base.Speculative = false;
+//       MustHitReport RB = runMustHitAnalysis(*CP, Base);
 //       std::printf("    {%llu, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL},\n",
 //                   (unsigned long long)Seed,
 //                   (unsigned long long)fnv1a(G.source()),
 //                   (unsigned long long)digestMustHitReport(*CP, RJ),
 //                   (unsigned long long)digestMustHitReport(*CP, RN));
+//       Baseline[Seed - 1] = digestMustHitReport(*CP, RB);
 //     }
+//     for (uint64_t D : Baseline) // the BaselineDigests table
+//       std::printf("    0x%016llxULL,\n", (unsigned long long)D);
 //   }
 //
 // The policy corpus regenerates the same way with Jit.Cache switched via

@@ -10,8 +10,8 @@
 /// The paper stresses that the virtual-control-flow lifting "is generally
 /// applicable, regardless of how the abstract state is defined" (§1) and
 /// names the interval domain explicitly; this instantiation demonstrates
-/// the engines are domain-generic: the same worklist and speculative
-/// engines run over intervals unchanged.
+/// the engine is domain-generic: the same fixpoint engine runs over
+/// intervals unchanged, with and without a speculation plan.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,8 +9,8 @@
 /// partitioning rework: structural hashing consistent with equality,
 /// copy-on-write aliasing and unshare-on-mutate semantics, canonical
 /// (block-sorted) materialized entry views, the StateInterner pool, the
-/// engines' Fifo/Rpo worklist equivalence on pure programs, and the
-/// baseline engine's deduped-pop accounting. The 20-seed golden digests in
+/// engine's Fifo/Rpo worklist equivalence on pure programs, and the
+/// baseline's deduped-pop accounting and counter keys. The 20-seed golden digests in
 /// fuzz_regression_test.cpp separately pin that none of this moved any
 /// analysis result.
 ///
@@ -402,7 +402,7 @@ std::unique_ptr<CompiledProgram> compileOrDie(const std::string &Src) {
 
 TEST(WorklistOrderTest, BaselineRpoMatchesFifoOnWorkloadsWithFewerPops) {
   // The acceptance property behind bench_table6_merging's report: on every
-  // paper kernel the baseline engine reaches the identical fixpoint under
+  // paper kernel the baseline reaches the identical fixpoint under
   // Rpo, never popping more than Fifo and strictly less in aggregate.
   uint64_t FifoPops = 0, RpoPops = 0;
   for (const Workload &W : wcetWorkloads()) {
@@ -481,6 +481,47 @@ TEST(WorklistOrderTest, SpeculativeEngineReportsMemoAndInternerStats) {
   EXPECT_GT(Stats.get("spec.worklist.pops"), 0u);
   EXPECT_GT(Stats.get("spec.memo.hits") + Stats.get("spec.memo.misses"), 0u);
   EXPECT_GT(Stats.get("spec.interner.states"), 0u);
+}
+
+TEST(WorklistOrderTest, BaselineReportsOnlyWorklistCounters) {
+  // The baseline is the same engine over an empty speculation plan, but it
+  // keeps its own counter keys: perfbench reads "worklist.pops" as the
+  // baseline's pops.
+  DiagnosticEngine Diags;
+  LoweringOptions LO;
+  LO.EntryFunction = "quantl";
+  auto CP = compileSource(quantlSource(), Diags, LO);
+  ASSERT_TRUE(CP) << Diags.str();
+  MustHitOptions O;
+  O.Speculative = false;
+  StatisticSet Stats;
+  O.Stats = &Stats;
+  MustHitReport R = runMustHitAnalysis(*CP, O);
+  ASSERT_TRUE(R.Converged);
+  EXPECT_EQ(Stats.get("worklist.pops"), R.Iterations);
+  std::vector<std::string> Keys;
+  for (const auto &[Key, Value] : Stats.all())
+    Keys.push_back(Key);
+  EXPECT_EQ(Keys, (std::vector<std::string>{"worklist.pops",
+                                            "worklist.pushes",
+                                            "worklist.pushes.deduped"}));
+}
+
+TEST(WorklistOrderTest, UncoloredPlansSkipTheTransferMemo) {
+  // Without speculation colors there is no SS or PR flow and a node's
+  // Normal input only grows, so the memo could never hit: a speculative
+  // run over a program without speculation sites never consults it.
+  auto CP = compileOrDie("char a[64]; char b[64]; int main() { reg int t; "
+                         "t = a[0]; t = b[0]; t = a[0]; return t; }");
+  ASSERT_TRUE(CP);
+  ASSERT_EQ(CP->Plan.colorCount(), 0u);
+  MustHitOptions O;
+  StatisticSet Stats;
+  O.Stats = &Stats;
+  MustHitReport R = runMustHitAnalysis(*CP, O);
+  ASSERT_TRUE(R.Converged);
+  EXPECT_GT(Stats.get("spec.worklist.pops"), 0u);
+  EXPECT_EQ(Stats.get("spec.memo.hits") + Stats.get("spec.memo.misses"), 0u);
 }
 
 //===----------------------------------------------------------------------===//

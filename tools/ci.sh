@@ -116,6 +116,17 @@ if [ "$SUMMARIZE_DIGEST" != "verdict-digest: 0x6d716bd620266606" ]; then
 fi
 echo "summarize stress smoke: $SUMMARIZE_DIGEST"
 
+# The non-speculative baseline of the same program: the engine over an
+# empty speculation plan in reverse post-order, so this pins Algorithm 1
+# as the empty-plan case of the one fixpoint loop.
+BASELINE_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
+  --no-spec --lines 512 --assoc 8 --digest | grep '^verdict-digest:')
+if [ "$BASELINE_DIGEST" != "verdict-digest: 0x5e14fb27c0c9e20f" ]; then
+  echo "ci: FAIL - baseline stress verdict digest moved: $BASELINE_DIGEST" >&2
+  exit 1
+fi
+echo "baseline stress smoke: $BASELINE_DIGEST"
+
 # Fixed-coverage perf smoke: the 50-program campaign behind
 # BENCH_fuzz.json, with timing JSON written next to the build
 # (informational — timings are machine-dependent and never gate; the
