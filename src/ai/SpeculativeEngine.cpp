@@ -22,3 +22,35 @@ const char *specai::mergeStrategyName(MergeStrategy S) {
   }
   return "<invalid>";
 }
+
+bool specai::parseMergeStrategy(const std::string &Name, MergeStrategy &Out) {
+  for (MergeStrategy S :
+       {MergeStrategy::NoMerge, MergeStrategy::MergeAtExit,
+        MergeStrategy::JustInTime, MergeStrategy::MergeAtRollback}) {
+    if (Name == mergeStrategyName(S)) {
+      Out = S;
+      return true;
+    }
+  }
+  return false;
+}
+
+const char *specai::boundingModeName(BoundingMode B) {
+  switch (B) {
+  case BoundingMode::Fixed:
+    return "fixed";
+  case BoundingMode::Dynamic:
+    return "dynamic";
+  }
+  return "<invalid>";
+}
+
+bool specai::parseBoundingMode(const std::string &Name, BoundingMode &Out) {
+  for (BoundingMode B : {BoundingMode::Fixed, BoundingMode::Dynamic}) {
+    if (Name == boundingModeName(B)) {
+      Out = B;
+      return true;
+    }
+  }
+  return false;
+}

@@ -97,6 +97,7 @@
 #include "cfg/FlatCfg.h"
 #include "cfg/LoopInfo.h"
 #include "support/ExecBudget.h"
+#include "support/Fault.h"
 #include "support/StateInterner.h"
 
 #include <algorithm>
@@ -104,6 +105,7 @@
 #include <cstdint>
 #include <deque>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -128,6 +130,8 @@ enum class MergeStrategy {
 
 /// Printable name, e.g. "just-in-time".
 const char *mergeStrategyName(MergeStrategy S);
+/// Parses a mergeStrategyName; returns false on unknown names.
+bool parseMergeStrategy(const std::string &Name, MergeStrategy &Out);
 
 /// How speculation windows are bounded (§6.2).
 enum class BoundingMode {
@@ -138,20 +142,10 @@ enum class BoundingMode {
   Dynamic,
 };
 
-/// Deliberate, test-only engine faults. The differential fuzzer's
-/// self-test (`specai-fuzz --selftest`) injects one of these and demands
-/// that the soundness oracle catches the resulting under-approximation
-/// with a concrete counterexample; a fuzzer that cannot see a broken
-/// engine proves nothing. Never set outside tests.
-enum class EngineFault : uint8_t {
-  None,
-  /// Skip the SS seed at wrongEntry(c): speculative flows never start, so
-  /// post-rollback cache pollution goes unmodeled.
-  SkipSpecSeed,
-  /// Drop the vn_stop -> n rollback edges: speculation is modeled but its
-  /// architectural aftermath is not.
-  SkipRollback,
-};
+/// Printable name: "fixed" or "dynamic".
+const char *boundingModeName(BoundingMode B);
+/// Parses a boundingModeName; returns false on unknown names.
+bool parseBoundingMode(const std::string &Name, BoundingMode &Out);
 
 /// Options of the fixed-point engine.
 struct EngineOptions {
@@ -191,19 +185,11 @@ struct EngineOptions {
   /// the *request* is over — the service answers `status: timeout` and
   /// never caches the partial result. Not part of any cache key.
   ExecBudget *Budget = nullptr;
-  /// Test-only fault injection; see EngineFault.
-  EngineFault Fault = EngineFault::None;
-  /// Fault injection (drop-widen): after widening fires at a loop header,
-  /// the header is *not* re-queued, so the widened state never propagates
-  /// into the loop body. Terminates (widening is still applied) but is
-  /// deliberately unsound; only the lowering self-test sets this
-  /// (specai-fuzz --selftest lowering).
-  bool DropWidenPush = false;
-  /// Fault injection (skip-backedge): joins along loop back edges (an edge
-  /// into a loop header from inside that loop's body) are skipped entirely,
-  /// so loop-carried cache effects never reach the header. Deliberately
-  /// unsound; only the lowering self-test sets this.
-  bool SkipBackedges = false;
+  /// Test-only fault injection (support/Fault.h): the engine reacts to
+  /// SkipSpecSeed, SkipRollback, DropWiden (after widening fires at a loop
+  /// header, the header is not re-queued) and SkipBackedge (joins along
+  /// loop back edges are skipped) and ignores every other value.
+  InjectedFault Fault = InjectedFault::None;
 };
 
 /// Work counters of one engine run; the analysis pipeline reports them
@@ -394,7 +380,7 @@ concept HasTransferMemoHooks = requires(const DomainT &D, NodeId N,
 /// empty plan this is Algorithm 1. Initializes the entry to
 /// Domain::entry() and every other node to bottom, then iterates
 /// transfer/join to a fixed point. \p LI may be null when widening and
-/// SkipBackedges are off.
+/// the SkipBackedge fault are off.
 template <typename DomainT>
 SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
                                            const SpecPlan &Plan,
@@ -546,11 +532,14 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
       SiteBound[Site] = BoundStale;
   };
 
-  // Fault injection only (SkipBackedges): true iff From->To is a back edge,
-  // i.e. To heads a loop whose body contains From. Loops sharing a header
-  // are merged by LoopInfo, so at most one loop matches.
-  auto IsBackEdge = [&](NodeId From, NodeId To) {
-    if (!LI || !LI->isHeader(To))
+  // Fault injection only (support/Fault.h). DropWiden keeps a widened
+  // header off the worklist. SkipBackedge drops every join along a back
+  // edge From->To, i.e. To heads a loop whose body contains From; loops
+  // sharing a header are merged by LoopInfo, so at most one loop matches.
+  const bool DropWidenFault = Options.Fault == InjectedFault::DropWiden;
+  const bool BackedgeFault = Options.Fault == InjectedFault::SkipBackedge;
+  auto DropsEdge = [&](NodeId From, NodeId To) {
+    if (!BackedgeFault || !LI || !LI->isHeader(To))
       return false;
     for (const Loop &L : LI->loops())
       if (L.Header == To)
@@ -571,7 +560,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
         ++JoinCounts[Node];
         NormalDirty[Node] = 1;
         InvalidateBounds(Node);
-        if (!Options.DropWidenPush)
+        if (!DropWidenFault)
           Worklist.push(Node);
       }
       return;
@@ -595,7 +584,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
       if (UseWiden)
         D.widen(Slot->second.St, Prev);
       ++JoinCounts[Node];
-      if (!(UseWiden && Options.DropWidenPush))
+      if (!(UseWiden && DropWidenFault))
         Worklist.push(Node);
     } else if (Inserted) {
       Worklist.push(Node);
@@ -669,7 +658,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   // Seeds speculation colors of branch node `Node` from architectural
   // state `Out` (the state after the branch resolves its inputs).
   auto SeedSpeculation = [&](NodeId Node, const State &Out) {
-    if (Options.Fault == EngineFault::SkipSpecSeed)
+    if (Options.Fault == InjectedFault::SkipSpecSeed)
       return; // Injected fault: pretend speculation never starts.
     if (SeedColors[Node].empty())
       return;
@@ -691,7 +680,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   // Routes a rolled-back state (after executing `Source` speculatively
   // under color C) to the correct side per the merge strategy.
   auto Rollback = [&](ColorId C, NodeId Source, const State &Out) {
-    if (Options.Fault == EngineFault::SkipRollback)
+    if (Options.Fault == InjectedFault::SkipRollback)
       return; // Injected fault: drop the vn_stop -> n edges.
     NodeId Target = Plan.correctEntry(C);
     switch (Options.Strategy) {
@@ -727,7 +716,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
         NormalDirty[Node] = 0;
         State Out = ApplyTransfer(Node, R.Normal[Node], /*Speculative=*/false);
         for (NodeId Succ : G.successors(Node))
-          if (!(Options.SkipBackedges && IsBackEdge(Node, Succ)))
+          if (!DropsEdge(Node, Succ))
             JoinNormal(Succ, Out);
         // n -> vn_start edges (line 11).
         SeedSpeculation(Node, Out);
@@ -764,8 +753,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
           if (Slot.Depth > 1) {
             NodeId Ipdom = IpdomOf(Color);
             for (NodeId Succ : G.successors(Node))
-              if (Succ != Ipdom &&
-                  !(Options.SkipBackedges && IsBackEdge(Node, Succ)))
+              if (Succ != Ipdom && !DropsEdge(Node, Succ))
                 JoinSpec(Succ, Color, Out, Slot.Depth - 1);
           }
         }
@@ -785,7 +773,7 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
           State Out = ApplyTransfer(Node, Slot.St, /*Speculative=*/false);
           NodeId Ipdom = IpdomOf(Key.Color);
           for (NodeId Succ : G.successors(Node)) {
-            if (Options.SkipBackedges && IsBackEdge(Node, Succ))
+            if (DropsEdge(Node, Succ))
               continue;
             if (Succ == Ipdom)
               JoinNormal(Succ, Out);

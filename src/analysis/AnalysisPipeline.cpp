@@ -14,64 +14,6 @@
 
 using namespace specai;
 
-const char *specai::verdictFaultName(VerdictFault F) {
-  switch (F) {
-  case VerdictFault::None:
-    return "none";
-  case VerdictFault::WcetHitForMiss:
-    return "wcet-hit-for-miss";
-  case VerdictFault::WcetDropLoopScale:
-    return "wcet-drop-loop-scale";
-  case VerdictFault::LeakSkipMixed:
-    return "leak-skip-mixed";
-  case VerdictFault::LeakDiscountSpeculation:
-    return "leak-discount-spec";
-  case VerdictFault::LeakDropSpecOnly:
-    return "leak-drop-spec-only";
-  }
-  return "?";
-}
-
-bool specai::parseVerdictFault(const std::string &Name, VerdictFault &Out) {
-  for (VerdictFault F :
-       {VerdictFault::None, VerdictFault::WcetHitForMiss,
-        VerdictFault::WcetDropLoopScale, VerdictFault::LeakSkipMixed,
-        VerdictFault::LeakDiscountSpeculation,
-        VerdictFault::LeakDropSpecOnly}) {
-    if (Name == verdictFaultName(F)) {
-      Out = F;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char *specai::loweringFaultName(LoweringFault F) {
-  switch (F) {
-  case LoweringFault::None:
-    return "none";
-  case LoweringFault::DropWiden:
-    return "drop-widen";
-  case LoweringFault::StaleSummary:
-    return "stale-summary";
-  case LoweringFault::SkipBackedge:
-    return "skip-backedge";
-  }
-  return "?";
-}
-
-bool specai::parseLoweringFault(const std::string &Name, LoweringFault &Out) {
-  for (LoweringFault F :
-       {LoweringFault::None, LoweringFault::DropWiden,
-        LoweringFault::StaleSummary, LoweringFault::SkipBackedge}) {
-    if (Name == loweringFaultName(F)) {
-      Out = F;
-      return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 /// Wraps one lowered Program with its CFG analyses.
@@ -152,8 +94,6 @@ EngineOptions makeEngineOptions(const MustHitOptions &O,
                                            : WorklistOrder::Rpo);
   E.Budget = O.Budget;
   E.Fault = O.Fault;
-  E.DropWidenPush = O.LFault == LoweringFault::DropWiden;
-  E.SkipBackedges = O.LFault == LoweringFault::SkipBackedge;
   return E;
 }
 
@@ -381,8 +321,7 @@ MustHitReport specai::runMustHitAnalysis(const CompiledProgram &CP,
     CacheDomainOptions CalleeDom;
     CalleeDom.UseShadow = false;
     CalleeDom.Summaries = &Summaries;
-    CalleeDom.StaleSummaryFault =
-        Options.LFault == LoweringFault::StaleSummary;
+    CalleeDom.Fault = Options.Fault;
     auto R = std::make_unique<MustHitReport>(
         runEngines(*CalleeCP, CalleeOpts, CalleeDom));
     if (R->BudgetExceeded) {
@@ -401,7 +340,7 @@ MustHitReport specai::runMustHitAnalysis(const CompiledProgram &CP,
   CacheDomainOptions MainDom;
   MainDom.UseShadow = Options.UseShadow;
   MainDom.Summaries = &Summaries;
-  MainDom.StaleSummaryFault = Options.LFault == LoweringFault::StaleSummary;
+  MainDom.Fault = Options.Fault;
   MustHitReport Report = runEngines(CP, SumOpts, MainDom);
   Report.Summaries = std::move(Summaries);
   Report.CalleeReports = std::move(CalleeReports);

@@ -73,60 +73,13 @@ compileSource(const std::string &Source, DiagnosticEngine &Diags,
 /// programs only (no Callees are built).
 std::unique_ptr<CompiledProgram> compileProgram(Program Prog);
 
-/// Deliberate, test-only faults in the *verdict* layer — the modules that
-/// turn a MustHitReport into the user-facing deliverables (execution-time
-/// bounds, leak-freedom proofs). The differential fuzzer's verdict oracles
-/// (`specai-fuzz --oracle wcet|leak --selftest`) inject one of these and
-/// demand a concrete counterexample, mirroring EngineFault one level up
-/// the stack: an oracle that cannot see a broken verdict proves nothing.
-/// Never set outside tests.
-enum class VerdictFault : uint8_t {
-  None,
-  /// estimateWcet charges the hit latency for possibly-missing accesses —
-  /// the classic undercharged-miss WCET shortcut.
-  WcetHitForMiss,
-  /// estimateWcet ignores LoopIterationBound: loop bodies are charged as
-  /// if they executed once.
-  WcetDropLoopScale,
-  /// detectLeaks skips the Mixed check and reports every secret-indexed
-  /// access leak-free.
-  LeakSkipMixed,
-  /// detectLeaks assumes speculative misses are invisible to the attacker
-  /// and proves a Mixed access leak-free whenever the speculative analysis
-  /// flagged it SpecPossibleMiss — the exact wrong argument the paper
-  /// refutes (§2.2): squashed loads still displace attacker-visible lines.
-  LeakDiscountSpeculation,
-  /// annotateSpeculationOnly never sets the SpeculationOnly flag.
-  LeakDropSpecOnly,
-};
-
-const char *verdictFaultName(VerdictFault F);
-/// Parses a verdict fault name; returns false on unknown names.
-bool parseVerdictFault(const std::string &Name, VerdictFault &Out);
-
-/// Deliberate, test-only faults in the *Summarize lowering* layer — the
-/// widened-loop fixpoint and the interprocedural summary application. The
-/// differential lowering oracle's self-test (`specai-fuzz --selftest
-/// lowering`) injects one of these and demands a concrete counterexample,
-/// completing the EngineFault/VerdictFault ladder: an oracle that cannot
-/// see a broken lowering proves nothing. Never set outside tests.
-enum class LoweringFault : uint8_t {
-  None,
-  /// After widening fires at a loop header, the header is not re-queued:
-  /// the widened state never reaches the loop body (EngineOptions::
-  /// DropWidenPush).
-  DropWiden,
-  /// Call transfers skip the callee's aging pressure, leaving stale MUST
-  /// bounds in place (CacheDomainOptions::StaleSummaryFault).
-  StaleSummary,
-  /// Joins along loop back edges are dropped: loop-carried cache effects
-  /// never reach the header (EngineOptions::SkipBackedges).
-  SkipBackedge,
-};
-
-const char *loweringFaultName(LoweringFault F);
-/// Parses a lowering fault name; returns false on unknown names.
-bool parseLoweringFault(const std::string &Name, LoweringFault &Out);
+/// The largest cache line count or associativity, and the largest
+/// speculation window, that the front ends accept (specai-cli flags and
+/// specaid request fields). Far above any modeled machine, and low enough
+/// that a mistyped value cannot ask for gigabytes of state or a window of
+/// billions of instructions.
+inline constexpr uint32_t MaxCacheLines = 1u << 24;
+inline constexpr uint32_t MaxSpecDepth = 1u << 20;
 
 /// Configuration of one static cache analysis run.
 struct MustHitOptions {
@@ -171,13 +124,10 @@ struct MustHitOptions {
   /// baseline; for speculative runs the same under "spec.worklist." plus
   /// "spec.memo.*", "spec.joins.*" and "spec.interner.*".
   StatisticSet *Stats = nullptr;
-  /// Test-only engine fault injection for the fuzzer self-test; see
-  /// EngineFault. Never set outside tests.
-  EngineFault Fault = EngineFault::None;
-  /// Test-only Summarize-lowering fault injection for the differential
-  /// lowering oracle's self-test; see LoweringFault. Never set outside
-  /// tests.
-  LoweringFault LFault = LoweringFault::None;
+  /// Test-only fault injection (support/Fault.h), handed to the engine
+  /// and the cache domain of every run; only engine and lowering faults
+  /// have an effect here. Never set outside tests.
+  InjectedFault Fault = InjectedFault::None;
   /// Cooperative cancellation budget (docs/SERVICE.md, "Deadlines and
   /// budgets"), threaded into every engine invocation this run makes —
   /// refinement rounds and Summarize callee fixpoints included. A tripped

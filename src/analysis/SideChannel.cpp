@@ -35,9 +35,9 @@ void scanProgram(const FlatCfg &G, const MustHitReport &R,
     // guaranteed miss for every possible line) cannot depend on the
     // secret; only Mixed accesses leak.
     bool Mixed = R.Classes[Node] == CacheDomain::AccessClass::Mixed;
-    if (Options.Fault == VerdictFault::LeakSkipMixed)
+    if (Options.Fault == InjectedFault::LeakSkipMixed)
       Mixed = false;
-    if (Mixed && Options.Fault == VerdictFault::LeakDiscountSpeculation &&
+    if (Mixed && Options.Fault == InjectedFault::LeakDiscountSpeculation &&
         R.SpecPossibleMiss[Node])
       Mixed = false;
     if (!Mixed) {
@@ -97,7 +97,7 @@ unsigned specai::annotateSpeculationOnly(SideChannelReport &Spec,
         break;
       }
     Site.SpeculationOnly = !LeaksWithoutSpeculation &&
-                           Options.Fault != VerdictFault::LeakDropSpecOnly;
+                           Options.Fault != InjectedFault::LeakDropSpecOnly;
     Flagged += Site.SpeculationOnly;
   }
   return Flagged;

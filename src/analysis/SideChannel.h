@@ -67,9 +67,9 @@ struct SideChannelReport {
 
 /// Options of the leak detector.
 struct SideChannelOptions {
-  /// Test-only verdict fault injection for the fuzzer self-test; see
-  /// VerdictFault. Never set outside tests.
-  VerdictFault Fault = VerdictFault::None;
+  /// Test-only fault injection (support/Fault.h); only the three Leak* values
+  /// have an effect here. Never set outside tests.
+  InjectedFault Fault = InjectedFault::None;
 };
 
 /// Scans \p R's classification for secret-indexed accesses that are not

@@ -56,7 +56,7 @@ WcetReport estimateOne(const CompiledProgram &CP, const MustHitReport &R,
         Latency[Node] = Options.Timing.HitLatency;
       } else {
         ++Out.PossibleMissNodes;
-        Latency[Node] = Options.Fault == VerdictFault::WcetHitForMiss
+        Latency[Node] = Options.Fault == InjectedFault::WcetHitForMiss
                             ? Options.Timing.HitLatency
                             : Options.Timing.MissLatency;
       }
@@ -116,7 +116,7 @@ WcetReport estimateOne(const CompiledProgram &CP, const MustHitReport &R,
   std::vector<uint64_t> Weight(N, 0);
   for (NodeId Node = 0; Node != N; ++Node) {
     uint64_t Scale = 1;
-    if (Options.Fault != VerdictFault::WcetDropLoopScale) {
+    if (Options.Fault != InjectedFault::WcetDropLoopScale) {
       bool InUncounted = false;
       for (size_t L = 0; L != Loops.size(); ++L) {
         if (!InBody[L][Node])

@@ -48,9 +48,9 @@ struct WcetOptions {
   /// of header executions of each loop, so nested loops need no
   /// per-level product; `estimateWcet` is monotone in it.
   uint32_t LoopIterationBound = 64;
-  /// Test-only verdict fault injection for the fuzzer self-test; see
-  /// VerdictFault. Never set outside tests.
-  VerdictFault Fault = VerdictFault::None;
+  /// Test-only fault injection (support/Fault.h); only WcetHitForMiss
+  /// and WcetDropLoopScale have an effect here. Never set outside tests.
+  InjectedFault Fault = InjectedFault::None;
 };
 
 /// Computes the estimate from a finished analysis over \p CP.

@@ -17,7 +17,8 @@ void CacheDomain::applyCall(State &S, const Instruction &I, bool Speculative) {
   S.applyCallEffect(Sum.SetPressure, Sum.ExitMust, Sum.MayBlocks, *MM,
                     Options.UseShadow,
                     /*InsertExitMust=*/!Speculative,
-                    /*ApplyPressure=*/!Options.StaleSummaryFault);
+                    /*ApplyPressure=*/Options.Fault !=
+                        InjectedFault::StaleSummary);
 }
 
 void CacheDomain::transfer(State &S, NodeId N) {

@@ -23,6 +23,7 @@
 #include "cfg/FlatCfg.h"
 #include "domain/CacheState.h"
 #include "memory/MemoryModel.h"
+#include "support/Fault.h"
 
 #include <vector>
 
@@ -56,10 +57,10 @@ struct CacheDomainOptions {
   /// Null outside Summarize mode; Call nodes are then identity (the
   /// InlineUnroll lowering never emits them).
   const std::vector<CallSummary> *Summaries = nullptr;
-  /// Fault injection (stale-summary): the Call transfer skips the callee's
-  /// aging pressure, leaving stale MUST bounds in place. Deliberately
-  /// unsound; only the lowering self-test sets this.
-  bool StaleSummaryFault = false;
+  /// Test-only fault injection (support/Fault.h). The domain reacts only
+  /// to StaleSummary: the Call transfer skips the callee's aging pressure,
+  /// leaving stale MUST bounds in place.
+  InjectedFault Fault = InjectedFault::None;
 };
 
 /// Engine-facing cache domain. Holds per-array instance counters, so it is
@@ -162,20 +163,6 @@ public:
   /// shadow refinement is enabled.
   enum class AccessClass { MustHit, MustMiss, Mixed };
   AccessClass classifyAccess(const State &S, NodeId N) const;
-
-  /// True iff \p N accesses memory at all.
-  bool accessesMemory(NodeId N) const {
-    return G->inst(N).accessesMemory();
-  }
-
-  const MemoryModel &memoryModel() const { return *MM; }
-  const FlatCfg &cfg() const { return *G; }
-  const CacheDomainOptions &options() const { return Options; }
-
-  /// Resets the symbolic-instance counters (between independent runs).
-  void resetInstances() {
-    std::fill(InstanceCounters.begin(), InstanceCounters.end(), 0);
-  }
 
 private:
   /// Call-node transfer: applies the callee's summary to \p S.

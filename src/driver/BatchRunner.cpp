@@ -23,16 +23,6 @@ using namespace specai;
 
 namespace {
 
-const char *boundingModeName(BoundingMode Mode) {
-  switch (Mode) {
-  case BoundingMode::Fixed:
-    return "fixed";
-  case BoundingMode::Dynamic:
-    return "dynamic";
-  }
-  return "?";
-}
-
 /// Runs one variant and condenses the reports into a row. Everything here
 /// is confined to the calling worker thread; only the returned row crosses
 /// threads.

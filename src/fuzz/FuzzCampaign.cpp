@@ -18,9 +18,25 @@ using namespace specai;
 
 namespace {
 
-const char *boundingName(BoundingMode B) {
-  return B == BoundingMode::Fixed ? "fixed" : "dynamic";
-}
+constexpr FaultRung Rungs[] = {
+    {InjectedFault::SkipSpecSeed, OracleCache, 8, true},
+    {InjectedFault::SkipRollback, OracleCache, 24, false},
+    {InjectedFault::WcetHitForMiss, OracleWcet, 16, false},
+    {InjectedFault::WcetDropLoopScale, OracleWcet, 32, false},
+    {InjectedFault::LeakSkipMixed, OracleLeak, 16, false},
+    {InjectedFault::LeakDiscountSpeculation, OracleLeak, 32, false},
+    {InjectedFault::LeakDropSpecOnly, OracleLeak, 32, false},
+    {InjectedFault::DropWiden, OracleLowering, 24, false},
+    {InjectedFault::StaleSummary, OracleLowering, 24, false},
+    {InjectedFault::SkipBackedge, OracleLowering, 24, false},
+    // The repair rungs each corrupt one emitted artifact of the
+    // synthesizer, and an independent judge of checkRepair must convict it
+    // (re-analysis, cost estimator, or concrete equivalence replay).
+    {InjectedFault::FenceDropped, OracleRepair, 12, false},
+    {InjectedFault::CostUnderreported, OracleRepair, 12, false},
+    {InjectedFault::ClampIgnored, OracleRepair, 12, false},
+    {InjectedFault::UnsoundHoist, OracleRepair, 12, false},
+};
 
 /// Runs the oracle over \p G's source; returns the first violation.
 std::optional<Violation> oracleCheck(const GeneratedProgram &G,
@@ -82,6 +98,15 @@ GeneratedProgram minimize(const GeneratedProgram &G,
 
 } // namespace
 
+std::span<const FaultRung> specai::faultRungs() { return Rungs; }
+
+const FaultRung *specai::faultRung(InjectedFault F) {
+  for (const FaultRung &R : Rungs)
+    if (R.Fault == F)
+      return &R;
+  return nullptr;
+}
+
 std::optional<Counterexample>
 specai::checkGeneratedProgram(const GeneratedProgram &G,
                               const SoundnessOracleOptions &Oracle,
@@ -127,6 +152,24 @@ specai::checkGeneratedProgram(const GeneratedProgram &G,
   if (CE.Pretty.empty())
     CE.Pretty = violationKindName(CE.V.Kind);
   return CE;
+}
+
+std::optional<Violation> specai::replayCounterexample(
+    const std::string &Source, const std::vector<std::string> &InputScalars,
+    const std::vector<std::pair<std::string, unsigned>> &InputArrays,
+    uint64_t Seed, const RunSpec &Run, const SoundnessOracleOptions &Opts) {
+  OracleStats Stats;
+  if (Opts.Oracles & OracleRepair)
+    return checkRepair(Source, InputScalars, InputArrays, Seed, Opts, Stats);
+  if (Opts.Oracles & OracleLowering)
+    return checkLoweringDiff(Source, InputScalars, InputArrays, Seed, Opts,
+                             Stats);
+  DiagnosticEngine Diags;
+  auto CP = compileSource(Source, Diags);
+  if (!CP)
+    return std::nullopt;
+  SoundnessOracle Oracle(*CP, InputScalars, InputArrays, Opts);
+  return Oracle.checkRun(Run);
 }
 
 FuzzCampaignResult specai::runFuzzCampaign(const FuzzCampaignOptions &Options) {
@@ -290,7 +333,7 @@ Counterexample::replayFile(const SoundnessOracleOptions &O) const {
   Out += "\n// replay-strategy: ";
   Out += mergeStrategyName(V.Strategy);
   Out += "\n// replay-bounding: ";
-  Out += boundingName(V.Bounding);
+  Out += boundingModeName(V.Bounding);
   Out += "\n";
   Out += "// replay-cache: lines=" + std::to_string(O.Cache.NumLines) +
          ",assoc=" + std::to_string(O.Cache.Associativity) +
@@ -309,26 +352,15 @@ Counterexample::replayFile(const SoundnessOracleOptions &O) const {
   Out += "\n";
   if (Oracle & OracleLowering) {
     // Lowering diffs re-derive their concrete inputs from replay-seed;
-    // these lines pin the summarize mode (vs. the implicit inline-unroll
-    // reference) and any injected fault so --replay rebuilds the exact
-    // diff that produced this counterexample.
+    // this line pins the summarize mode (vs. the implicit inline-unroll
+    // reference) so --replay rebuilds the exact diff that produced this
+    // counterexample.
     Out += "// replay-lowering: summarize\n";
-    if (O.LFault != LoweringFault::None) {
-      Out += "// replay-lowering-fault: ";
-      Out += loweringFaultName(O.LFault);
-      Out += "\n";
-    }
   }
   if (Oracle & OracleRepair) {
     // The repair oracle likewise re-derives everything from replay-seed;
-    // these lines pin the synthesize-and-revalidate mode and any injected
-    // synthesizer fault.
+    // this line pins the synthesize-and-revalidate mode.
     Out += "// replay-repair: synthesize\n";
-    if (O.RFault != RepairFault::None) {
-      Out += "// replay-repair-fault: ";
-      Out += repairFaultName(O.RFault);
-      Out += "\n";
-    }
   }
   if (Oracle == OracleWcet) {
     // The WCET verdict depends on the timing model; pin it so the
@@ -341,17 +373,11 @@ Counterexample::replayFile(const SoundnessOracleOptions &O) const {
            ",branch=" + std::to_string(O.Wcet.Timing.BranchResolveLatency) +
            "\n";
   }
-  if (O.Fault != EngineFault::None) {
+  if (O.Fault != InjectedFault::None) {
+    // The counterexample came from a fault-injected (self-test) run;
+    // replay against the same deliberately broken layer.
     Out += "// replay-fault: ";
-    Out += O.Fault == EngineFault::SkipSpecSeed ? "skip-spec-seed"
-                                                : "skip-rollback";
-    Out += "\n";
-  }
-  if (O.VFault != VerdictFault::None) {
-    // The counterexample came from a verdict-fault-injected (self-test)
-    // run; replay against the same deliberately broken verdict layer.
-    Out += "// replay-verdict-fault: ";
-    Out += verdictFaultName(O.VFault);
+    Out += faultName(O.Fault);
     Out += "\n";
   }
   if (!V.Run.PredictorName.empty()) {

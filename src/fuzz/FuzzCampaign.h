@@ -22,10 +22,33 @@
 #include "fuzz/ProgramGen.h"
 #include "fuzz/SoundnessOracle.h"
 
+#include <span>
 #include <string>
 #include <vector>
 
 namespace specai {
+
+/// One rung of the fault-injection ladder (docs/FUZZING.md,
+/// "Fault-injection matrix"): an injected fault, the oracle that must
+/// catch it, and the size of the self-test campaign that shows it does.
+/// The table drives `specai-fuzz --selftest`, and `--inject-fault` forces
+/// the rung's oracle on.
+struct FaultRung {
+  InjectedFault Fault = InjectedFault::None;
+  /// The single oracle expected to catch it (an OracleKind bit).
+  unsigned Oracle = 0;
+  /// Programs in the self-test campaign.
+  unsigned Programs = 0;
+  /// Demand a strictly shrinking minimization (only meaningful for faults
+  /// that fire on nearly every program, where <= is vacuous).
+  bool StrictShrink = false;
+};
+
+/// Every rung, one per non-None fault, in ladder order: engine, verdict,
+/// lowering, repair.
+std::span<const FaultRung> faultRungs();
+/// The rung of \p F; null for None.
+const FaultRung *faultRung(InjectedFault F);
 
 /// Campaign configuration.
 struct FuzzCampaignOptions {
@@ -115,6 +138,18 @@ std::optional<Counterexample>
 checkGeneratedProgram(const GeneratedProgram &G,
                       const SoundnessOracleOptions &Oracle, bool Minimize,
                       OracleStats &Stats, uint64_t &CompileFailures);
+
+/// Re-checks one recorded counterexample under \p Opts, whose Oracles,
+/// Strategies and Boundings name the recorded oracle and scenario (the
+/// one replay path of `specai-fuzz --replay` and its self-test). Repair
+/// and lowering counterexamples re-run checkRepair / checkLoweringDiff
+/// with concrete inputs re-derived from \p Seed; every other oracle
+/// re-checks the recorded run \p Run. Returns the violation if it
+/// reproduces.
+std::optional<Violation> replayCounterexample(
+    const std::string &Source, const std::vector<std::string> &InputScalars,
+    const std::vector<std::pair<std::string, unsigned>> &InputArrays,
+    uint64_t Seed, const RunSpec &Run, const SoundnessOracleOptions &Opts);
 
 } // namespace specai
 

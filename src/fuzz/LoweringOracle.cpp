@@ -157,7 +157,7 @@ std::optional<Violation> specai::checkLoweringDiff(
       MustHitOptions OS = OU;
       // The injected fault breaks the summarize side only; the unrolled
       // side stays the healthy reference the diff measures against.
-      OS.LFault = Opts.LFault;
+      OS.Fault = faultIn(FaultLayer::Lowering, Opts.Fault);
 
       PairData P;
       P.Strategy = S;

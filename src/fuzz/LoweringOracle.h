@@ -47,9 +47,9 @@
 ///     the "summarize bound must dominate" claim soundly: both bounds must
 ///     dominate *reality*, not each other.
 ///
-/// `Opts.LFault` injects a deliberate Summarize-lowering fault
-/// (drop-widen / stale-summary / skip-backedge) into the summarize side
-/// only; `specai-fuzz --selftest lowering` proves each one is caught.
+/// A lowering fault in `Opts.Fault` (drop-widen / stale-summary /
+/// skip-backedge) is injected into the summarize side only; `specai-fuzz
+/// --selftest lowering` proves each one is caught.
 ///
 //===----------------------------------------------------------------------===//
 

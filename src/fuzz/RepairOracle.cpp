@@ -135,7 +135,7 @@ std::optional<Violation> specai::checkRepair(
   RepairOptions RO;
   RO.Analysis = OU;
   RO.Wcet = Opts.Wcet;
-  RO.Fault = Opts.RFault;
+  RO.Analysis.Fault = faultIn(FaultLayer::Repair, Opts.Fault);
   RepairResult Res = synthesizeRepairs(*CP, RO);
   ++Stats.RepairChecks;
   Stats.RepairReanalyses += Res.Reanalyses;

@@ -54,8 +54,9 @@ namespace specai {
 /// artifacts; returns the first violation. The analysis runs under
 /// \p Opts' first merge strategy with Fixed bounding (so every unclamped
 /// site's assumed depth is exactly DepthMiss, the depth the concrete
-/// replays pin), and the synthesizer inherits Opts.RFault for the
-/// self-test ladder. Deterministic in (Source, inputs, Seed, Opts).
+/// replays pin), and the synthesizer inherits a repair fault in
+/// Opts.Fault for the self-test ladder. Deterministic in (Source, inputs,
+/// Seed, Opts).
 std::optional<Violation> checkRepair(
     const std::string &Source, const std::vector<std::string> &InputScalars,
     const std::vector<std::pair<std::string, unsigned>> &InputArrays,

@@ -226,7 +226,7 @@ SoundnessOracle::SoundnessOracle(
       O.DepthMiss = this->Options.DepthMiss;
       O.DepthHit = this->Options.DepthHit;
       O.Bounding = B;
-      O.Fault = this->Options.Fault;
+      O.Fault = faultIn(FaultLayer::Engine, this->Options.Fault);
 
       ReportCtx Ctx;
       Ctx.Strategy = S;
@@ -268,7 +268,8 @@ SoundnessOracle::SoundnessOracle(
     NO.UseShadow = this->Options.UseShadow;
     NonSpecReport =
         std::make_unique<MustHitReport>(runMustHitAnalysis(CP, NO));
-    SideChannelOptions SCO{this->Options.VFault};
+    SideChannelOptions SCO{
+        faultIn(FaultLayer::Verdict, this->Options.Fault)};
     NonSpecLeak = detectLeaks(CP, *NonSpecReport, SCO);
     for (ReportCtx &RC : Reports) {
       RC.Leak = detectLeaks(CP, RC.R, SCO);
@@ -597,7 +598,7 @@ uint64_t SoundnessOracle::wcetBoundFor(ReportCtx &RC, uint32_t LoopBound) {
       return Cycles;
   WcetOptions WO = Options.Wcet;
   WO.LoopIterationBound = LoopBound;
-  WO.Fault = Options.VFault;
+  WO.Fault = faultIn(FaultLayer::Verdict, Options.Fault);
   uint64_t Cycles = estimateWcet(CP, RC.R, WO).WorstCaseCycles;
   RC.WcetMemo.push_back({LoopBound, Cycles});
   return Cycles;

@@ -144,19 +144,14 @@ struct SoundnessOracleOptions {
   unsigned LeakSecrets = 3;
   /// Leak-attacker families (public-input rounds) per program.
   unsigned LeakRounds = 2;
-  /// Deliberate engine fault to inject (fuzzer self-test only).
-  EngineFault Fault = EngineFault::None;
-  /// Deliberate verdict-layer fault to inject (fuzzer self-test only);
-  /// applied to both estimateWcet and detectLeaks/annotateSpeculationOnly.
-  VerdictFault VFault = VerdictFault::None;
-  /// Deliberate Summarize-lowering fault to inject (lowering-oracle
-  /// self-test only); applied to the summarize side of the differential
-  /// lowering diff, never to the unrolled reference side.
-  LoweringFault LFault = LoweringFault::None;
-  /// Deliberate repair-synthesizer fault to inject (repair-oracle
-  /// self-test only); applied to the synthesis the oracle validates,
-  /// never to its independent re-analysis or concrete replays.
-  RepairFault RFault = RepairFault::None;
+  /// Deliberate fault to inject (fuzzer self-test only; support/Fault.h).
+  /// Each oracle hands it only to the layer it breaks: engine faults to
+  /// this oracle's analyses, verdict faults to estimateWcet and
+  /// detectLeaks/annotateSpeculationOnly, lowering faults to the summarize
+  /// side of the lowering diff (never the unrolled reference side), and
+  /// repair faults to the synthesis the repair oracle validates (never its
+  /// independent re-analysis or concrete replays).
+  InjectedFault Fault = InjectedFault::None;
 };
 
 /// What went wrong, from most fundamental to most derived.

@@ -15,38 +15,6 @@
 
 using namespace specai;
 
-const char *specai::repairFaultName(RepairFault F) {
-  switch (F) {
-  case RepairFault::None:
-    return "none";
-  case RepairFault::FenceDropped:
-    return "fence-dropped";
-  case RepairFault::CostUnderreported:
-    return "cost-underreported";
-  case RepairFault::ClampIgnored:
-    return "clamp-ignored";
-  case RepairFault::UnsoundHoist:
-    return "unsound-hoist";
-  }
-  return "none";
-}
-
-bool specai::parseRepairFault(const std::string &Name, RepairFault &Out) {
-  if (Name == "none")
-    Out = RepairFault::None;
-  else if (Name == "fence-dropped")
-    Out = RepairFault::FenceDropped;
-  else if (Name == "cost-underreported")
-    Out = RepairFault::CostUnderreported;
-  else if (Name == "clamp-ignored")
-    Out = RepairFault::ClampIgnored;
-  else if (Name == "unsound-hoist")
-    Out = RepairFault::UnsoundHoist;
-  else
-    return false;
-  return true;
-}
-
 const char *specai::mitigationKindName(MitigationKind K) {
   switch (K) {
   case MitigationKind::Clamp:
@@ -346,7 +314,7 @@ generateCandidates(const CompiledProgram &CP, const MemoryModel &MM,
     if (!Accessed[V])
       continue;
     if (P.Vars[V].NumElements != 1 &&
-        Options.Fault != RepairFault::UnsoundHoist)
+        Options.Analysis.Fault != InjectedFault::UnsoundHoist)
       continue;
     Mitigation M;
     M.Kind = MitigationKind::Hoist;
@@ -590,21 +558,22 @@ RepairResult specai::synthesizeRepairs(const CompiledProgram &CP,
   // Emission, where the injected repair faults live: the *reported*
   // verdicts above came from the honest search, but what leaves the
   // synthesizer is the patched program and its clamps.
+  const InjectedFault Fault = Options.Analysis.Fault;
   std::vector<ClampAt> Clamps;
   Res.Patched = applyMitigations(
       *CP.P, CP.G, Options.Analysis.Cache, Chosen,
-      /*DropInserted=*/Options.Fault == RepairFault::FenceDropped, Clamps);
+      /*DropInserted=*/Fault == InjectedFault::FenceDropped, Clamps);
   std::unique_ptr<CompiledProgram> Emitted = compileProgram(Res.Patched);
   if (!Emitted) {
     Res.Repaired = false;
     Res.Error = "patched program failed to recompile";
     return Res;
   }
-  Res.SiteClamps = Options.Fault == RepairFault::ClampIgnored
+  Res.SiteClamps = Fault == InjectedFault::ClampIgnored
                        ? std::vector<uint32_t>(Emitted->Plan.siteCount(),
                                                UINT32_MAX)
                        : mapClamps(*Emitted, Clamps);
-  if (Options.Fault == RepairFault::CostUnderreported) {
+  if (Fault == InjectedFault::CostUnderreported) {
     Res.WcetAfter = Res.WcetBefore;
     for (Mitigation &M : Res.Applied)
       M.Cost = 0;

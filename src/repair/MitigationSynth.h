@@ -62,33 +62,6 @@
 
 namespace specai {
 
-/// Deliberate, test-only faults in the *repair* layer — the synthesizer
-/// that proposes mitigations and emits the patched artifacts. The
-/// differential repair oracle's self-test (`specai-fuzz --selftest
-/// repair`) injects one of these and demands a concrete counterexample,
-/// extending the EngineFault/VerdictFault/LoweringFault ladder one layer
-/// further up: an oracle that cannot see a broken repair proves nothing.
-/// Never set outside tests.
-enum class RepairFault : uint8_t {
-  None,
-  /// The emitted program silently omits every inserted instruction
-  /// (fences and preloads); the search still believed they were there.
-  FenceDropped,
-  /// The reported WCET ignores the repair: WcetAfter echoes WcetBefore
-  /// and every mitigation claims cost 0.
-  CostUnderreported,
-  /// The emitted per-site clamps are cleared; the search still analyzed
-  /// with them in place.
-  ClampIgnored,
-  /// The hoist precondition (scalars only) is skipped: arrays collapse
-  /// into a single register, changing architectural semantics.
-  UnsoundHoist,
-};
-
-const char *repairFaultName(RepairFault F);
-/// Parses a repair fault name; returns false on unknown names.
-bool parseRepairFault(const std::string &Name, RepairFault &Out);
-
 /// The mitigation menu (ordered: the tie-break rank of equal-cost
 /// candidates follows this declaration order).
 enum class MitigationKind : uint8_t { Clamp, Fence, Hoist, Preload };
@@ -121,16 +94,16 @@ struct Mitigation {
 struct RepairOptions {
   /// Analysis configuration for the initial run and every re-analysis.
   /// SiteDepthClamp must be empty (clamps are the synthesizer's output);
-  /// Budget and faults are honored per analysis.
+  /// Budget and faults are honored per analysis. Analysis.Fault is also
+  /// the synthesizer's own test-only fault: FenceDropped,
+  /// CostUnderreported, ClampIgnored and UnsoundHoist corrupt what it
+  /// emits (support/Fault.h).
   MustHitOptions Analysis;
   /// Cost model (also the timing the concrete revalidation runs under).
   WcetOptions Wcet;
   /// Exact subset search when the candidate count is at most this;
   /// greedy otherwise.
   unsigned ExactSearchLimit = 8;
-  /// Test-only repair fault injection for the fuzzer self-test; see
-  /// RepairFault. Never set outside tests.
-  RepairFault Fault = RepairFault::None;
 };
 
 /// Outcome of one synthesis run.

@@ -101,31 +101,6 @@ bool specai::parseServiceFault(const std::string &Name, ServiceFault &Out) {
 
 namespace {
 
-const char *boundingName(BoundingMode Mode) {
-  return Mode == BoundingMode::Fixed ? "fixed" : "dynamic";
-}
-
-bool parseBounding(const std::string &Name, BoundingMode &Out) {
-  if (Name == "fixed")
-    Out = BoundingMode::Fixed;
-  else if (Name == "dynamic")
-    Out = BoundingMode::Dynamic;
-  else
-    return false;
-  return true;
-}
-
-bool parseStrategy(const std::string &Name, MergeStrategy &Out) {
-  for (MergeStrategy S :
-       {MergeStrategy::NoMerge, MergeStrategy::MergeAtExit,
-        MergeStrategy::JustInTime, MergeStrategy::MergeAtRollback})
-    if (Name == mergeStrategyName(S)) {
-      Out = S;
-      return true;
-    }
-  return false;
-}
-
 /// Fetches an integer field, rejecting values outside [0, Max].
 bool takeUInt(const JsonObject &O, const char *Key, uint64_t Max,
               uint64_t &Out, std::string &Error) {
@@ -227,7 +202,7 @@ std::string ServiceRequest::optionKey() const {
   K += ";depth_hit=";
   K += std::to_string(DepthHit);
   K += ";bounding=";
-  K += boundingName(Bounding);
+  K += boundingModeName(Bounding);
   K += ";refine=";
   K += Refine ? '1' : '0';
   K += ";leaks=";
@@ -259,7 +234,7 @@ std::string ServiceRequest::toJson() const {
   W.field("assoc", static_cast<uint64_t>(Cache.Associativity));
   W.field("policy", replacementPolicyName(Cache.Policy));
   W.field("strategy", mergeStrategyName(Strategy));
-  W.field("bounding", boundingName(Bounding));
+  W.field("bounding", boundingModeName(Bounding));
   W.field("spec", Speculative);
   W.field("shadow", UseShadow);
   W.field("depth_miss", static_cast<uint64_t>(DepthMiss));
@@ -354,19 +329,19 @@ bool ServiceRequest::fromJson(const std::string &Line, ServiceRequest &Out,
     }
   }
   if (const std::string *S = takeString(O, "strategy")) {
-    if (!parseStrategy(*S, Out.Strategy)) {
+    if (!parseMergeStrategy(*S, Out.Strategy)) {
       Error = "request: unknown strategy '" + *S + "'";
       return false;
     }
   }
   if (const std::string *S = takeString(O, "bounding")) {
-    if (!parseBounding(*S, Out.Bounding)) {
+    if (!parseBoundingMode(*S, Out.Bounding)) {
       Error = "request: unknown bounding '" + *S + "'";
       return false;
     }
   }
 
-  if (!takeUInt(O, "lines", 1u << 24, U, Error))
+  if (!takeUInt(O, "lines", MaxCacheLines, U, Error))
     return false;
   if (O.count("lines"))
     Out.Cache.NumLines = static_cast<uint32_t>(U);
@@ -374,15 +349,15 @@ bool ServiceRequest::fromJson(const std::string &Line, ServiceRequest &Out,
     return false;
   if (O.count("line_size"))
     Out.Cache.LineSize = static_cast<uint32_t>(U);
-  if (!takeUInt(O, "assoc", 1u << 24, U, Error))
+  if (!takeUInt(O, "assoc", MaxCacheLines, U, Error))
     return false;
   if (O.count("assoc"))
     Out.Cache.Associativity = static_cast<uint32_t>(U);
-  if (!takeUInt(O, "depth_miss", 1u << 20, U, Error))
+  if (!takeUInt(O, "depth_miss", MaxSpecDepth, U, Error))
     return false;
   if (O.count("depth_miss"))
     Out.DepthMiss = static_cast<uint32_t>(U);
-  if (!takeUInt(O, "depth_hit", 1u << 20, U, Error))
+  if (!takeUInt(O, "depth_hit", MaxSpecDepth, U, Error))
     return false;
   if (O.count("depth_hit"))
     Out.DepthHit = static_cast<uint32_t>(U);

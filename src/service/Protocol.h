@@ -121,8 +121,8 @@ bool parseServiceStatus(const std::string &Name, ServiceStatus &Out);
 
 /// Deliberate, test-only faults in the *service* layer — the daemon's
 /// transport, scheduling, and persistence tiers. Completes the repo's
-/// fault-injection ladder (EngineFault / VerdictFault / LoweringFault one
-/// level down): `specaid --inject-fault <name>` boots a daemon with one
+/// fault-injection ladder (InjectedFault, support/Fault.h, one level
+/// down): `specaid --inject-fault <name>` boots a daemon with one
 /// rung armed, and the service_test fault matrix plus the CI chaos leg
 /// prove every rung is contained — wrong-but-plausible behavior must
 /// degrade to counted misses, explicit error statuses, or timeouts, never

@@ -61,17 +61,6 @@ public:
   /// Distinct states pooled.
   uint64_t size() const { return States; }
 
-  /// Resets the pool to its freshly constructed state — including the
-  /// hit/miss counters, so a long-lived process (the specaid daemon)
-  /// reusing one interner across analyses reports per-run statistics
-  /// rather than totals silently accumulated across unrelated requests.
-  void clear() {
-    Pool.clear();
-    States = 0;
-    HitCount = 0;
-    MissCount = 0;
-  }
-
 private:
   /// Safety valve against pathological runs; generous next to real
   /// fixpoints, which stabilize on a few states per (node, color).

@@ -204,7 +204,7 @@ TEST(SideChannelTest, AnnotateSpeculationOnlyFlagsTheDiff) {
 
   // The LeakDropSpecOnly fault (fuzz self-test) suppresses the flag.
   SideChannelOptions Faulty;
-  Faulty.Fault = VerdictFault::LeakDropSpecOnly;
+  Faulty.Fault = InjectedFault::LeakDropSpecOnly;
   EXPECT_EQ(annotateSpeculationOnly(SP, NS, Faulty), 0u);
   for (const LeakSite &L : SP.Leaks)
     EXPECT_FALSE(L.SpeculationOnly);
@@ -247,7 +247,7 @@ TEST(SideChannelTest, InjectedLeakFaultsSuppressLeaks) {
   MustHitReport R = runMustHitAnalysis(*CP, Opts);
   ASSERT_TRUE(detectLeaks(*CP, R).leakDetected());
   SideChannelOptions Faulty;
-  Faulty.Fault = VerdictFault::LeakSkipMixed;
+  Faulty.Fault = InjectedFault::LeakSkipMixed;
   SideChannelReport SC = detectLeaks(*CP, R, Faulty);
   EXPECT_FALSE(SC.leakDetected());
   EXPECT_EQ(SC.ProvenLeakFree, 1u);
@@ -403,7 +403,7 @@ TEST(WcetTest, HandComputedTwoLoopBound) {
   EXPECT_EQ(W.WorstCaseCycles, 4 * A + 2 * 7 * (2 * 30 + 2 * H + 5 * A + 3));
 }
 
-TEST(WcetTest, InjectedVerdictFaultsLowerTheBound) {
+TEST(WcetTest, InjectedWcetFaultsLowerTheBound) {
   // The self-test faults must actually weaken the verdict, or the fuzz
   // fault matrix would prove nothing.
   auto CP = compile("int n; char a[64]; char b[192]; int main() { "
@@ -415,9 +415,9 @@ TEST(WcetTest, InjectedVerdictFaultsLowerTheBound) {
   MustHitReport R = runMustHitAnalysis(*CP, Opts);
   WcetOptions WO;
   uint64_t Healthy = estimateWcet(*CP, R, WO).WorstCaseCycles;
-  WO.Fault = VerdictFault::WcetHitForMiss;
+  WO.Fault = InjectedFault::WcetHitForMiss;
   EXPECT_LT(estimateWcet(*CP, R, WO).WorstCaseCycles, Healthy);
-  WO.Fault = VerdictFault::WcetDropLoopScale;
+  WO.Fault = InjectedFault::WcetDropLoopScale;
   EXPECT_LT(estimateWcet(*CP, R, WO).WorstCaseCycles, Healthy);
 }
 

@@ -101,6 +101,27 @@ TEST(SpecPlanTest, CondLoadsFollowTheSlice) {
   EXPECT_EQ(CP->Plan.sites().front().CondLoads.size(), 2u);
 }
 
+TEST(EngineNamesTest, StrategyAndBoundingNamesRoundTrip) {
+  for (MergeStrategy S :
+       {MergeStrategy::NoMerge, MergeStrategy::MergeAtExit,
+        MergeStrategy::JustInTime, MergeStrategy::MergeAtRollback}) {
+    MergeStrategy Parsed = MergeStrategy::NoMerge;
+    ASSERT_TRUE(parseMergeStrategy(mergeStrategyName(S), Parsed));
+    EXPECT_EQ(Parsed, S);
+  }
+  for (BoundingMode B : {BoundingMode::Fixed, BoundingMode::Dynamic}) {
+    BoundingMode Parsed = BoundingMode::Fixed;
+    ASSERT_TRUE(parseBoundingMode(boundingModeName(B), Parsed));
+    EXPECT_EQ(Parsed, B);
+  }
+  MergeStrategy S = MergeStrategy::NoMerge;
+  BoundingMode B = BoundingMode::Fixed;
+  EXPECT_FALSE(parseMergeStrategy("just-in-tim", S));
+  EXPECT_FALSE(parseBoundingMode("Dynamic", B));
+  EXPECT_EQ(S, MergeStrategy::NoMerge);
+  EXPECT_EQ(B, BoundingMode::Fixed);
+}
+
 //===----------------------------------------------------------------------===//
 // Baseline vs speculative engine
 //===----------------------------------------------------------------------===//

@@ -21,6 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+
 using namespace specai;
 
 namespace {
@@ -103,7 +107,7 @@ TEST(SoundnessOracleTest, CatchesSkippedSpecSeed) {
   // Break the engine (no SS seeding) and demand a concrete counterexample
   // within a few programs.
   SoundnessOracleOptions O = quickOracle();
-  O.Fault = EngineFault::SkipSpecSeed;
+  O.Fault = InjectedFault::SkipSpecSeed;
   bool Caught = false;
   for (uint64_t Seed = 1; Seed != 10 && !Caught; ++Seed) {
     ProgramGen Gen(Seed);
@@ -120,7 +124,7 @@ TEST(SoundnessOracleTest, CatchesSkippedSpecSeed) {
 
 TEST(SoundnessOracleTest, CatchesSkippedRollback) {
   SoundnessOracleOptions O = quickOracle();
-  O.Fault = EngineFault::SkipRollback;
+  O.Fault = InjectedFault::SkipRollback;
   bool Caught = false;
   for (uint64_t Seed = 1; Seed != 25 && !Caught; ++Seed) {
     ProgramGen Gen(Seed);
@@ -158,7 +162,7 @@ TEST(VerdictOracleTest, HealthyVerdictsAreClean) {
 TEST(VerdictOracleTest, CatchesUnderchargedMissLatency) {
   SoundnessOracleOptions O = quickOracle();
   O.Oracles = OracleWcet;
-  O.VFault = VerdictFault::WcetHitForMiss;
+  O.Fault = InjectedFault::WcetHitForMiss;
   bool Caught = false;
   for (uint64_t Seed = 1; Seed != 12 && !Caught; ++Seed) {
     ProgramGen Gen(Seed);
@@ -180,7 +184,7 @@ TEST(VerdictOracleTest, CatchesUnderchargedMissLatency) {
 TEST(VerdictOracleTest, CatchesDroppedLoopScaling) {
   SoundnessOracleOptions O = quickOracle();
   O.Oracles = OracleWcet;
-  O.VFault = VerdictFault::WcetDropLoopScale;
+  O.Fault = InjectedFault::WcetDropLoopScale;
   bool Caught = false;
   for (uint64_t Seed = 1; Seed != 40 && !Caught; ++Seed) {
     ProgramGen Gen(Seed);
@@ -197,7 +201,7 @@ TEST(VerdictOracleTest, CatchesDroppedLoopScaling) {
 TEST(VerdictOracleTest, CatchesSkippedLeakSite) {
   SoundnessOracleOptions O = quickOracle();
   O.Oracles = OracleLeak;
-  O.VFault = VerdictFault::LeakSkipMixed;
+  O.Fault = InjectedFault::LeakSkipMixed;
   bool Caught = false;
   for (uint64_t Seed = 1; Seed != 20 && !Caught; ++Seed) {
     ProgramGen Gen(Seed);
@@ -220,7 +224,7 @@ TEST(VerdictOracleTest, CatchesSkippedLeakSite) {
 TEST(VerdictOracleTest, CatchesDroppedSpecOnlyLabel) {
   SoundnessOracleOptions O = quickOracle();
   O.Oracles = OracleLeak;
-  O.VFault = VerdictFault::LeakDropSpecOnly;
+  O.Fault = InjectedFault::LeakDropSpecOnly;
   bool Caught = false;
   for (uint64_t Seed = 1; Seed != 40 && !Caught; ++Seed) {
     ProgramGen Gen(Seed);
@@ -249,7 +253,7 @@ TEST(VerdictOracleTest, LeakFamilyCounterexampleReplays) {
   O.Jobs = 2;
   O.Oracle = quickOracle();
   O.Oracle.Oracles = OracleLeak;
-  O.Oracle.VFault = VerdictFault::LeakSkipMixed;
+  O.Oracle.Fault = InjectedFault::LeakSkipMixed;
   FuzzCampaignResult R = runFuzzCampaign(O);
   ASSERT_FALSE(R.ok());
   const Counterexample &CE = R.Counterexamples.front();
@@ -265,7 +269,7 @@ TEST(VerdictOracleTest, LeakFamilyCounterexampleReplays) {
   std::string File = CE.replayFile(O.Oracle);
   EXPECT_NE(File.find("// replay-oracle: leak"), std::string::npos);
   EXPECT_NE(File.find("// replay-secret: v0"), std::string::npos);
-  EXPECT_NE(File.find("// replay-verdict-fault: leak-skip-mixed"),
+  EXPECT_NE(File.find("// replay-fault: leak-skip-mixed"),
             std::string::npos);
 }
 
@@ -276,7 +280,7 @@ TEST(VerdictOracleTest, WcetViolationRunSpecReplays) {
   O.Jobs = 2;
   O.Oracle = quickOracle();
   O.Oracle.Oracles = OracleWcet;
-  O.Oracle.VFault = VerdictFault::WcetHitForMiss;
+  O.Oracle.Fault = InjectedFault::WcetHitForMiss;
   FuzzCampaignResult R = runFuzzCampaign(O);
   ASSERT_FALSE(R.ok());
   EXPECT_GT(R.Stats.WcetViolations, 0u);
@@ -301,7 +305,7 @@ TEST(FuzzCampaignTest, MinimizedCounterexampleStillFailsAndReplays) {
   O.Programs = 6;
   O.Jobs = 2;
   O.Oracle = quickOracle();
-  O.Oracle.Fault = EngineFault::SkipSpecSeed;
+  O.Oracle.Fault = InjectedFault::SkipSpecSeed;
   FuzzCampaignResult R = runFuzzCampaign(O);
   ASSERT_FALSE(R.ok());
   const Counterexample &CE = R.Counterexamples.front();
@@ -363,7 +367,52 @@ TEST(StateDigestTest, DigestIsStableAndSensitive) {
   EXPECT_NE(digestMustHitReport(*CP, A), digestMustHitReport(*CP, C));
 
   O.Strategy = MergeStrategy::JustInTime;
-  O.Fault = EngineFault::SkipSpecSeed;
+  O.Fault = InjectedFault::SkipSpecSeed;
   MustHitReport D = runMustHitAnalysis(*CP, O);
   EXPECT_NE(digestMustHitReport(*CP, A), digestMustHitReport(*CP, D));
+}
+
+TEST(FaultRungTest, EveryFaultHasExactlyOneRung) {
+  // The self-test ladder is driven by this table: a fault missing from it
+  // would never be shown catchable.
+  std::map<InjectedFault, unsigned> Seen;
+  for (const FaultRung &R : faultRungs()) {
+    ++Seen[R.Fault];
+    EXPECT_NE(R.Fault, InjectedFault::None);
+    EXPECT_GT(R.Programs, 0u) << faultName(R.Fault);
+    unsigned Single[] = {OracleCache, OracleWcet, OracleLeak, OracleLowering,
+                         OracleRepair};
+    EXPECT_NE(std::find(std::begin(Single), std::end(Single), R.Oracle),
+              std::end(Single))
+        << faultName(R.Fault) << " must name exactly one oracle";
+    EXPECT_EQ(faultRung(R.Fault), &R);
+  }
+  for (uint8_t I = 1;
+       I <= static_cast<uint8_t>(InjectedFault::UnsoundHoist); ++I) {
+    auto F = static_cast<InjectedFault>(I);
+    EXPECT_EQ(Seen[F], 1u) << faultName(F);
+  }
+  EXPECT_EQ(faultRung(InjectedFault::None), nullptr);
+}
+
+TEST(FaultRungTest, RungOraclesMatchTheFaultLayer) {
+  for (const FaultRung &R : faultRungs()) {
+    switch (faultLayer(R.Fault)) {
+    case FaultLayer::Engine:
+      EXPECT_EQ(R.Oracle, OracleCache) << faultName(R.Fault);
+      break;
+    case FaultLayer::Verdict:
+      EXPECT_TRUE(R.Oracle == OracleWcet || R.Oracle == OracleLeak)
+          << faultName(R.Fault);
+      break;
+    case FaultLayer::Lowering:
+      EXPECT_EQ(R.Oracle, OracleLowering) << faultName(R.Fault);
+      break;
+    case FaultLayer::Repair:
+      EXPECT_EQ(R.Oracle, OracleRepair) << faultName(R.Fault);
+      break;
+    case FaultLayer::None:
+      ADD_FAILURE() << "rung for a fault without a layer";
+    }
+  }
 }

@@ -358,33 +358,6 @@ TEST(StateInternerTest, InterningCanonicalizesEqualStates) {
   EXPECT_EQ(Pool.size(), 2u);
 }
 
-TEST(StateInternerTest, ClearResetsTheHitAndMissCounters) {
-  // Regression: clear() used to empty the pool but keep the counters, so
-  // a long-lived process (the specaid daemon) reusing one interner across
-  // analyses reported totals accumulated over unrelated requests as if
-  // they belonged to the current one.
-  Blocks F(4, CacheConfig::fullyAssociative(8));
-  StateInterner<CacheAbsState> Pool;
-
-  CacheAbsState S = CacheAbsState::empty();
-  S.accessBlock(F.block(0), *F.MM, true);
-  Pool.intern(S);
-  Pool.intern(S);
-  ASSERT_EQ(Pool.hits(), 1u);
-  ASSERT_EQ(Pool.misses(), 1u);
-
-  Pool.clear();
-  EXPECT_EQ(Pool.size(), 0u);
-  EXPECT_EQ(Pool.hits(), 0u);
-  EXPECT_EQ(Pool.misses(), 0u);
-
-  // And the pool still works after the reset.
-  CacheAbsState Canon = Pool.intern(S);
-  EXPECT_EQ(Canon, S);
-  EXPECT_EQ(Pool.misses(), 1u);
-  EXPECT_EQ(Pool.hits(), 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Worklist orders: same fixpoints, fewer pops
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Diagnostics.h"
+#include "support/Fault.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -81,6 +82,33 @@ TEST(StringUtilsTest, StartsWith) {
 TEST(StringUtilsTest, FormatDouble) {
   EXPECT_EQ(formatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(formatDouble(1.0, 0), "1");
+}
+
+TEST(FaultTest, NamesRoundTripAndAreDistinct) {
+  std::set<std::string> Names;
+  for (uint8_t I = 0;
+       I <= static_cast<uint8_t>(InjectedFault::UnsoundHoist); ++I) {
+    auto F = static_cast<InjectedFault>(I);
+    InjectedFault Parsed = InjectedFault::None;
+    ASSERT_TRUE(parseFault(faultName(F), Parsed)) << faultName(F);
+    EXPECT_EQ(Parsed, F);
+    EXPECT_TRUE(Names.insert(faultName(F)).second) << faultName(F);
+    EXPECT_EQ(faultLayer(F) == FaultLayer::None, F == InjectedFault::None);
+  }
+  InjectedFault Out = InjectedFault::SkipRollback;
+  EXPECT_FALSE(parseFault("skip-spec-sed", Out));
+  EXPECT_EQ(Out, InjectedFault::SkipRollback);
+}
+
+TEST(FaultTest, FaultInPassesOnlyTheTargetLayer) {
+  EXPECT_EQ(faultIn(FaultLayer::Engine, InjectedFault::SkipRollback),
+            InjectedFault::SkipRollback);
+  EXPECT_EQ(faultIn(FaultLayer::Engine, InjectedFault::SkipBackedge),
+            InjectedFault::None);
+  EXPECT_EQ(faultIn(FaultLayer::Lowering, InjectedFault::SkipBackedge),
+            InjectedFault::SkipBackedge);
+  EXPECT_EQ(faultIn(FaultLayer::Repair, InjectedFault::LeakSkipMixed),
+            InjectedFault::None);
 }
 
 TEST(RngTest, DeterministicForSeed) {

@@ -92,6 +92,12 @@ cat "$BUILD/fuzz_repair_smoke.json"
   > "$BUILD/fuzz_lowering_smoke.json"
 cat "$BUILD/fuzz_lowering_smoke.json"
 
+# Replay round trip (tools/replay_smoke.sh): an injected engine fault and
+# an injected verdict fault each leave a counterexample that --replay
+# reproduces (exit 2), and a corrupted `// replay-fault:` line in it is
+# rejected (exit 1). This is the only check on the replay-file parser.
+"$REPO/tools/replay_smoke.sh" "$BUILD/tools/specai-fuzz" "$BUILD"
+
 # Set-associative stress smoke: perfbench/stress.mc at 512 lines, 8-way
 # (64 cache sets) is the one fixed workload whose states hold many
 # partitions, so it pins the per-set copy-on-write joins and hashes of

@@ -15,10 +15,11 @@
 ///                       apply per-function speculative summaries at call
 ///                       sites; DESIGN.md §4)
 ///   --no-spec           non-speculative baseline (Algorithm 1)
-///   --lines N           cache lines (default 512)
-///   --assoc N           associativity (default: fully associative)
-///   --depth-miss N      b_miss window (default 200)
-///   --depth-hit N       b_hit window (default 20)
+///   --lines N           cache lines (default 512, at most 2^24)
+///   --assoc N           associativity (default: fully associative, at
+///                       most 2^24)
+///   --depth-miss N      b_miss window (default 200, at most 2^20)
+///   --depth-hit N       b_hit window (default 20, at most 2^20)
 ///   --strategy S        no-merge | merge-at-exit | just-in-time |
 ///                       merge-at-rollback
 ///   --policy P          replacement policy: lru (default) | fifo | plru
@@ -76,6 +77,19 @@ void usage(std::FILE *To) {
       "       [--jobs N] [--digest] [--repair]\n");
 }
 
+/// Parses a numeric flag value in [0, Max]; exits 1 on anything else
+/// (signs, trailing junk, values past Max), so a typo can neither read as
+/// 0 nor ask for a huge cache geometry or speculation window.
+uint32_t parseBounded(const char *Flag, const char *Value, uint32_t Max) {
+  std::optional<unsigned> N = parseUnsigned(Value);
+  if (!N || *N > Max) {
+    std::fprintf(stderr, "error: %s needs a number in [0, %u], got '%s'\n",
+                 Flag, Max, Value);
+    std::exit(1);
+  }
+  return *N;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -116,25 +130,17 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--no-spec") {
       Opts.Speculative = false;
     } else if (Arg == "--lines") {
-      Lines = static_cast<uint32_t>(std::atoi(Next()));
+      Lines = parseBounded("--lines", Next(), MaxCacheLines);
     } else if (Arg == "--assoc") {
-      Assoc = static_cast<uint32_t>(std::atoi(Next()));
+      Assoc = parseBounded("--assoc", Next(), MaxCacheLines);
     } else if (Arg == "--depth-miss") {
-      Opts.DepthMiss = static_cast<uint32_t>(std::atoi(Next()));
+      Opts.DepthMiss = parseBounded("--depth-miss", Next(), MaxSpecDepth);
     } else if (Arg == "--depth-hit") {
-      Opts.DepthHit = static_cast<uint32_t>(std::atoi(Next()));
+      Opts.DepthHit = parseBounded("--depth-hit", Next(), MaxSpecDepth);
     } else if (Arg == "--strategy") {
       StrategySet = true;
       std::string S = Next();
-      if (S == "no-merge")
-        Opts.Strategy = MergeStrategy::NoMerge;
-      else if (S == "merge-at-exit")
-        Opts.Strategy = MergeStrategy::MergeAtExit;
-      else if (S == "just-in-time")
-        Opts.Strategy = MergeStrategy::JustInTime;
-      else if (S == "merge-at-rollback")
-        Opts.Strategy = MergeStrategy::MergeAtRollback;
-      else {
+      if (!parseMergeStrategy(S, Opts.Strategy)) {
         std::fprintf(stderr, "error: unknown strategy '%s'\n", S.c_str());
         return 1;
       }

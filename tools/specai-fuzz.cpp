@@ -11,7 +11,8 @@
 ///   specai-fuzz --selftest [SUITE]   prove the oracles catch a broken
 ///                                    engine/verdict/lowering/repair layer
 ///                                    (also CTest cases; SUITE:
-///                                    cache|wcet|leak|lowering|repair|all)
+///                                    cache|wcet|leak|lowering|repair, or
+///                                    all, the default: every rung)
 ///   specai-fuzz --replay FILE.mc     re-check a recorded counterexample
 ///
 ///   --seed N            base seed (default 1); program i uses seed N+i
@@ -48,17 +49,11 @@
 ///   --no-minimize       keep counterexamples unminimized
 ///   --ce-dir DIR        where to write counterexample .mc files (default .)
 ///   --json              print the campaign summary as JSON
-///   --inject-fault K    deliberately break the stack under test:
-///                       engine faults skip-spec-seed | skip-rollback,
-///                       verdict faults wcet-hit-for-miss |
-///                       wcet-drop-loop-scale | leak-skip-mixed |
-///                       leak-discount-spec | leak-drop-spec-only,
-///                       lowering faults drop-widen | stale-summary |
-///                       skip-backedge (summarize side only),
-///                       repair faults fence-dropped | cost-underreported
-///                       | clamp-ignored | unsound-hoist (synthesizer
-///                       emission only)
-///                       (self-test aid)
+///   --inject-fault F    deliberately break one layer of the stack and
+///                       force on the oracle that must catch it
+///                       (self-test aid; the faults are listed by --help
+///                       and in docs/FUZZING.md, "Fault-injection
+///                       matrix")
 ///
 /// Exit code: 0 sound, 1 usage/compile error, 2 violations found (so CI
 /// can gate on it).
@@ -86,14 +81,19 @@ void usage(std::FILE *To) {
       "       [--depth-hit N] [--gen-deep]\n"
       "       [--exhaustive-bits N] [--input-rounds N] [--leak-secrets N]\n"
       "       [--leak-rounds N] [--no-shadow]\n"
-      "       [--no-minimize] [--ce-dir DIR] [--json]\n"
-      "       [--inject-fault skip-spec-seed|skip-rollback|\n"
-      "         wcet-hit-for-miss|wcet-drop-loop-scale|leak-skip-mixed|\n"
-      "         leak-discount-spec|leak-drop-spec-only|drop-widen|\n"
-      "         stale-summary|skip-backedge|fence-dropped|\n"
-      "         cost-underreported|clamp-ignored|unsound-hoist]\n"
+      "       [--no-minimize] [--ce-dir DIR] [--json] [--inject-fault F]\n"
       "       [--selftest [cache|wcet|leak|lowering|repair|all]]\n"
       "       [--replay FILE.mc]\n");
+  std::string Line = "F:";
+  for (const FaultRung &Rung : faultRungs()) {
+    std::string Name = faultName(Rung.Fault);
+    if (Line.size() + Name.size() > 72) {
+      std::fprintf(To, "%s\n", Line.c_str());
+      Line = "  ";
+    }
+    Line += " " + Name;
+  }
+  std::fprintf(To, "%s\n", Line.c_str());
 }
 
 unsigned parseNum(const char *Arg, const char *Value) {
@@ -205,17 +205,13 @@ void reportCounterexamples(const FuzzCampaignResult &R,
 /// programs (helper functions + calls): the stale-summary fault can only
 /// fire at a call site, and the other lowering faults want rolled loops in
 /// callees too.
-void selftestCampaign(EngineFault EF, VerdictFault VF, LoweringFault LF,
-                      RepairFault RF, unsigned Oracles, unsigned Programs,
-                      FuzzCampaignResult &ResultOut) {
+void selftestCampaign(InjectedFault Fault, unsigned Oracles,
+                      unsigned Programs, FuzzCampaignResult &ResultOut) {
   FuzzCampaignOptions O;
   O.Seed = 1;
   O.Programs = Programs;
   O.Jobs = 0;
-  O.Oracle.Fault = EF;
-  O.Oracle.VFault = VF;
-  O.Oracle.LFault = LF;
-  O.Oracle.RFault = RF;
+  O.Oracle.Fault = Fault;
   O.Oracle.Oracles = Oracles;
   O.Gen.Functions = (Oracles & OracleLowering) != 0;
   // Trim per-program effort: the self-test proves detection, not coverage.
@@ -225,168 +221,82 @@ void selftestCampaign(EngineFault EF, VerdictFault VF, LoweringFault LF,
   ResultOut = runFuzzCampaign(O);
 }
 
+/// Runs one rung of the fault-injection matrix: the oracle must catch the
+/// deliberate break with a minimized, replayable counterexample. Returns
+/// true when it does.
+bool selftestRung(const FaultRung &Rung) {
+  const char *Name = faultName(Rung.Fault);
+  FuzzCampaignResult Broken;
+  selftestCampaign(Rung.Fault, Rung.Oracle, Rung.Programs, Broken);
+  if (Broken.ok()) {
+    std::printf("selftest: %s fault NOT caught in %u programs ... FAILED\n",
+                Name, Rung.Programs);
+    return false;
+  }
+  const Counterexample &CE = Broken.Counterexamples.front();
+  bool Minimized = !Rung.StrictShrink || CE.StmtsAfter < CE.StmtsBefore ||
+                   CE.StmtsBefore <= 1;
+
+  // The counterexample must replay: same broken stack, recorded scenario,
+  // still violating — and its .mc rendering must carry the oracle tag
+  // --replay keys on.
+  SoundnessOracleOptions RO;
+  RO.Oracles = Rung.Oracle;
+  RO.Fault = Rung.Fault;
+  RO.Strategies = {CE.V.Strategy};
+  RO.Boundings = {CE.V.Bounding};
+  bool Tagged =
+      CE.replayFile(RO).find("// replay-oracle: ") != std::string::npos;
+  bool Reproduced = replayCounterexample(CE.Source, CE.InputScalars,
+                                         CE.InputArrays, CE.ProgramSeed,
+                                         CE.V.Run, RO)
+                        .has_value();
+  bool Ok = Minimized && Tagged && Reproduced;
+  std::printf("selftest: %s fault caught (%llu/%u programs, %zu -> %zu "
+              "stmts, first: %s) ... %s\n",
+              Name,
+              static_cast<unsigned long long>(Broken.Stats.ViolationPrograms),
+              Rung.Programs, CE.StmtsBefore, CE.StmtsAfter, CE.Pretty.c_str(),
+              Ok ? "ok" : "FAILED");
+  if (!Minimized)
+    std::printf("  minimizer made no progress\n");
+  if (!Tagged)
+    std::printf("  replay file lacks the // replay-oracle: header\n");
+  if (!Reproduced)
+    std::printf("  recorded scenario did not reproduce on replay\n");
+  return Ok;
+}
+
 /// The fault-injection matrix: every oracle must catch >= 2 deliberate
-/// breaks of the layer it validates, each with a minimized, replayable
-/// counterexample. `Suites` is an OracleKind mask selecting which rows
-/// (and which healthy-campaign oracles) run.
+/// breaks of the layer it validates (faultRungs()). `Suites` is an
+/// OracleKind mask selecting which oracles run; each runs a healthy
+/// campaign first, then its rungs.
 int selftest(unsigned Suites) {
   int Failures = 0;
-
-  FuzzCampaignResult Healthy;
-  selftestCampaign(EngineFault::None, VerdictFault::None,
-                   LoweringFault::None, RepairFault::None, Suites, 8,
-                   Healthy);
-  if (Healthy.ok()) {
-    std::printf("selftest: healthy engine+verdicts (--oracle %s), 8 "
-                "programs ... ok\n",
-                oracleKindName(Suites));
-  } else {
-    std::printf("selftest: healthy engine+verdicts FAILED: %llu violating "
-                "programs\n",
-                static_cast<unsigned long long>(
-                    Healthy.Stats.ViolationPrograms));
-    SoundnessOracleOptions HO;
-    HO.Oracles = Suites;
-    reportCounterexamples(Healthy, HO, ".");
-    ++Failures;
-  }
-
-  struct FaultCase {
-    const char *Name;
-    EngineFault EF;
-    VerdictFault VF;
-    LoweringFault LF;
-    RepairFault RF;
-    unsigned Oracle; ///< The single oracle expected to catch it.
-    unsigned Programs;
-    /// Demand a strictly shrinking minimization (only meaningful for
-    /// faults that fire on nearly every program, where <= is vacuous).
-    bool StrictShrink;
-  };
-  const FaultCase Matrix[] = {
-      {"skip-spec-seed", EngineFault::SkipSpecSeed, VerdictFault::None,
-       LoweringFault::None, RepairFault::None, OracleCache, 8, true},
-      {"skip-rollback", EngineFault::SkipRollback, VerdictFault::None,
-       LoweringFault::None, RepairFault::None, OracleCache, 24, false},
-      {"wcet-hit-for-miss", EngineFault::None, VerdictFault::WcetHitForMiss,
-       LoweringFault::None, RepairFault::None, OracleWcet, 16, false},
-      {"wcet-drop-loop-scale", EngineFault::None,
-       VerdictFault::WcetDropLoopScale, LoweringFault::None,
-       RepairFault::None, OracleWcet, 32, false},
-      {"leak-skip-mixed", EngineFault::None, VerdictFault::LeakSkipMixed,
-       LoweringFault::None, RepairFault::None, OracleLeak, 16, false},
-      {"leak-discount-spec", EngineFault::None,
-       VerdictFault::LeakDiscountSpeculation, LoweringFault::None,
-       RepairFault::None, OracleLeak, 32, false},
-      {"leak-drop-spec-only", EngineFault::None,
-       VerdictFault::LeakDropSpecOnly, LoweringFault::None,
-       RepairFault::None, OracleLeak, 32, false},
-      {"drop-widen", EngineFault::None, VerdictFault::None,
-       LoweringFault::DropWiden, RepairFault::None, OracleLowering, 24,
-       false},
-      {"stale-summary", EngineFault::None, VerdictFault::None,
-       LoweringFault::StaleSummary, RepairFault::None, OracleLowering, 24,
-       false},
-      {"skip-backedge", EngineFault::None, VerdictFault::None,
-       LoweringFault::SkipBackedge, RepairFault::None, OracleLowering, 24,
-       false},
-      // The repair ladder: each rung corrupts one emitted artifact of the
-      // synthesizer, and an independent judge of checkRepair must convict
-      // it (re-analysis, cost estimator, or concrete equivalence replay).
-      {"fence-dropped", EngineFault::None, VerdictFault::None,
-       LoweringFault::None, RepairFault::FenceDropped, OracleRepair, 12,
-       false},
-      {"cost-underreported", EngineFault::None, VerdictFault::None,
-       LoweringFault::None, RepairFault::CostUnderreported, OracleRepair,
-       12, false},
-      {"clamp-ignored", EngineFault::None, VerdictFault::None,
-       LoweringFault::None, RepairFault::ClampIgnored, OracleRepair, 12,
-       false},
-      {"unsound-hoist", EngineFault::None, VerdictFault::None,
-       LoweringFault::None, RepairFault::UnsoundHoist, OracleRepair, 12,
-       false},
-  };
-
-  for (const FaultCase &C : Matrix) {
-    if (!(Suites & C.Oracle))
+  for (unsigned Suite : {OracleCache, OracleWcet, OracleLeak, OracleLowering,
+                         OracleRepair}) {
+    if (!(Suites & Suite))
       continue;
-    FuzzCampaignResult Broken;
-    selftestCampaign(C.EF, C.VF, C.LF, C.RF, C.Oracle, C.Programs, Broken);
-    if (Broken.ok()) {
-      std::printf("selftest: %s fault NOT caught in %u programs ... "
-                  "FAILED\n",
-                  C.Name, C.Programs);
-      ++Failures;
-      continue;
-    }
-    const Counterexample &CE = Broken.Counterexamples.front();
-    bool Minimized = !C.StrictShrink || CE.StmtsAfter < CE.StmtsBefore ||
-                     CE.StmtsBefore <= 1;
-
-    // The counterexample must replay: same broken stack, recorded
-    // scenario, still violating — and its .mc rendering must carry the
-    // oracle tag --replay keys on.
-    SoundnessOracleOptions RO;
-    RO.Oracles = C.Oracle;
-    RO.Fault = C.EF;
-    RO.VFault = C.VF;
-    RO.LFault = C.LF;
-    RO.RFault = C.RF;
-    std::string File = CE.replayFile(RO);
-    bool Tagged = File.find("// replay-oracle: ") != std::string::npos;
-    bool Reproduced = false;
-    if (C.Oracle == OracleRepair) {
-      // Repair counterexamples replay through the whole
-      // synthesize-and-revalidate pipeline (checkRepair forces Fixed
-      // bounding itself), with concrete inputs re-derived from the seed.
-      SoundnessOracleOptions Single = RO;
-      Single.Strategies = {CE.V.Strategy};
-      OracleStats ReplayStats;
-      Reproduced = checkRepair(CE.Source, CE.InputScalars, CE.InputArrays,
-                               CE.ProgramSeed, Single, ReplayStats)
-                       .has_value();
-    } else if (C.Oracle == OracleLowering) {
-      // Lowering counterexamples replay through the diff itself: same
-      // injected fault, just the recorded (strategy, bounding) pair, and
-      // concrete inputs re-derived from the recorded seed.
-      SoundnessOracleOptions Single = RO;
-      Single.Strategies = {CE.V.Strategy};
-      Single.Boundings = {CE.V.Bounding};
-      OracleStats ReplayStats;
-      Reproduced = checkLoweringDiff(CE.Source, CE.InputScalars,
-                                     CE.InputArrays, CE.ProgramSeed, Single,
-                                     ReplayStats)
-                       .has_value();
+    FuzzCampaignResult Healthy;
+    selftestCampaign(InjectedFault::None, Suite, 8, Healthy);
+    if (Healthy.ok()) {
+      std::printf("selftest: healthy engine+verdicts (--oracle %s), 8 "
+                  "programs ... ok\n",
+                  oracleKindName(Suite));
     } else {
-      DiagnosticEngine Diags;
-      if (auto CP = compileSource(CE.Source, Diags)) {
-        SoundnessOracleOptions Single = RO;
-        Single.Strategies = {CE.V.Strategy};
-        Single.Boundings = {CE.V.Bounding};
-        SoundnessOracle Oracle(*CP, CE.InputScalars, CE.InputArrays,
-                               Single);
-        Reproduced = Oracle.checkRun(CE.V.Run).has_value();
-      }
-    }
-    bool Ok = Minimized && Tagged && Reproduced;
-    std::printf("selftest: %s fault caught (%llu/%u programs, %zu -> %zu "
-                "stmts, first: %s) ... %s\n",
-                C.Name,
-                static_cast<unsigned long long>(
-                    Broken.Stats.ViolationPrograms),
-                C.Programs, CE.StmtsBefore, CE.StmtsAfter,
-                CE.Pretty.c_str(), Ok ? "ok" : "FAILED");
-    if (!Ok) {
-      if (!Minimized)
-        std::printf("  minimizer made no progress\n");
-      if (!Tagged)
-        std::printf("  replay file lacks the // replay-oracle: header\n");
-      if (!Reproduced)
-        std::printf("  recorded scenario did not reproduce on replay\n");
+      std::printf("selftest: healthy engine+verdicts FAILED: %llu violating "
+                  "programs\n",
+                  static_cast<unsigned long long>(
+                      Healthy.Stats.ViolationPrograms));
+      SoundnessOracleOptions HO;
+      HO.Oracles = Suite;
+      reportCounterexamples(Healthy, HO, ".");
       ++Failures;
     }
+    for (const FaultRung &Rung : faultRungs())
+      if (Rung.Oracle == Suite && !selftestRung(Rung))
+        ++Failures;
   }
-
   std::printf("selftest: %s\n", Failures == 0 ? "PASS" : "FAIL");
   return Failures == 0 ? 0 : 1;
 }
@@ -433,21 +343,16 @@ int replay(const std::string &Path) {
     if (!parseReplayLine(Line, Key, Value))
       continue;
     std::istringstream V(Value);
+    // A value that does not parse would replay a different scenario and
+    // read as "did not reproduce"; every header below fails loudly
+    // instead.
+    bool Ok = true;
     if (Key == "oracle") {
-      if (!parseOracleKind(Value, OracleMask)) {
-        std::fprintf(stderr, "error: unknown replay-oracle '%s'\n", Value.c_str());
-        return 1;
-      }
+      Ok = parseOracleKind(Value, OracleMask);
     } else if (Key == "wcet") {
       unsigned Hit = 2, Miss = 100, Alu = 1, Branch = 10;
-      // A partially matched header would silently check under a different
-      // timing model and report "did not reproduce"; fail loudly instead.
-      if (std::sscanf(Value.c_str(), "hit=%u,miss=%u,alu=%u,branch=%u",
-                      &Hit, &Miss, &Alu, &Branch) != 4) {
-        std::fprintf(stderr, "error: malformed replay-wcet header '%s'\n",
-                    Value.c_str());
-        return 1;
-      }
+      Ok = std::sscanf(Value.c_str(), "hit=%u,miss=%u,alu=%u,branch=%u",
+                       &Hit, &Miss, &Alu, &Branch) == 4;
       Opts.Wcet.Timing.HitLatency = Hit;
       Opts.Wcet.Timing.MissLatency = Miss;
       Opts.Wcet.Timing.AluLatency = Alu;
@@ -456,48 +361,15 @@ int replay(const std::string &Path) {
       Seed = std::strtoull(Value.c_str(), nullptr, 10);
     } else if (Key == "lowering") {
       // The only recorded mode is the summarize diff (the inline-unroll
-      // side is the implicit reference); anything else is a corrupt file.
-      if (Value != "summarize") {
-        std::fprintf(stderr, "error: unknown replay-lowering '%s'\n", Value.c_str());
-        return 1;
-      }
-    } else if (Key == "lowering-fault") {
-      // A lowering self-test counterexample; replay against the same
-      // deliberately broken summarize lowering.
-      if (!parseLoweringFault(Value, Opts.LFault)) {
-        std::fprintf(stderr, "error: unknown replay-lowering-fault '%s'\n",
-                    Value.c_str());
-        return 1;
-      }
+      // side is the implicit reference).
+      Ok = Value == "summarize";
     } else if (Key == "repair") {
       // The only recorded mode is full synthesis (the revalidation judges
-      // are implicit); anything else is a corrupt file.
-      if (Value != "synthesize") {
-        std::fprintf(stderr, "error: unknown replay-repair '%s'\n",
-                    Value.c_str());
-        return 1;
-      }
-    } else if (Key == "repair-fault") {
-      // A repair self-test counterexample; replay against the same
-      // deliberately corrupted synthesizer emission.
-      if (!parseRepairFault(Value, Opts.RFault)) {
-        std::fprintf(stderr, "error: unknown replay-repair-fault '%s'\n",
-                    Value.c_str());
-        return 1;
-      }
-    } else if (Key == "verdict-fault") {
-      // A self-test counterexample; replay against the same deliberately
-      // broken verdict layer.
-      if (!parseVerdictFault(Value, Opts.VFault)) {
-        std::fprintf(stderr, "error: unknown replay-verdict-fault '%s'\n",
-                    Value.c_str());
-        return 1;
-      }
+      // are implicit).
+      Ok = Value == "synthesize";
     } else if (Key == "secret") {
       // "v<variant> e0 e1 ...": lines arrive grouped by variant, one per
-      // secret array, in the oracle's secret-array order. A malformed tag
-      // would silently rebuild the wrong family shape and read as "did
-      // not reproduce"; fail loudly like the other replay headers.
+      // secret array, in the oracle's secret-array order.
       std::string Tag;
       V >> Tag;
       char *TagEnd = nullptr;
@@ -518,41 +390,28 @@ int replay(const std::string &Path) {
         Values.push_back(E);
       Spec.SecretVariants[Variant].push_back(std::move(Values));
     } else if (Key == "strategy") {
-      if (Value == "no-merge")
-        Strategy = MergeStrategy::NoMerge;
-      else if (Value == "merge-at-exit")
-        Strategy = MergeStrategy::MergeAtExit;
-      else if (Value == "just-in-time")
-        Strategy = MergeStrategy::JustInTime;
-      else if (Value == "merge-at-rollback")
-        Strategy = MergeStrategy::MergeAtRollback;
+      Ok = parseMergeStrategy(Value, Strategy);
     } else if (Key == "bounding") {
-      Bounding = Value == "dynamic" ? BoundingMode::Dynamic
-                                    : BoundingMode::Fixed;
+      Ok = parseBoundingMode(Value, Bounding);
     } else if (Key == "cache") {
       unsigned L = 8, A = 0, B = 64;
-      std::sscanf(Value.c_str(), "lines=%u,assoc=%u,linesize=%u", &L, &A,
-                  &B);
+      Ok = std::sscanf(Value.c_str(), "lines=%u,assoc=%u,linesize=%u", &L,
+                       &A, &B) == 3;
       Opts.Cache = CacheConfig{B, L, A == 0 ? L : A};
     } else if (Key == "depths") {
       unsigned Miss = 24, Hit = 6;
-      std::sscanf(Value.c_str(), "miss=%u,hit=%u", &Miss, &Hit);
+      Ok = std::sscanf(Value.c_str(), "miss=%u,hit=%u", &Miss, &Hit) == 2;
       Opts.DepthMiss = Miss;
       Opts.DepthHit = Hit;
     } else if (Key == "policy") {
-      if (!parseReplacementPolicy(Value, Opts.Cache.Policy)) {
-        std::fprintf(stderr, "error: unknown replay-policy '%s'\n", Value.c_str());
-        return 1;
-      }
+      Ok = parseReplacementPolicy(Value, Opts.Cache.Policy);
     } else if (Key == "shadow") {
+      Ok = Value == "on" || Value == "off";
       Opts.UseShadow = Value == "on";
     } else if (Key == "fault") {
       // The counterexample came from a fault-injected (self-test) run;
-      // replay against the same deliberately broken engine.
-      if (Value == "skip-spec-seed")
-        Opts.Fault = EngineFault::SkipSpecSeed;
-      else if (Value == "skip-rollback")
-        Opts.Fault = EngineFault::SkipRollback;
+      // replay against the same deliberately broken layer.
+      Ok = parseFault(Value, Opts.Fault);
     } else if (Key == "predictor") {
       Spec.PredictorName = Value;
     } else if (Key == "script") {
@@ -584,6 +443,18 @@ int replay(const std::string &Path) {
       uint32_t W;
       while (V >> W)
         Spec.SiteWindows.push_back(W);
+    } else if (Key != "kind" && Key != "detail") {
+      // Informational headers aside, an unread key (a typo, or a header
+      // this parser no longer knows) would silently drop part of the
+      // recorded scenario.
+      std::fprintf(stderr, "error: unknown replay header 'replay-%s'\n",
+                   Key.c_str());
+      return 1;
+    }
+    if (!Ok) {
+      std::fprintf(stderr, "error: bad replay-%s value '%s'\n", Key.c_str(),
+                   Value.c_str());
+      return 1;
     }
   }
   Opts.Strategies = {Strategy};
@@ -612,45 +483,15 @@ int replay(const std::string &Path) {
     return 1;
   }
 
-  if (OracleMask & OracleRepair) {
-    // Repair counterexamples re-run the whole synthesize-and-revalidate
-    // pipeline (synthesis, re-analysis of the emitted artifacts, concrete
-    // equivalence and secret-variant replays) with inputs re-derived from
-    // the recorded seed.
-    OracleStats Stats;
-    if (std::optional<Violation> V =
-            checkRepair(Text, Scalars, Arrays, Seed, Opts, Stats)) {
-      std::printf("reproduced: %s\n", V->str(*CP).c_str());
-      return 2;
-    }
-    std::printf(
-        "did not reproduce: the recorded repair pipeline is clean under %s\n",
-        mergeStrategyName(Strategy));
-    return 0;
-  }
-
-  if (OracleMask & OracleLowering) {
-    // Lowering counterexamples re-run the whole diff (both compiles, the
-    // recorded strategy/bounding pair, seed-derived concrete inputs)
-    // rather than one recorded scenario.
-    OracleStats Stats;
-    if (std::optional<Violation> V =
-            checkLoweringDiff(Text, Scalars, Arrays, Seed, Opts, Stats)) {
-      std::printf("reproduced: %s\n", V->str(*CP).c_str());
-      return 2;
-    }
-    std::printf(
-        "did not reproduce: the recorded lowering diff is clean under %s\n",
-        mergeStrategyName(Strategy));
-    return 0;
-  }
-
-  SoundnessOracle Oracle(*CP, Scalars, Arrays, Opts);
-  if (std::optional<Violation> V = Oracle.checkRun(Spec)) {
+  if (std::optional<Violation> V =
+          replayCounterexample(Text, Scalars, Arrays, Seed, Spec, Opts)) {
     std::printf("reproduced: %s\n", V->str(*CP).c_str());
     return 2;
   }
-  std::printf("did not reproduce: the recorded scenario is clean under %s\n",
+  const char *What = (OracleMask & OracleRepair)     ? "repair pipeline"
+                     : (OracleMask & OracleLowering) ? "lowering diff"
+                                                     : "scenario";
+  std::printf("did not reproduce: the recorded %s is clean under %s\n", What,
               mergeStrategyName(Strategy));
   return 0;
 }
@@ -662,7 +503,7 @@ int main(int Argc, char **Argv) {
   std::string CeDir = ".";
   std::string ReplayPath;
   bool Json = false, SelfTest = false;
-  unsigned SelfTestSuites = OracleAll;
+  unsigned SelfTestSuites = ~0u; // Every rung of faultRungs().
   bool OracleExplicit = false;
   uint32_t Lines = 8, Assoc = 0;
   ReplacementPolicy Policy = ReplacementPolicy::Lru;
@@ -732,30 +573,18 @@ int main(int Argc, char **Argv) {
       Json = true;
     } else if (Arg == "--inject-fault") {
       std::string Kind = Next();
-      VerdictFault VF = VerdictFault::None;
-      LoweringFault LF = LoweringFault::None;
-      RepairFault RF = RepairFault::None;
-      if (Kind == "skip-spec-seed")
-        O.Oracle.Fault = EngineFault::SkipSpecSeed;
-      else if (Kind == "skip-rollback")
-        O.Oracle.Fault = EngineFault::SkipRollback;
-      else if (parseVerdictFault(Kind, VF) && VF != VerdictFault::None)
-        O.Oracle.VFault = VF;
-      else if (parseLoweringFault(Kind, LF) && LF != LoweringFault::None)
-        O.Oracle.LFault = LF;
-      else if (parseRepairFault(Kind, RF) && RF != RepairFault::None)
-        O.Oracle.RFault = RF;
-      else {
+      if (!parseFault(Kind, O.Oracle.Fault) ||
+          O.Oracle.Fault == InjectedFault::None) {
         std::fprintf(stderr, "error: unknown fault '%s'\n", Kind.c_str());
         return 1;
       }
     } else if (Arg == "--selftest") {
       SelfTest = true;
       // Optional suite selector (cache | wcet | leak | lowering | repair |
-      // all).
+      // all). Unlike `--oracle all`, a selftest of all runs every rung.
       if (I + 1 < Argc && Argv[I + 1][0] != '-') {
         std::string Suite = Argv[++I];
-        if (!parseOracleKind(Suite, SelfTestSuites)) {
+        if (Suite != "all" && !parseOracleKind(Suite, SelfTestSuites)) {
           std::fprintf(stderr, "error: unknown selftest suite '%s' (cache | wcet | "
                       "leak | lowering | repair | all)\n",
                       Suite.c_str());
@@ -774,22 +603,11 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // A verdict fault targets one specific oracle; force that oracle on, or
-  // the injection would no-op under the cache default and a deliberately
-  // broken verdict layer would be reported "sound".
-  if (O.Oracle.VFault != VerdictFault::None) {
-    bool IsWcet = O.Oracle.VFault == VerdictFault::WcetHitForMiss ||
-                  O.Oracle.VFault == VerdictFault::WcetDropLoopScale;
-    O.Oracle.Oracles |= IsWcet ? OracleWcet : OracleLeak;
-  }
-  // Likewise a lowering fault only breaks the summarize side of the
-  // lowering diff; nothing else would notice it.
-  if (O.Oracle.LFault != LoweringFault::None)
-    O.Oracle.Oracles |= OracleLowering;
-  // And a repair fault only corrupts the synthesizer's emission, which
-  // only the repair oracle's revalidation judges inspect.
-  if (O.Oracle.RFault != RepairFault::None)
-    O.Oracle.Oracles |= OracleRepair;
+  // A fault breaks one layer, which only its rung's oracle inspects; force
+  // that oracle on, or the injection could no-op under the cache default
+  // and a deliberately broken layer would be reported "sound".
+  if (const FaultRung *Rung = faultRung(O.Oracle.Fault))
+    O.Oracle.Oracles |= Rung->Oracle;
 
   if (SelfTest)
     return selftest(SelfTestSuites);
