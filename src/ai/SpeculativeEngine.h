@@ -83,7 +83,10 @@
 /// repeated slot joins hit the domain's shared-storage fast path. All of
 /// it is gated on the optional domain hooks and changes no result:
 /// identity and pure transfers are replayed bit-identically, and stateful
-/// (symbolic-instance) transfers are never memoized. Independent of the
+/// (symbolic-instance) transfers are never memoized. A pop skips the
+/// flows at a pure node whose input did not change since they last ran;
+/// at a seed branch only while the site's window is no deeper than the
+/// one the flow last seeded, so every skip is a no-op. Independent of the
 /// hooks, PR slots are folded into PostRollback while iterating only at
 /// the condition loads the §6.2 bound reads, and each site's bound is
 /// cached until a state it reads changes.
@@ -351,6 +354,14 @@ public:
     return {&*It, true};
   }
 
+  /// The entry for \p Key, which must be present.
+  Entry *find(const K &Key) {
+    auto It = std::lower_bound(
+        Data.begin(), Data.end(), Key,
+        [](const Entry &E, const K &Want) { return E.first < Want; });
+    return &*It;
+  }
+
   auto begin() { return Data.begin(); }
   auto end() { return Data.end(); }
   auto begin() const { return Data.begin(); }
@@ -400,6 +411,9 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   struct PrSlot {
     State St;
     bool Dirty = true;
+    /// Window depth this flow last seeded speculation with (see
+    /// SeedSpeculation); only read at seed branches.
+    uint32_t SeededDepth = 0;
   };
 
   SpecResult<DomainT> R;
@@ -415,7 +429,11 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   std::vector<detail::FlatSlotMap<ColorId, SpecSlot>> SS(N);
   std::vector<detail::FlatSlotMap<PrKey, PrSlot>> PR(N);
 
-  // Branch node -> colors seeded there.
+  // Branch node -> the one site it seeds (UINT32_MAX elsewhere) and that
+  // site's colors.
+  std::vector<uint32_t> SiteAt(N, UINT32_MAX);
+  for (uint32_t Site = 0; Site != Plan.siteCount(); ++Site)
+    SiteAt[Plan.sites()[Site].Branch] = Site;
   std::vector<std::vector<ColorId>> SeedColors(N);
   for (ColorId C = 0; C != Plan.colorCount(); ++C)
     SeedColors[Plan.siteOf(C).Branch].push_back(C);
@@ -425,14 +443,17 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   // the exact same Out into targets that already absorbed it (slots only
   // move up the lattice), so skipping it is result-identical — *provided*
   // the node's transfer is pure. Stateful (symbolic-instance) transfers
-  // and seed branches (whose §6.2 dynamic depth is re-read per pop) are
-  // always reprocessed, keeping the pinned digest trajectories intact.
+  // are always reprocessed, keeping the pinned digest trajectories intact.
+  // At a seed branch the re-run would also re-seed, which adds nothing
+  // only while the site's §6.2 window is no deeper than the one this flow
+  // last seeded with (SeedIsCurrent): a flow processed while the window
+  // was 0 seeded nothing and must run again once it opens.
   std::vector<char> NormalDirty(N, 1);
+  std::vector<uint32_t> NormalSeededDepth(N, 0);
   std::vector<char> SkippableCommitted(N, 0), SkippableSpec(N, 0);
   if constexpr (HasMemoHooks) {
     for (NodeId Node = 0; Node != N; ++Node) {
-      SkippableCommitted[Node] =
-          D.isTransferPure(Node, false) && SeedColors[Node].empty();
+      SkippableCommitted[Node] = D.isTransferPure(Node, false);
       SkippableSpec[Node] = D.isTransferPure(Node, true);
     }
   }
@@ -656,25 +677,34 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   std::vector<uint32_t> MaxSeeded(Plan.siteCount(), 0);
 
   // Seeds speculation colors of branch node `Node` from architectural
-  // state `Out` (the state after the branch resolves its inputs).
-  auto SeedSpeculation = [&](NodeId Node, const State &Out) {
+  // state `Out` (the state after the branch resolves its inputs). Returns
+  // the window depth it seeded with: 0 when it seeded nothing, UINT32_MAX
+  // under the SkipSpecSeed fault, which never seeds at any depth.
+  auto SeedSpeculation = [&](NodeId Node, const State &Out) -> uint32_t {
     if (Options.Fault == InjectedFault::SkipSpecSeed)
-      return; // Injected fault: pretend speculation never starts.
-    if (SeedColors[Node].empty())
-      return;
+      return UINT32_MAX; // Injected fault: pretend speculation never starts.
+    if (SiteAt[Node] == UINT32_MAX)
+      return 0;
     // Window boundary: opening a new speculation window on an exhausted
     // budget only generates work the drain loop will abandon anyway.
     if (Options.Budget && Options.Budget->exhausted())
-      return;
+      return 0;
     State CanonOut = Canon(Out);
-    for (ColorId C : SeedColors[Node]) {
-      uint32_t Site = Plan.colors()[C].Site;
-      uint32_t Depth = SiteDepth(Site);
-      if (Depth == 0)
-        continue; // b_hit == 0 disables speculation entirely (§6.2).
-      MaxSeeded[Site] = std::max(MaxSeeded[Site], Depth);
+    uint32_t Site = SiteAt[Node];
+    uint32_t Depth = SiteDepth(Site);
+    if (Depth == 0)
+      return 0; // b_hit == 0 disables speculation entirely (§6.2).
+    MaxSeeded[Site] = std::max(MaxSeeded[Site], Depth);
+    for (ColorId C : SeedColors[Node])
       JoinSpec(Plan.wrongEntry(C), C, CanonOut, Depth);
-    }
+    return Depth;
+  };
+
+  // True when re-running a clean flow at `Node` that last seeded with
+  // window `Seeded` would seed nothing new: its state is already in the
+  // SS slots, at a depth no smaller than the site's current window.
+  auto SeedIsCurrent = [&](NodeId Node, uint32_t Seeded) {
+    return SiteAt[Node] == UINT32_MAX || SiteDepth(SiteAt[Node]) <= Seeded;
   };
 
   // Routes a rolled-back state (after executing `Source` speculatively
@@ -712,14 +742,15 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
 
       // --- Normal flow (Algorithm 2 lines 8, 14-19). ---
       if (!D.isBottom(R.Normal[Node]) &&
-          (NormalDirty[Node] || !SkippableCommitted[Node])) {
+          (NormalDirty[Node] || !SkippableCommitted[Node] ||
+           !SeedIsCurrent(Node, NormalSeededDepth[Node]))) {
         NormalDirty[Node] = 0;
         State Out = ApplyTransfer(Node, R.Normal[Node], /*Speculative=*/false);
         for (NodeId Succ : G.successors(Node))
           if (!DropsEdge(Node, Succ))
             JoinNormal(Succ, Out);
         // n -> vn_start edges (line 11).
-        SeedSpeculation(Node, Out);
+        NormalSeededDepth[Node] = SeedSpeculation(Node, Out);
       }
 
       // --- Speculative flows, one per live color (Algorithm 3 line 9).
@@ -768,8 +799,9 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
         for (const auto &[Key, Slot] : Slots) {
           if (D.isBottom(Slot.St))
             continue;
-          if (!Slot.Dirty && SkippableCommitted[Node])
-            continue; // Clean pure flow at a non-seed node.
+          if (!Slot.Dirty && SkippableCommitted[Node] &&
+              SeedIsCurrent(Node, Slot.SeededDepth))
+            continue; // Clean pure flow with nothing new to seed.
           State Out = ApplyTransfer(Node, Slot.St, /*Speculative=*/false);
           NodeId Ipdom = IpdomOf(Key.Color);
           for (NodeId Succ : G.successors(Node)) {
@@ -781,7 +813,9 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
               JoinPr(Succ, Key, Out);
           }
           // Real execution in a post-rollback context can speculate again.
-          SeedSpeculation(Node, Out);
+          uint32_t Seeded = SeedSpeculation(Node, Out);
+          if (SiteAt[Node] != UINT32_MAX)
+            PR[Node].find(Key)->second.SeededDepth = Seeded;
         }
       }
     }
@@ -807,13 +841,14 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
       NodeId Branch = Plan.sites()[Site].Branch;
       if (!D.isBottom(R.Normal[Branch])) {
         State Out = ApplyTransfer(Branch, R.Normal[Branch], false);
-        SeedSpeculation(Branch, Out);
+        NormalSeededDepth[Branch] = SeedSpeculation(Branch, Out);
       }
-      for (const auto &[Key, Slot] : PR[Branch].snapshot()) {
+      // Seeding touches only SS slots, so PR[Branch] can be walked live.
+      for (auto &[Key, Slot] : PR[Branch]) {
         if (D.isBottom(Slot.St))
           continue;
         State Out = ApplyTransfer(Branch, Slot.St, false);
-        SeedSpeculation(Branch, Out);
+        Slot.SeededDepth = SeedSpeculation(Branch, Out);
       }
       // Latch even when nothing seeded (unreachable branch, injected
       // fault) so the revalidation loop cannot spin.

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 using namespace specai;
 
@@ -188,10 +189,8 @@ Program applyMitigations(const Program &Orig, const FlatCfg &G,
   return P;
 }
 
-/// One evaluated mitigation set: patched analyses plus verdicts.
+/// The verdicts of one evaluated mitigation set.
 struct EvalOutcome {
-  std::unique_ptr<CompiledProgram> CP;
-  std::vector<uint32_t> SiteClamps; ///< Patched-plan parallel.
   uint64_t Leaks = 0;
   uint64_t Wcet = 0;
   bool BudgetExceeded = false;
@@ -231,25 +230,40 @@ EvalOutcome evaluateSet(const Program &Orig, const FlatCfg &G,
   std::vector<ClampAt> Clamps;
   Program Patched = applyMitigations(Orig, G, Options.Analysis.Cache, Set,
                                      /*DropInserted=*/false, Clamps);
-  Out.CP = compileProgram(std::move(Patched));
-  if (!Out.CP) {
+  std::unique_ptr<CompiledProgram> CP = compileProgram(std::move(Patched));
+  if (!CP) {
     Out.CompileFailed = true;
     return Out;
   }
-  Out.SiteClamps = mapClamps(*Out.CP, Clamps);
+  std::vector<uint32_t> SiteClamps = mapClamps(*CP, Clamps);
 
   MustHitOptions MO = Options.Analysis;
-  if (anyClamped(Out.SiteClamps))
-    MO.SiteDepthClamp = Out.SiteClamps;
-  MustHitReport R = runMustHitAnalysis(*Out.CP, MO);
+  if (anyClamped(SiteClamps))
+    MO.SiteDepthClamp = std::move(SiteClamps);
+  MustHitReport R = runMustHitAnalysis(*CP, MO);
   ++Reanalyses;
   if (R.BudgetExceeded) {
     Out.BudgetExceeded = true;
     return Out;
   }
-  Out.Leaks = detectLeaks(*Out.CP, R).Leaks.size();
-  Out.Wcet = estimateWcet(*Out.CP, R, Options.Wcet).WorstCaseCycles;
+  Out.Leaks = detectLeaks(*CP, R).Leaks.size();
+  Out.Wcet = estimateWcet(*CP, R, Options.Wcet).WorstCaseCycles;
   return Out;
+}
+
+/// What evaluateSet reads of a mitigation sequence, in order: a fence
+/// and a preload at the same position splice in set order, so the same
+/// set in another order is another program. Costs are not read.
+using SetKey = std::vector<
+    std::tuple<uint8_t, uint32_t, uint32_t, BlockId, VarId, NodeId>>;
+
+SetKey setKey(const std::vector<Mitigation> &Set) {
+  SetKey Key;
+  Key.reserve(Set.size());
+  for (const Mitigation &M : Set)
+    Key.emplace_back(static_cast<uint8_t>(M.Kind), M.Site, M.Depth, M.Block,
+                     M.Var, M.Node);
+  return Key;
 }
 
 /// Deterministic candidate order: cheapest first, menu rank and site/node
@@ -390,15 +404,31 @@ RepairResult specai::synthesizeRepairs(const CompiledProgram &CP,
       generateCandidates(CP, MM, Leaks, Options);
   Res.Candidates = Candidates.size();
 
+  // The search meets the same sequence more than once (the cost pass's
+  // singletons again in the exact search or the first greedy round, the
+  // winning set in the final evaluation), so each distinct sequence is
+  // analysed once per synthesis.
+  std::map<SetKey, EvalOutcome> Evaluated;
+  auto Evaluate = [&](const std::vector<Mitigation> &Set) {
+    auto [It, Inserted] = Evaluated.try_emplace(setKey(Set));
+    if (Inserted)
+      It->second = evaluateSet(*CP.P, CP.G, Options, Set, Res.Reanalyses);
+    return It->second;
+  };
+  // An evaluation that ran out of budget or failed to recompile ends the
+  // synthesis.
+  auto Aborts = [&](const EvalOutcome &E) {
+    Res.BudgetExceeded = E.BudgetExceeded;
+    if (E.CompileFailed)
+      Res.Error = "patched program failed to recompile";
+    return E.BudgetExceeded || E.CompileFailed;
+  };
+
   // Cost-annotate each candidate alone.
   for (Mitigation &M : Candidates) {
-    EvalOutcome E = evaluateSet(*CP.P, CP.G, Options, {M}, Res.Reanalyses);
-    if (E.BudgetExceeded || E.CompileFailed) {
-      Res.BudgetExceeded = E.BudgetExceeded;
-      if (E.CompileFailed)
-        Res.Error = "patched program failed to recompile";
+    EvalOutcome E = Evaluate({M});
+    if (Aborts(E))
       return Res;
-    }
     M.Cost = E.Wcet > Res.WcetBefore ? E.Wcet - Res.WcetBefore : 0;
   }
   std::sort(Candidates.begin(), Candidates.end(), candidateLess);
@@ -440,13 +470,9 @@ RepairResult specai::synthesizeRepairs(const CompiledProgram &CP,
       for (size_t I = 0; I != Candidates.size(); ++I)
         if (S.Mask & (1u << I))
           Set.push_back(Candidates[I]);
-      EvalOutcome E = evaluateSet(*CP.P, CP.G, Options, Set, Res.Reanalyses);
-      if (E.BudgetExceeded || E.CompileFailed) {
-        Res.BudgetExceeded = E.BudgetExceeded;
-        if (E.CompileFailed)
-          Res.Error = "patched program failed to recompile";
+      EvalOutcome E = Evaluate(Set);
+      if (Aborts(E))
         return Res;
-      }
       if (E.Leaks == 0) {
         Chosen = std::move(Set);
         ChosenLeaks = 0;
@@ -465,14 +491,9 @@ RepairResult specai::synthesizeRepairs(const CompiledProgram &CP,
           continue;
         std::vector<Mitigation> Trial = Chosen;
         Trial.push_back(Candidates[I]);
-        EvalOutcome E =
-            evaluateSet(*CP.P, CP.G, Options, Trial, Res.Reanalyses);
-        if (E.BudgetExceeded || E.CompileFailed) {
-          Res.BudgetExceeded = E.BudgetExceeded;
-          if (E.CompileFailed)
-            Res.Error = "patched program failed to recompile";
+        EvalOutcome E = Evaluate(Trial);
+        if (Aborts(E))
           return Res;
-        }
         if (E.Leaks < ChosenLeaks) {
           Chosen = std::move(Trial);
           ChosenLeaks = E.Leaks;
@@ -487,14 +508,9 @@ RepairResult specai::synthesizeRepairs(const CompiledProgram &CP,
       // leaking through both wrong paths needs both fences before the
       // count drops). Fall back to the whole menu; the prune pass below
       // carves a redundant set back down.
-      EvalOutcome E =
-          evaluateSet(*CP.P, CP.G, Options, Candidates, Res.Reanalyses);
-      if (E.BudgetExceeded || E.CompileFailed) {
-        Res.BudgetExceeded = E.BudgetExceeded;
-        if (E.CompileFailed)
-          Res.Error = "patched program failed to recompile";
+      EvalOutcome E = Evaluate(Candidates);
+      if (Aborts(E))
         return Res;
-      }
       if (E.Leaks == 0) {
         Chosen = Candidates;
         ChosenLeaks = 0;
@@ -516,14 +532,9 @@ RepairResult specai::synthesizeRepairs(const CompiledProgram &CP,
         for (size_t I = 0; I != Chosen.size(); ++I)
           if (I != Victim)
             Trial.push_back(Chosen[I]);
-        EvalOutcome E =
-            evaluateSet(*CP.P, CP.G, Options, Trial, Res.Reanalyses);
-        if (E.BudgetExceeded || E.CompileFailed) {
-          Res.BudgetExceeded = E.BudgetExceeded;
-          if (E.CompileFailed)
-            Res.Error = "patched program failed to recompile";
+        EvalOutcome E = Evaluate(Trial);
+        if (Aborts(E))
           return Res;
-        }
         if (E.Leaks == 0) {
           Chosen = std::move(Trial);
           Pruned = Chosen.size() > 1;
@@ -542,14 +553,9 @@ RepairResult specai::synthesizeRepairs(const CompiledProgram &CP,
   // Final honest evaluation of the chosen set (verdicts the oracle holds
   // the synthesizer to).
   std::sort(Chosen.begin(), Chosen.end(), candidateLess);
-  EvalOutcome Final =
-      evaluateSet(*CP.P, CP.G, Options, Chosen, Res.Reanalyses);
-  if (Final.BudgetExceeded || Final.CompileFailed) {
-    Res.BudgetExceeded = Final.BudgetExceeded;
-    if (Final.CompileFailed)
-      Res.Error = "patched program failed to recompile";
+  EvalOutcome Final = Evaluate(Chosen);
+  if (Aborts(Final))
     return Res;
-  }
   Res.Repaired = true;
   Res.LeaksAfter = Final.Leaks;
   Res.WcetAfter = Final.Wcet;

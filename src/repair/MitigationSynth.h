@@ -138,8 +138,9 @@ struct RepairResult {
   uint64_t SpecOnlyLeaksBefore = 0;
   /// Candidate mitigations generated.
   unsigned Candidates = 0;
-  /// Full program re-analyses the search performed (cost annotation and
-  /// set evaluation).
+  /// Full program re-analyses the search performed: the initial reports
+  /// plus one per distinct mitigation sequence evaluated (cost annotation
+  /// and set evaluation; a sequence met again reuses its verdicts).
   unsigned Reanalyses = 0;
   bool UsedExactSearch = false;
 

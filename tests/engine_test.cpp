@@ -260,6 +260,60 @@ TEST(EngineTest, CachedBoundSeesPostRollbackPollution) {
       << "inner site never re-seeded at DepthMiss";
 }
 
+TEST(EngineTest, CleanFlowReseedsWhenItsWindowOpens) {
+  // With DepthHit = 0 the inner site's window is closed while `y` looks
+  // like a must-hit, so the normal flow at its branch first seeds nothing.
+  // The outer site's post-rollback flow then evicts `y` at the inner
+  // condition load, which opens the window; that flow reaches the inner
+  // branch dirty while the normal flow there stays clean. The clean flow
+  // must still run once to seed its state, which lacks `e1`: the inner
+  // then-side's load of `e1` is not a must-hit speculatively. Seeding the
+  // post-rollback state alone would keep `e1` cached there. The padding
+  // ends the outer site's wrong-path window before the inner site.
+  auto CP = compile(R"MC(
+char c[64]; char y[64]; char e1[64]; char e2[64]; char e3[64];
+
+int main() {
+  reg int t;
+  t = y[0];
+  if (c[0] != 0) {
+    t = e1[0]; t = e2[0]; t = e3[0];
+  } else {
+    t = t + 1; t = t + 1; t = t + 1; t = t + 1; t = t + 1;
+    t = t + 1; t = t + 1; t = t + 1; t = t + 1; t = t + 1;
+    if (y[0] != 0) {
+      t = e1[0];
+    }
+  }
+  return t;
+}
+)MC");
+  ASSERT_EQ(CP->Plan.siteCount(), 2u);
+  const SpecSite &Inner = CP->Plan.sites()[1];
+  ASSERT_EQ(Inner.CondLoads.size(), 1u);
+  NodeId YLoad = Inner.CondLoads[0];
+  ASSERT_EQ(CP->G.inst(YLoad).Var, CP->P->findVar("y"));
+  NodeId InnerE1 = Inner.TakenEntry;
+  ASSERT_EQ(CP->G.inst(InnerE1).Op, Opcode::Load);
+  ASSERT_EQ(CP->G.inst(InnerE1).Var, CP->P->findVar("e1"));
+
+  MustHitOptions Opts;
+  Opts.Cache = CacheConfig::fullyAssociative(4);
+  Opts.Speculative = true;
+  Opts.Bounding = BoundingMode::Dynamic;
+  Opts.DepthMiss = 6;
+  Opts.DepthHit = 0;
+  MustHitReport R = runMustHitAnalysis(*CP, Opts);
+  ASSERT_TRUE(R.Converged);
+
+  CacheDomain D(CP->G, *R.MM, CacheDomainOptions{});
+  EXPECT_TRUE(D.isMustHit(R.States.Normal[YLoad], YLoad));
+  EXPECT_FALSE(D.isMustHit(R.States.observable(D, YLoad), YLoad));
+  ASSERT_FALSE(R.States.Speculative[InnerE1].isBottom());
+  EXPECT_FALSE(D.isMustHit(R.States.Speculative[InnerE1], InnerE1))
+      << "the clean normal flow never seeded the opened window";
+}
+
 TEST(EngineTest, JoinCountersSplitByFlow) {
   auto CP = compile(nestedSiteSource());
   MustHitOptions Opts;

@@ -18,6 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/BatchRunner.h"
+#include "fuzz/ProgramGen.h"
 #include "repair/MitigationSynth.h"
 
 #include <gtest/gtest.h>
@@ -107,6 +108,31 @@ int main() {
   return t + table[key & 255];
 }
 )MC";
+
+/// Every RepairResult field but Reanalyses on one line; the emitted
+/// program enters as an FNV-1a hash of its text.
+std::string renderResult(const RepairResult &R) {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  for (char C : R.Patched.str())
+    Hash = (Hash ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
+  std::string Out = "repaired=" + std::to_string(R.Repaired) +
+                    " budget=" + std::to_string(R.BudgetExceeded) +
+                    " error='" + R.Error + "' patched=" +
+                    std::to_string(Hash) + " wcet=" +
+                    std::to_string(R.WcetBefore) + "->" +
+                    std::to_string(R.WcetAfter) + " leaks=" +
+                    std::to_string(R.LeaksBefore) + "->" +
+                    std::to_string(R.LeaksAfter) + " speconly=" +
+                    std::to_string(R.SpecOnlyLeaksBefore) + " candidates=" +
+                    std::to_string(R.Candidates) + " exact=" +
+                    std::to_string(R.UsedExactSearch) + " clamps=";
+  for (uint32_t C : R.SiteClamps)
+    Out += C == UINT32_MAX ? "-," : std::to_string(C) + ",";
+  Out += " applied=";
+  for (const Mitigation &M : R.Applied)
+    Out += M.str(R.Patched) + ";";
+  return Out;
+}
 
 } // namespace
 
@@ -251,5 +277,82 @@ TEST(RepairTest, ResultsAreIdenticalAcrossAnalysisParallelism) {
     for (size_t K = 0; K != G.Applied.size(); ++K)
       EXPECT_EQ(G.Applied[K].str(G.Patched), W.Applied[K].str(W.Patched))
           << I;
+  }
+}
+
+TEST(RepairTest, EachMitigationSequenceIsAnalysedOnce) {
+  // The search meets some mitigation sequences more than once; analysing
+  // each only once must leave every result field as it was and cut only
+  // Reanalyses. The fixtures run under both searches (ExactSearchLimit 0
+  // forces greedy plus pruning); the ProgramGen seeds are repair-corpus
+  // programs of the end-to-end benchmark in its configuration. Want was
+  // recorded with every sequence re-analysed; WantReanalyses is one per
+  // distinct sequence (the old count in the comment).
+  struct Case {
+    std::string Source;
+    uint32_t Lines;
+    bool Greedy;
+    bool CorpusConfig;
+    const char *Want;
+    unsigned WantReanalyses;
+  };
+  std::vector<Case> Cases = {
+      {FenceOnly, 5, false, false,
+       "repaired=1 budget=0 error='' patched=10877044694428469932 "
+       "wcet=620->619 leaks=1->0 speconly=1 candidates=5 exact=1 "
+       "clamps=-, applied=fence at bb2 (cost 0);",
+       7}, // was 10
+      {FenceOnly, 5, true, false,
+       "repaired=1 budget=0 error='' patched=10877044694428469932 "
+       "wcet=620->619 leaks=1->0 speconly=1 candidates=5 exact=0 "
+       "clamps=-, applied=fence at bb2 (cost 0);",
+       7}, // was 10
+      {ClampBeatsFence, 5, false, false,
+       "repaired=1 budget=0 error='' patched=7665083703232350814 "
+       "wcet=623->623 leaks=1->0 speconly=1 candidates=5 exact=1 "
+       "clamps=1, applied=clamp site 0 to depth 1 (cost 0);",
+       7}, // was 9
+      {ClampBeatsFence, 5, true, false,
+       "repaired=1 budget=0 error='' patched=7665083703232350814 "
+       "wcet=623->623 leaks=1->0 speconly=1 candidates=5 exact=0 "
+       "clamps=1, applied=clamp site 0 to depth 1 (cost 0);",
+       7}, // was 9
+      {HoistOnly, 4, false, false,
+       "repaired=1 budget=0 error='' patched=4836544324614884162 "
+       "wcet=611->414 leaks=1->0 speconly=0 candidates=2 exact=1 clamps= "
+       "applied=hoist 'mode' (cost 0);",
+       4}, // was 6
+      {HoistOnly, 4, true, false,
+       "repaired=1 budget=0 error='' patched=4836544324614884162 "
+       "wcet=611->414 leaks=1->0 speconly=0 candidates=2 exact=0 clamps= "
+       "applied=hoist 'mode' (cost 0);",
+       4}, // was 6
+      {ProgramGen(3).generate().source(), 8, false, true,
+       "repaired=1 budget=0 error='' patched=7970668842898472166 "
+       "wcet=21906->15536 leaks=1->0 speconly=1 candidates=7 exact=1 "
+       "clamps=1, applied=clamp site 0 to depth 1 (cost 0);",
+       9}, // was 11
+      {ProgramGen(13).generate().source(), 8, false, true,
+       "repaired=1 budget=0 error='' patched=6807573141499347182 "
+       "wcet=1345->1749 leaks=3->0 speconly=1 candidates=12 exact=0 "
+       "clamps=-,1, applied=clamp site 1 to depth 1 (cost 0);preload 'a0' "
+       "before node 17 (cost 202);preload 'a3' before node 14 (cost 202);",
+       36}, // was 40
+  };
+  for (const Case &C : Cases) {
+    auto CP = compile(C.Source);
+    ASSERT_TRUE(CP);
+    RepairOptions RO = optionsWithLines(C.Lines);
+    if (C.CorpusConfig) {
+      RO.Analysis.Strategy = MergeStrategy::NoMerge;
+      RO.Analysis.Bounding = BoundingMode::Fixed;
+      RO.Analysis.DepthMiss = 24;
+      RO.Analysis.DepthHit = 6;
+    }
+    if (C.Greedy)
+      RO.ExactSearchLimit = 0;
+    RepairResult Res = synthesizeRepairs(*CP, RO);
+    EXPECT_EQ(renderResult(Res), C.Want) << C.Source;
+    EXPECT_EQ(Res.Reanalyses, C.WantReanalyses) << C.Source;
   }
 }

@@ -95,7 +95,9 @@ cat "$BUILD/fuzz_lowering_smoke.json"
 # Replay round trip (tools/replay_smoke.sh): an injected engine fault and
 # an injected verdict fault each leave a counterexample that --replay
 # reproduces (exit 2), and a corrupted `// replay-fault:` line in it is
-# rejected (exit 1). This is the only check on the replay-file parser.
+# rejected (exit 1). Next to the specai_fuzz_rejects_replay_* CTest
+# cases, this is the check on the replay-file parser: they feed it bad
+# values, this feeds it real counterexamples.
 "$REPO/tools/replay_smoke.sh" "$BUILD/tools/specai-fuzz" "$BUILD"
 
 # Set-associative stress smoke: perfbench/stress.mc at 512 lines, 8-way
@@ -132,6 +134,18 @@ if [ "$BASELINE_DIGEST" != "verdict-digest: 0x5e14fb27c0c9e20f" ]; then
   exit 1
 fi
 echo "baseline stress smoke: $BASELINE_DIGEST"
+
+# No-merge keeps one post-rollback slot per rollback point, so it sends
+# the most post-rollback flows through site branches, where the engine's
+# clean-flow skip compares window depths; it is also the strategy the
+# repair configuration runs. 64 lines, 4-way keeps it to a few seconds.
+NOMERGE_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
+  --lines 64 --assoc 4 --strategy no-merge --digest | grep '^verdict-digest:')
+if [ "$NOMERGE_DIGEST" != "verdict-digest: 0xf96b2c349d1d2dc0" ]; then
+  echo "ci: FAIL - no-merge stress verdict digest moved: $NOMERGE_DIGEST" >&2
+  exit 1
+fi
+echo "no-merge stress smoke: $NOMERGE_DIGEST"
 
 # Fixed-coverage perf smoke: the 50-program campaign behind
 # BENCH_fuzz.json, with timing JSON written next to the build

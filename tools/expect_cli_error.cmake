@@ -1,12 +1,16 @@
-# Runs `EXE INPUT FLAG VALUE` and fails unless it exits 1 with
+# Runs `EXE [INPUT] FLAG VALUE` and fails unless it exits 1 with
 # EXPECT_STDERR in its standard error: the CTest check that a bad flag
 # value is rejected up front instead of crashing, hanging or being read
-# as something else. Invoked by the specai_cli_rejects_* tests
-# (tools/CMakeLists.txt) as
-#   cmake -DEXE=... -DINPUT=... -DFLAG=... -DVALUE=... -DEXPECT_STDERR=...
+# as something else. Invoked by the specai_cli_rejects_* and
+# specai_fuzz_rejects_replay_* tests (tools/CMakeLists.txt) as
+#   cmake -DEXE=... [-DINPUT=...] -DFLAG=... -DVALUE=... -DEXPECT_STDERR=...
 #         -P expect_cli_error.cmake
+set(Command "${EXE}")
+if(DEFINED INPUT)
+  list(APPEND Command "${INPUT}")
+endif()
 execute_process(
-  COMMAND "${EXE}" "${INPUT}" "${FLAG}" "${VALUE}"
+  COMMAND ${Command} "${FLAG}" "${VALUE}"
   RESULT_VARIABLE Code
   OUTPUT_VARIABLE Out
   ERROR_VARIABLE Err

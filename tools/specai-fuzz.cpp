@@ -62,6 +62,7 @@
 
 #include "specai/SpecAI.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -302,7 +303,7 @@ int selftest(unsigned Suites) {
 }
 
 /// Parses one "// replay-key: value" header line; returns true and fills
-/// Key/Value on match.
+/// Key/Value (trimmed) on match.
 bool parseReplayLine(const std::string &Line, std::string &Key,
                      std::string &Value) {
   const std::string Prefix = "// replay-";
@@ -312,9 +313,46 @@ bool parseReplayLine(const std::string &Line, std::string &Key,
   if (Colon == std::string::npos)
     return false;
   Key = Line.substr(Prefix.size(), Colon - Prefix.size());
-  Value = Line.substr(Colon + 1);
-  while (!Value.empty() && Value.front() == ' ')
-    Value.erase(Value.begin());
+  Value = trimString(std::string_view(Line).substr(Colon + 1));
+  return true;
+}
+
+/// Parses all of \p Text as a base-10 integer: false on empty text, any
+/// other character (a sign, for unsigned T) or overflow.
+template <typename T> bool parseWhole(std::string_view Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Out);
+  return Ec == std::errc() && Ptr == End;
+}
+
+/// Parses "K0=N0,K1=N1,..." holding exactly the keys of \p Fields, in
+/// order, each with a whole unsigned number.
+bool parseFields(
+    std::string_view Text,
+    std::initializer_list<std::pair<std::string, unsigned *>> Fields) {
+  std::vector<std::string> Parts = splitString(Text, ',');
+  if (Parts.size() != Fields.size())
+    return false;
+  const std::string *Part = Parts.data();
+  for (const auto &[Name, Out] : Fields) {
+    if (!startsWith(*Part, Name + "=") ||
+        !parseWhole(std::string_view(*Part).substr(Name.size() + 1), *Out))
+      return false;
+    ++Part;
+  }
+  return true;
+}
+
+/// Appends every remaining whitespace-separated token of \p In to \p Out;
+/// false as soon as one is not a whole integer.
+template <typename T> bool parseInts(std::istream &In, std::vector<T> &Out) {
+  std::string Token;
+  while (In >> Token) {
+    T Value{};
+    if (!parseWhole(Token, Value))
+      return false;
+    Out.push_back(Value);
+  }
   return true;
 }
 
@@ -351,14 +389,16 @@ int replay(const std::string &Path) {
       Ok = parseOracleKind(Value, OracleMask);
     } else if (Key == "wcet") {
       unsigned Hit = 2, Miss = 100, Alu = 1, Branch = 10;
-      Ok = std::sscanf(Value.c_str(), "hit=%u,miss=%u,alu=%u,branch=%u",
-                       &Hit, &Miss, &Alu, &Branch) == 4;
+      Ok = parseFields(Value, {{"hit", &Hit},
+                               {"miss", &Miss},
+                               {"alu", &Alu},
+                               {"branch", &Branch}});
       Opts.Wcet.Timing.HitLatency = Hit;
       Opts.Wcet.Timing.MissLatency = Miss;
       Opts.Wcet.Timing.AluLatency = Alu;
       Opts.Wcet.Timing.BranchResolveLatency = Branch;
     } else if (Key == "seed") {
-      Seed = std::strtoull(Value.c_str(), nullptr, 10);
+      Ok = parseWhole(Value, Seed);
     } else if (Key == "lowering") {
       // The only recorded mode is the summarize diff (the inline-unroll
       // side is the implicit reference).
@@ -369,38 +409,34 @@ int replay(const std::string &Path) {
       Ok = Value == "synthesize";
     } else if (Key == "secret") {
       // "v<variant> e0 e1 ...": lines arrive grouped by variant, one per
-      // secret array, in the oracle's secret-array order.
+      // secret array, in the oracle's secret-array order, so a variant is
+      // either one already seen or the next.
       std::string Tag;
       V >> Tag;
-      char *TagEnd = nullptr;
-      size_t Variant =
-          Tag.size() > 1 && Tag[0] == 'v'
-              ? std::strtoull(Tag.c_str() + 1, &TagEnd, 10)
-              : 0;
-      if (Tag.size() < 2 || Tag[0] != 'v' || !TagEnd || *TagEnd != '\0') {
-        std::fprintf(stderr, "error: malformed replay-secret variant tag '%s'\n",
-                    Tag.c_str());
-        return 1;
-      }
-      if (Spec.SecretVariants.size() <= Variant)
-        Spec.SecretVariants.resize(Variant + 1);
+      size_t Variant = 0;
       std::vector<int64_t> Values;
-      int64_t E;
-      while (V >> E)
-        Values.push_back(E);
-      Spec.SecretVariants[Variant].push_back(std::move(Values));
+      Ok = Tag.size() > 1 && Tag[0] == 'v' &&
+           parseWhole(std::string_view(Tag).substr(1), Variant) &&
+           Variant <= Spec.SecretVariants.size() && parseInts(V, Values);
+      if (Ok) {
+        if (Variant == Spec.SecretVariants.size())
+          Spec.SecretVariants.emplace_back();
+        Spec.SecretVariants[Variant].push_back(std::move(Values));
+      }
     } else if (Key == "strategy") {
       Ok = parseMergeStrategy(Value, Strategy);
     } else if (Key == "bounding") {
       Ok = parseBoundingMode(Value, Bounding);
     } else if (Key == "cache") {
       unsigned L = 8, A = 0, B = 64;
-      Ok = std::sscanf(Value.c_str(), "lines=%u,assoc=%u,linesize=%u", &L,
-                       &A, &B) == 3;
+      Ok = parseFields(Value,
+                       {{"lines", &L}, {"assoc", &A}, {"linesize", &B}}) &&
+           L <= MaxCacheLines && A <= MaxCacheLines;
       Opts.Cache = CacheConfig{B, L, A == 0 ? L : A};
     } else if (Key == "depths") {
       unsigned Miss = 24, Hit = 6;
-      Ok = std::sscanf(Value.c_str(), "miss=%u,hit=%u", &Miss, &Hit) == 2;
+      Ok = parseFields(Value, {{"miss", &Miss}, {"hit", &Hit}}) &&
+           Miss <= MaxSpecDepth && Hit <= MaxSpecDepth;
       Opts.DepthMiss = Miss;
       Opts.DepthHit = Hit;
     } else if (Key == "policy") {
@@ -415,34 +451,36 @@ int replay(const std::string &Path) {
     } else if (Key == "predictor") {
       Spec.PredictorName = Value;
     } else if (Key == "script") {
-      std::string Bits, Fallback;
+      // "<T|N bits, or - when empty> fallback=<T|N>".
+      std::string Bits, Fallback, Extra;
       V >> Bits >> Fallback;
-      for (char C : Bits)
-        if (C == 'T' || C == 'N') // "-" marks an empty script.
+      Ok = (Fallback == "fallback=T" || Fallback == "fallback=N") &&
+           !(V >> Extra);
+      if (Bits != "-")
+        for (char C : Bits) {
+          Ok &= C == 'T' || C == 'N';
           Spec.Script.push_back(C == 'T');
+        }
       Spec.Fallback = Fallback == "fallback=T";
     } else if (Key == "scalars") {
       std::string Pair;
-      while (V >> Pair) {
+      while (Ok && V >> Pair) {
         size_t Eq = Pair.find('=');
-        if (Eq == std::string::npos)
-          continue;
+        int64_t Scalar = 0;
+        Ok = Eq != std::string::npos && Eq != 0 &&
+             parseWhole(std::string_view(Pair).substr(Eq + 1), Scalar);
         Scalars.push_back(Pair.substr(0, Eq));
-        Spec.ScalarValues.push_back(std::atoll(Pair.c_str() + Eq + 1));
+        Spec.ScalarValues.push_back(Scalar);
       }
     } else if (Key == "array") {
       std::string Name;
       V >> Name;
       std::vector<int64_t> Values;
-      int64_t E;
-      while (V >> E)
-        Values.push_back(E);
+      Ok = !Name.empty() && parseInts(V, Values);
       Arrays.push_back({Name, static_cast<unsigned>(Values.size())});
       Spec.ArrayValues.push_back(std::move(Values));
     } else if (Key == "windows") {
-      uint32_t W;
-      while (V >> W)
-        Spec.SiteWindows.push_back(W);
+      Ok = parseInts(V, Spec.SiteWindows);
     } else if (Key != "kind" && Key != "detail") {
       // Informational headers aside, an unread key (a typo, or a header
       // this parser no longer knows) would silently drop part of the
