@@ -21,8 +21,8 @@
 ///
 /// All counters are deterministic in (seed range, geometry); only the
 /// seconds/speedup columns are machine-dependent. `--json FILE` writes the
-/// table as JSON — the checked-in BENCH_lowering.json trajectory is
-/// regenerated from this.
+/// table as one JSON record — a history entry of the checked-in
+/// BENCH_lowering.json trajectory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -136,61 +136,42 @@ PolicyRow runPolicy(ReplacementPolicy Policy) {
   return Row;
 }
 
-/// Writes all policy rows as JSON; returns false on I/O failure.
-bool writeJson(const char *Path, const std::vector<PolicyRow> &Rows) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F,
-               "{\n"
-               "  \"suite\": \"lowering-diff\",\n"
-               "  \"workload\": \"deep-call/uncounted-loop (ProgramGen "
-               "Functions)\",\n"
-               "  \"seed_base\": %llu,\n"
-               "  \"programs\": %u,\n"
-               "  \"cache\": \"8 lines x 64 B, fully associative\",\n"
-               "  \"strategy\": \"jit\",\n"
-               "  \"bounding\": \"dynamic\",\n"
-               "  \"policies\": [\n",
-               static_cast<unsigned long long>(SeedBase), Programs);
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const PolicyRow &R = Rows[I];
-    std::fprintf(
-        F,
-        "    {\"policy\": \"%s\", \"violations\": %llu,\n"
-        "     \"diff_pairs\": %llu, \"loc_checks\": %llu,\n"
-        "     \"concrete_checks\": %llu, \"wcet_checks\": %llu,\n"
-        "     \"sum_only_must_hits\": %llu, \"unrolled_only_must_hits\": "
-        "%llu,\n"
-        "     \"wcet_tighter\": %llu, \"wcet_looser\": %llu, "
-        "\"leak_deltas\": %llu,\n"
-        "     \"unrolled_nodes\": %llu, \"summarize_nodes\": %llu,\n"
-        "     \"unrolled_iterations\": %llu, \"summarize_iterations\": "
-        "%llu,\n"
-        "     \"unrolled_seconds\": %.3f, \"summarize_seconds\": %.3f, "
-        "\"analysis_speedup\": %.2f}%s\n",
-        replacementPolicyName(R.Policy),
-        static_cast<unsigned long long>(R.Violations),
-        static_cast<unsigned long long>(R.Stats.LoweringDiffs),
-        static_cast<unsigned long long>(R.Stats.LoweringLocChecks),
-        static_cast<unsigned long long>(R.Stats.LoweringConcreteChecks),
-        static_cast<unsigned long long>(R.Stats.LoweringWcetChecks),
-        static_cast<unsigned long long>(R.Stats.LoweringSumOnlyMustHits),
-        static_cast<unsigned long long>(
-            R.Stats.LoweringUnrolledOnlyMustHits),
-        static_cast<unsigned long long>(R.Stats.LoweringWcetTighter),
-        static_cast<unsigned long long>(R.Stats.LoweringWcetLooser),
-        static_cast<unsigned long long>(R.Stats.LoweringLeakDeltas),
-        static_cast<unsigned long long>(R.UnrolledNodes),
-        static_cast<unsigned long long>(R.SummarizeNodes),
-        static_cast<unsigned long long>(R.UnrolledIterations),
-        static_cast<unsigned long long>(R.SummarizeIterations),
-        R.UnrolledSeconds, R.SummarizeSeconds, R.speedup(),
-        I + 1 == Rows.size() ? "" : ",");
+/// All policy rows as one JSON record (one history entry of
+/// BENCH_lowering.json).
+std::string benchJson(const std::vector<PolicyRow> &Rows) {
+  std::vector<std::string> Policies;
+  for (const PolicyRow &R : Rows) {
+    JsonWriter P;
+    P.field("policy", replacementPolicyName(R.Policy));
+    P.field("violations", R.Violations);
+    P.field("diff_pairs", R.Stats.LoweringDiffs);
+    P.field("loc_checks", R.Stats.LoweringLocChecks);
+    P.field("concrete_checks", R.Stats.LoweringConcreteChecks);
+    P.field("wcet_checks", R.Stats.LoweringWcetChecks);
+    P.field("sum_only_must_hits", R.Stats.LoweringSumOnlyMustHits);
+    P.field("unrolled_only_must_hits", R.Stats.LoweringUnrolledOnlyMustHits);
+    P.field("wcet_tighter", R.Stats.LoweringWcetTighter);
+    P.field("wcet_looser", R.Stats.LoweringWcetLooser);
+    P.field("leak_deltas", R.Stats.LoweringLeakDeltas);
+    P.field("unrolled_nodes", R.UnrolledNodes);
+    P.field("summarize_nodes", R.SummarizeNodes);
+    P.field("unrolled_iterations", R.UnrolledIterations);
+    P.field("summarize_iterations", R.SummarizeIterations);
+    P.field("unrolled_seconds", R.UnrolledSeconds);
+    P.field("summarize_seconds", R.SummarizeSeconds);
+    P.field("analysis_speedup", R.speedup());
+    Policies.push_back(P.finish());
   }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  return true;
+  JsonWriter W;
+  W.field("suite", "lowering-diff");
+  W.field("workload", "deep-call/uncounted-loop (ProgramGen Functions)");
+  W.field("seed_base", SeedBase);
+  W.field("programs", static_cast<uint64_t>(Programs));
+  W.field("cache", "8 lines x 64 B, fully associative");
+  W.field("strategy", "jit");
+  W.field("bounding", "dynamic");
+  W.rawField("policies", jsonArray(Policies));
+  return W.finish();
 }
 
 } // namespace
@@ -234,7 +215,7 @@ int main(int Argc, char **Argv) {
               formatDouble(R.speedup(), 2)});
   std::printf("%s", T.str().c_str());
 
-  if (JsonPath && !writeJson(JsonPath, Rows)) {
+  if (JsonPath && !writeJsonFile(JsonPath, benchJson(Rows))) {
     std::fprintf(stderr, "error: cannot write %s\n", JsonPath);
     return 1;
   }

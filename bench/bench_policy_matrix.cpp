@@ -24,8 +24,8 @@
 /// (they cannot: FIFO/PLRU bounds are weaker everywhere, so suite-level
 /// must-hits must be <= LRU's).
 ///
-/// `--json FILE` writes the per-policy rows as BENCH_policy.json-style
-/// JSON so the checked-in trajectory can be regenerated from CI.
+/// `--json FILE` writes the per-policy rows as one JSON record — a history
+/// entry of the checked-in BENCH_policy.json trajectory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,33 +50,27 @@ struct PolicyTotals {
   double Seconds = 0;
 };
 
-bool writeJson(const char *Path, const std::vector<PolicyTotals> &Rows,
-               size_t Kernels) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(F, "{\n  \"suite\": \"wcet-kernels\",\n  \"kernels\": %zu,\n"
-                  "  \"cache\": \"64Lx64B fully associative\",\n"
-                  "  \"policies\": [\n",
-               Kernels);
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const PolicyTotals &R = Rows[I];
-    std::fprintf(
-        F,
-        "    {\"policy\": \"%s\", \"access_nodes\": %llu, "
-        "\"must_hits\": %llu, \"misses\": %llu, \"sp_misses\": %llu, "
-        "\"iterations\": %llu, \"seconds\": %.3f}%s\n",
-        replacementPolicyName(R.Policy),
-        static_cast<unsigned long long>(R.AccessNodes),
-        static_cast<unsigned long long>(R.MustHits),
-        static_cast<unsigned long long>(R.MissCount),
-        static_cast<unsigned long long>(R.SpMissCount),
-        static_cast<unsigned long long>(R.Iterations), R.Seconds,
-        I + 1 == Rows.size() ? "" : ",");
+/// All policy rows as one JSON record (one history entry of
+/// BENCH_policy.json).
+std::string benchJson(const std::vector<PolicyTotals> &Rows, size_t Kernels) {
+  std::vector<std::string> Policies;
+  for (const PolicyTotals &R : Rows) {
+    JsonWriter P;
+    P.field("policy", replacementPolicyName(R.Policy));
+    P.field("access_nodes", R.AccessNodes);
+    P.field("must_hits", R.MustHits);
+    P.field("misses", R.MissCount);
+    P.field("sp_misses", R.SpMissCount);
+    P.field("iterations", R.Iterations);
+    P.field("seconds", R.Seconds);
+    Policies.push_back(P.finish());
   }
-  std::fprintf(F, "  ]\n}\n");
-  std::fclose(F);
-  return true;
+  JsonWriter W;
+  W.field("suite", "wcet-kernels");
+  W.field("kernels", static_cast<uint64_t>(Kernels));
+  W.field("cache", "64Lx64B fully associative");
+  W.rawField("policies", jsonArray(Policies));
+  return W.finish();
 }
 
 } // namespace
@@ -170,7 +164,7 @@ int runBench(int Argc, char **Argv) {
   std::printf("shape check: reachability policy-independent and "
               "must-hits(policy) <= must-hits(lru) on every kernel: OK\n");
 
-  if (JsonPath && !writeJson(JsonPath, Totals, Kernels)) {
+  if (JsonPath && !writeJsonFile(JsonPath, benchJson(Totals, Kernels))) {
     std::fprintf(stderr, "error: cannot write %s\n", JsonPath);
     return 1;
   }

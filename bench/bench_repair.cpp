@@ -19,8 +19,8 @@
 /// leaky-but-unrepaired program whose leaks are all speculative fails the
 /// run — that is the synthesizer's own completeness claim.
 ///
-/// `--json FILE` writes the counters as a JSON object so CI can upload the
-/// artifact alongside the perf smoke.
+/// `--json FILE` writes the counters as one JSON record — a history entry
+/// of BENCH_repair.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,47 +66,27 @@ struct CorpusCounters {
   }
 };
 
-bool writeJson(const char *Path, uint64_t Seed, const CorpusCounters &C) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  double PerSec = C.Seconds > 0 ? C.Programs / C.Seconds : 0;
-  std::fprintf(
-      F,
-      "{\n"
-      "  \"seed\": %llu,\n"
-      "  \"programs\": %llu,\n"
-      "  \"compile_failures\": %llu,\n"
-      "  \"leaky_programs\": %llu,\n"
-      "  \"repaired_programs\": %llu,\n"
-      "  \"mitigations\": %llu,\n"
-      "  \"clamps\": %llu,\n"
-      "  \"fences\": %llu,\n"
-      "  \"hoists\": %llu,\n"
-      "  \"preloads\": %llu,\n"
-      "  \"reanalyses\": %llu,\n"
-      "  \"exact_searches\": %llu,\n"
-      "  \"median_repair_cost\": %llu,\n"
-      "  \"max_repair_cost\": %llu,\n"
-      "  \"seconds\": %.3f,\n"
-      "  \"programs_per_sec\": %.2f\n"
-      "}\n",
-      static_cast<unsigned long long>(Seed),
-      static_cast<unsigned long long>(C.Programs),
-      static_cast<unsigned long long>(C.CompileFailures),
-      static_cast<unsigned long long>(C.Leaky),
-      static_cast<unsigned long long>(C.Repaired),
-      static_cast<unsigned long long>(C.Mitigations),
-      static_cast<unsigned long long>(C.Clamps),
-      static_cast<unsigned long long>(C.Fences),
-      static_cast<unsigned long long>(C.Hoists),
-      static_cast<unsigned long long>(C.Preloads),
-      static_cast<unsigned long long>(C.Reanalyses),
-      static_cast<unsigned long long>(C.ExactSearches),
-      static_cast<unsigned long long>(C.medianCost()),
-      static_cast<unsigned long long>(C.maxCost()), C.Seconds, PerSec);
-  std::fclose(F);
-  return true;
+/// The corpus counters as one JSON record (one history entry of
+/// BENCH_repair.json).
+std::string benchJson(uint64_t Seed, const CorpusCounters &C) {
+  JsonWriter W;
+  W.field("seed", Seed);
+  W.field("programs", C.Programs);
+  W.field("compile_failures", C.CompileFailures);
+  W.field("leaky_programs", C.Leaky);
+  W.field("repaired_programs", C.Repaired);
+  W.field("mitigations", C.Mitigations);
+  W.field("clamps", C.Clamps);
+  W.field("fences", C.Fences);
+  W.field("hoists", C.Hoists);
+  W.field("preloads", C.Preloads);
+  W.field("reanalyses", C.Reanalyses);
+  W.field("exact_searches", C.ExactSearches);
+  W.field("median_repair_cost", C.medianCost());
+  W.field("max_repair_cost", C.maxCost());
+  W.field("seconds", C.Seconds);
+  W.field("programs_per_sec", C.Seconds > 0 ? C.Programs / C.Seconds : 0.0);
+  return W.finish();
 }
 
 } // namespace
@@ -231,7 +211,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(C.Hoists),
               static_cast<unsigned long long>(C.Preloads));
 
-  if (JsonPath && !writeJson(JsonPath, Seed, C)) {
+  if (JsonPath && !writeJsonFile(JsonPath, benchJson(Seed, C))) {
     std::fprintf(stderr, "error: cannot write %s\n", JsonPath);
     return 1;
   }

@@ -34,8 +34,8 @@
 /// stalls included — along with the p99 answer latency under fault.
 ///
 /// Exit code: 0 when every assertion holds (including replay throughput
-/// >= 100x single-shot), 1 otherwise. `--json FILE` writes the checked-in
-/// BENCH_service.json record.
+/// >= 100x single-shot), 1 otherwise. `--json FILE` writes one JSON record
+/// — a history entry of the checked-in BENCH_service.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -212,64 +212,45 @@ FaultedResult faultedReplay() {
   return Out;
 }
 
-bool writeJson(const char *Path, double SingleShotSeconds,
-               const ReplayResult &A, const ReplayResult &B, unsigned JobsA,
-               unsigned JobsB, double Speedup, const FaultedResult &Faulted) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  std::fprintf(
-      F,
-      "{\n"
-      "  \"suite\": \"service-replay\",\n"
-      "  \"workload\": \"CI-fleet trace: hot deep-call head, one-off "
-      "tail\",\n"
-      "  \"trace_requests\": %llu,\n"
-      "  \"unique_programs\": %llu,\n"
-      "  \"head_programs\": %llu,\n"
-      "  \"tail_programs\": %llu,\n"
-      "  \"duplicate_share\": %.2f,\n"
-      "  \"seed_base\": %llu,\n"
-      "  \"single_shot_seconds\": %.3f,\n"
-      "  \"single_shot_rps\": %.1f,\n"
-      "  \"replay_seconds\": %.3f,\n"
-      "  \"replay_rps\": %.1f,\n"
-      "  \"speedup\": %.1f,\n"
-      "  \"cache_hits\": %llu,\n"
-      "  \"analyses_run\": %llu,\n"
-      "  \"verdicts_bit_identical_to_single_shot\": true,\n"
-      "  \"jobs_compared\": [%u, %u],\n"
-      "  \"replay_seconds_alt_jobs\": %.3f,\n"
-      "  \"jobs_invariant\": true,\n"
-      "  \"faulted_fault\": \"worker-stall\",\n"
-      "  \"faulted_requests\": %llu,\n"
-      "  \"faulted_deadlines_ms\": [%llu, %llu],\n"
-      "  \"faulted_ok\": %llu,\n"
-      "  \"faulted_timeouts\": %llu,\n"
-      "  \"faulted_availability\": %.4f,\n"
-      "  \"faulted_p99_ms\": %.1f\n"
-      "}\n",
-      static_cast<unsigned long long>(TraceLen),
-      static_cast<unsigned long long>(UniqueCount),
-      static_cast<unsigned long long>(HeadCount),
-      static_cast<unsigned long long>(TailCount),
-      static_cast<double>(TraceLen - UniqueCount) /
-          static_cast<double>(TraceLen),
-      static_cast<unsigned long long>(SeedBase), SingleShotSeconds,
-      static_cast<double>(TraceLen) / SingleShotSeconds, A.Seconds,
-      static_cast<double>(TraceLen) / A.Seconds, Speedup,
-      static_cast<unsigned long long>(A.Hits),
-      static_cast<unsigned long long>(A.AnalysesRun), JobsA, JobsB,
-      B.Seconds, static_cast<unsigned long long>(FaultTraceLen),
-      static_cast<unsigned long long>(StrictDeadlineMs),
-      static_cast<unsigned long long>(GenerousDeadlineMs),
-      static_cast<unsigned long long>(Faulted.OkCount),
-      static_cast<unsigned long long>(Faulted.TimeoutCount),
-      static_cast<double>(Faulted.OnTime) /
-          static_cast<double>(FaultTraceLen),
-      Faulted.P99Ms);
-  std::fclose(F);
-  return true;
+/// The replay measurements as one JSON record (one history entry of
+/// BENCH_service.json).
+std::string benchJson(double SingleShotSeconds, const ReplayResult &A,
+                      const ReplayResult &B, unsigned JobsA, unsigned JobsB,
+                      double Speedup, const FaultedResult &Faulted) {
+  const double Trace = static_cast<double>(TraceLen);
+  JsonWriter W;
+  W.field("suite", "service-replay");
+  W.field("workload", "CI-fleet trace: hot deep-call head, one-off tail");
+  W.field("trace_requests", TraceLen);
+  W.field("unique_programs", UniqueCount);
+  W.field("head_programs", HeadCount);
+  W.field("tail_programs", TailCount);
+  W.field("duplicate_share",
+          static_cast<double>(TraceLen - UniqueCount) / Trace);
+  W.field("seed_base", SeedBase);
+  W.field("single_shot_seconds", SingleShotSeconds);
+  W.field("single_shot_rps", Trace / SingleShotSeconds);
+  W.field("replay_seconds", A.Seconds);
+  W.field("replay_rps", Trace / A.Seconds);
+  W.field("speedup", Speedup);
+  W.field("cache_hits", A.Hits);
+  W.field("analyses_run", A.AnalysesRun);
+  W.field("verdicts_bit_identical_to_single_shot", true);
+  W.rawField("jobs_compared",
+             jsonArray({std::to_string(JobsA), std::to_string(JobsB)}));
+  W.field("replay_seconds_alt_jobs", B.Seconds);
+  W.field("jobs_invariant", true);
+  W.field("faulted_fault", "worker-stall");
+  W.field("faulted_requests", FaultTraceLen);
+  W.rawField("faulted_deadlines_ms",
+             jsonArray({std::to_string(StrictDeadlineMs),
+                        std::to_string(GenerousDeadlineMs)}));
+  W.field("faulted_ok", Faulted.OkCount);
+  W.field("faulted_timeouts", Faulted.TimeoutCount);
+  W.field("faulted_availability", static_cast<double>(Faulted.OnTime) /
+                                      static_cast<double>(FaultTraceLen));
+  W.field("faulted_p99_ms", Faulted.P99Ms);
+  return W.finish();
 }
 
 } // namespace
@@ -423,8 +404,8 @@ int main(int Argc, char **Argv) {
   }
 
   if (JsonPath && Pass &&
-      !writeJson(JsonPath, SingleShotSeconds, A, B, JobsA, JobsB, Speedup,
-                 F)) {
+      !writeJsonFile(JsonPath, benchJson(SingleShotSeconds, A, B, JobsA,
+                                         JobsB, Speedup, F))) {
     std::fprintf(stderr, "error: cannot write %s\n", JsonPath);
     return 1;
   }

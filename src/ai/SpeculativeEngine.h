@@ -22,9 +22,11 @@
 ///             per-color vector), carrying the maximum remaining
 ///             speculation depth. Seeded at the branch (the n->vn_start
 ///             edge): SS[wrongEntry(c)] := S[branch]. It flows over the
-///             ordinary CFG edges — through joins, nested branches (both
-///             ways; the prediction of a nested branch is unknown), and
-///             past the sides' join — until the depth is exhausted. SS
+///             ordinary CFG edges — through joins and nested branches
+///             (both ways; the prediction of a nested branch is unknown)
+///             — until the depth is exhausted, a fence drains it, or it
+///             reaches the branch's post-dominator: the flow stays on the
+///             mispredicted side, and only its rollback edges leave it. SS
 ///             flows use the domain's transferSpeculative: in-flight
 ///             stores live in the store buffer and never touch the cache,
 ///             so Store nodes are no-ops there (squashed on rollback);

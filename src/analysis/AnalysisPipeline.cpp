@@ -76,6 +76,13 @@ specai::compileSource(const std::string &Source, DiagnosticEngine &Diags,
 
 namespace {
 
+/// Fixpoint rounds, the first included, that
+/// MustHitOptions::IterativeDepthRefinement may run.
+constexpr unsigned MaxRefinementRounds = 4;
+/// Per-fixpoint pop cap (EngineOptions::MaxIterations): a run that
+/// reaches it stops with Converged false.
+constexpr uint64_t MaxIterations = 200000000;
+
 /// Converts MustHitOptions into engine options (site overrides installed by
 /// the refinement loop).
 EngineOptions makeEngineOptions(const MustHitOptions &O,
@@ -89,7 +96,7 @@ EngineOptions makeEngineOptions(const MustHitOptions &O,
   E.SiteDepthClamp = O.SiteDepthClamp;
   E.UseWidening = O.UseWidening;
   E.WideningDelay = O.WideningDelay;
-  E.MaxIterations = O.MaxIterations;
+  E.MaxIterations = MaxIterations;
   E.Order = O.Order.value_or(O.Speculative ? WorklistOrder::Fifo
                                            : WorklistOrder::Rpo);
   E.Budget = O.Budget;
@@ -197,7 +204,7 @@ MustHitReport runEngines(const CompiledProgram &CP,
     classify(CP, D, Report);
 
     if (!Options.IterativeDepthRefinement ||
-        Round >= Options.MaxRefinementRounds)
+        Round >= MaxRefinementRounds)
       break;
 
     // Derive per-site bounds from this round's classification.

@@ -101,12 +101,10 @@ struct MustHitOptions {
   /// SpeculativeCpu window override of the same depth at the site branch.
   std::vector<uint32_t> SiteDepthClamp;
   /// Outer refinement (§6.2): re-run with per-site bounds derived from the
-  /// previous sound fixpoint until stable.
+  /// previous sound fixpoint until stable (at most four rounds in all).
   bool IterativeDepthRefinement = false;
-  unsigned MaxRefinementRounds = 4;
   bool UseWidening = false;
   uint32_t WideningDelay = 8;
-  uint64_t MaxIterations = 200000000;
   /// Worklist pop discipline (EngineOptions::Order). Unset picks Rpo for
   /// the baseline (fewer pops; bit-identical fixpoints on every paper
   /// kernel, enforced by bench_table6_merging and state_repr_test) and

@@ -98,6 +98,30 @@ void JsonWriter::hexField(std::string_view Key, uint64_t Value) {
   Out += Buf;
 }
 
+void JsonWriter::rawField(std::string_view Key, std::string_view Rendered) {
+  key(Key);
+  Out += Rendered;
+}
+
+std::string specai::jsonArray(const std::vector<std::string> &Rendered) {
+  std::string Out = "[";
+  for (size_t I = 0; I != Rendered.size(); ++I) {
+    if (I)
+      Out += ", ";
+    Out += Rendered[I];
+  }
+  Out += "]";
+  return Out;
+}
+
+bool specai::writeJsonFile(const char *Path, const std::string &Json) {
+  std::FILE *F = std::fopen(Path, "w");
+  if (!F)
+    return false;
+  bool Ok = std::fputs(Json.c_str(), F) >= 0 && std::fputc('\n', F) != EOF;
+  return std::fclose(F) == 0 && Ok;
+}
+
 bool specai::parseHexU64(const std::string &Text, uint64_t &Out) {
   if (Text.size() < 3 || Text[0] != '0' || (Text[1] != 'x' && Text[1] != 'X'))
     return false;

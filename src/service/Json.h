@@ -15,6 +15,11 @@
 /// escapes control characters (so multi-line program source fits on one
 /// request line) and the parser understands the standard \uXXXX escapes.
 ///
+/// The writer is also the one JSON writer of the tools and benches. Their
+/// records may nest: JsonWriter::rawField embeds a finished object or a
+/// jsonArray. Such a record is not a protocol line, and the parser
+/// rejects it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECAI_SERVICE_JSON_H
@@ -24,6 +29,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace specai {
 
@@ -76,6 +82,9 @@ public:
   /// 0x-prefixed fixed-width hex rendering, used for 64-bit digests (a
   /// JSON number could not hold them losslessly).
   void hexField(std::string_view Key, uint64_t Value);
+  /// Embeds \p Rendered verbatim: a finished JsonWriter object or a
+  /// jsonArray. Never used on protocol lines, which stay flat.
+  void rawField(std::string_view Key, std::string_view Rendered);
 
   /// Closes the object and returns it. The writer is spent afterwards.
   std::string finish() {
@@ -89,6 +98,13 @@ private:
   std::string Out;
   bool First = true;
 };
+
+/// Renders already-rendered values (numbers, finished objects) as one
+/// JSON array.
+std::string jsonArray(const std::vector<std::string> &Rendered);
+
+/// Writes \p Json and a newline to \p Path. Returns false on I/O failure.
+bool writeJsonFile(const char *Path, const std::string &Json);
 
 /// Parses one flat JSON object from \p Text into \p Out. Returns false and
 /// fills \p Error on malformed input, nested values, duplicate keys, or

@@ -68,6 +68,29 @@ ServiceResponse ServiceEngine::handleAnalyze(const ServiceRequest &Req) {
   SrcKeyStr += Req.Source;
   const uint64_t SrcKey = fnv1a(SrcKeyStr);
 
+  // Tiers 1-2 answer from what an earlier analysis left: a memoized
+  // compile error, or the verdict cached for the memoized program digest
+  // (the digest is over the lowered IR, not the text). Both are checked
+  // once up front and again under the lock that registers a flight.
+  auto MemoizedError = [&](const CompileMemo &M) {
+    ServiceResponse R;
+    R.Status = ServiceStatus::Error;
+    R.Id = Req.Id;
+    R.Cached = true;
+    R.Error = M.Error;
+    return R;
+  };
+  auto CachedVerdict = [&](uint64_t ProgramDigest, ServiceResponse &R) {
+    const uint64_t Digest = requestDigest(ProgramDigest, Req);
+    if (!Cache.lookup(Digest, requestKeyString(ProgramDigest, Req), R))
+      return false;
+    R.Id = Req.Id;
+    R.Cached = true;
+    R.RequestDigest = Digest;
+    R.Seconds = 0; // No analysis ran for this request.
+    return true;
+  };
+
   // Tier 1: the source memo. The stored full key must match too — a bare
   // SrcKey collision between distinct sources degrades to a miss, never to
   // another program's digest.
@@ -78,34 +101,20 @@ ServiceResponse ServiceEngine::handleAnalyze(const ServiceRequest &Req) {
     ++Requests;
     if (CompileMemo *M = memoLookup(SrcKey, SrcKeyStr)) {
       if (!M->Ok) {
-        // Memoized compile error: answer without recompiling.
         ++CacheHits;
-        ServiceResponse R;
-        R.Status = ServiceStatus::Error;
-        R.Id = Req.Id;
-        R.Cached = true;
-        R.Error = M->Error;
-        return R;
+        return MemoizedError(*M);
       }
       ProgramDigest = M->ProgramDigest;
       HaveDigest = true;
     }
   }
 
-  // Tier 2: the verdict cache (only reachable once the source compiled at
-  // least once — the digest is over the lowered IR, not the text).
+  // Tier 2: the verdict cache, outside the engine lock (it has its own).
   if (HaveDigest) {
-    const uint64_t Digest = requestDigest(ProgramDigest, Req);
     ServiceResponse R;
-    if (Cache.lookup(Digest, requestKeyString(ProgramDigest, Req), R)) {
-      {
-        std::lock_guard<std::mutex> Guard(Lock);
-        ++CacheHits;
-      }
-      R.Id = Req.Id;
-      R.Cached = true;
-      R.RequestDigest = Digest;
-      R.Seconds = 0; // No analysis ran for this request.
+    if (CachedVerdict(ProgramDigest, R)) {
+      std::lock_guard<std::mutex> Guard(Lock);
+      ++CacheHits;
       return R;
     }
   }
@@ -126,6 +135,17 @@ ServiceResponse ServiceEngine::handleAnalyze(const ServiceRequest &Req) {
       Fut = It->second;
       ++Coalesced;
     } else {
+      // A twin may have finished between tiers 1-2 and this lock.
+      // runAnalysis stores the memo and the verdict before it erases its
+      // flight, so re-checking both here keeps the twin's answer from
+      // being computed a second time.
+      if (CompileMemo *M = memoLookup(SrcKey, SrcKeyStr)) {
+        ServiceResponse R;
+        if (!M->Ok || CachedVerdict(M->ProgramDigest, R)) {
+          ++CacheHits;
+          return M->Ok ? R : MemoizedError(*M);
+        }
+      }
       Prom = std::make_shared<std::promise<ServiceResponse>>();
       Fut = Prom->get_future().share();
       InFlight.emplace(FlightKey, Fut);
@@ -245,23 +265,28 @@ ServiceResponse ServiceEngine::runAnalysis(const ServiceRequest &Req,
   RunRequest RR = Req.toRunRequest();
   RR.Options.Budget = &Budget;
 
+  // The compile outcome is budget-independent, so memoizing it is safe
+  // even when the analysis below timed out.
+  std::string SrcKeyStr = Req.loweringKey();
+  SrcKeyStr += '\0';
+  SrcKeyStr += Req.Source;
+  auto StoreMemo = [&](bool Ok, uint64_t ProgramDigest,
+                       const std::string &Error) {
+    std::lock_guard<std::mutex> Guard(Lock);
+    ++AnalysesRun;
+    CompileMemo M;
+    M.Ok = Ok;
+    M.ProgramDigest = ProgramDigest;
+    M.Error = Error;
+    M.Key = std::move(SrcKeyStr);
+    if (!Ok)
+      ++CompileErrors;
+    memoStore(SrcKey, std::move(M));
+  };
+
   if (Req.Op == ServiceOp::Repair) {
     RepairRunOutcome Out = runRepairRequest(RR);
-    std::string SrcKeyStr = Req.loweringKey();
-    SrcKeyStr += '\0';
-    SrcKeyStr += Req.Source;
-    {
-      std::lock_guard<std::mutex> Guard(Lock);
-      ++AnalysesRun;
-      CompileMemo M;
-      M.Ok = Out.Ok;
-      M.ProgramDigest = Out.ProgramDigest;
-      M.Error = Out.Error;
-      M.Key = std::move(SrcKeyStr);
-      if (!Out.Ok)
-        ++CompileErrors;
-      memoStore(SrcKey, std::move(M));
-    }
+    StoreMemo(Out.Ok, Out.ProgramDigest, Out.Error);
     if (!Out.Ok) {
       ServiceResponse R;
       R.Status = ServiceStatus::Error;
@@ -295,23 +320,7 @@ ServiceResponse ServiceEngine::runAnalysis(const ServiceRequest &Req,
   }
 
   RunOutcome Out = runRequest(RR);
-  std::string SrcKeyStr = Req.loweringKey();
-  SrcKeyStr += '\0';
-  SrcKeyStr += Req.Source;
-  {
-    std::lock_guard<std::mutex> Guard(Lock);
-    ++AnalysesRun;
-    CompileMemo M;
-    M.Ok = Out.Ok;
-    M.ProgramDigest = Out.ProgramDigest;
-    M.Error = Out.Error;
-    M.Key = std::move(SrcKeyStr);
-    if (!Out.Ok)
-      ++CompileErrors;
-    // The compile outcome is budget-independent, so memoizing it is safe
-    // even when the fixpoint below timed out.
-    memoStore(SrcKey, std::move(M));
-  }
+  StoreMemo(Out.Ok, Out.ProgramDigest, Out.Error);
   if (!Out.Ok) {
     ServiceResponse R;
     R.Status = ServiceStatus::Error;

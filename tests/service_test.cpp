@@ -110,6 +110,28 @@ TEST(ServiceJsonTest, RejectsNestingDuplicatesAndGarbage) {
   EXPECT_TRUE(O.empty());
 }
 
+TEST(ServiceJsonTest, EmbeddedValuesRenderNestedButNeverParse) {
+  // Bench and campaign records nest a finished object and an array; the
+  // writer embeds them verbatim, and the flat protocol parser still
+  // refuses the result.
+  JsonWriter Inner;
+  Inner.field("policy", "lru");
+  Inner.field("seconds", 0.25);
+  JsonWriter W;
+  W.field("suite", "s");
+  W.rawField("policies", jsonArray({Inner.finish()}));
+  W.rawField("jobs", jsonArray({"1", "4"}));
+  W.rawField("empty", jsonArray({}));
+  std::string Text = W.finish();
+  EXPECT_EQ(Text, "{\"suite\": \"s\", \"policies\": [{\"policy\": \"lru\", "
+                  "\"seconds\": 0.250000}], \"jobs\": [1, 4], \"empty\": []}");
+
+  JsonObject O;
+  std::string Error;
+  EXPECT_FALSE(parseJsonObject(Text, O, Error));
+  EXPECT_NE(Error.find("nested"), std::string::npos) << Error;
+}
+
 TEST(ServiceJsonTest, TruncatedEscapesAreRejectedWithOffsets) {
   // A request line cut mid-escape (a client killed mid-write, a torn
   // buffer) must parse to an error, never to a silently mangled string.

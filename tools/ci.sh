@@ -152,9 +152,15 @@ echo "no-merge stress smoke: $NOMERGE_DIGEST"
 # (informational — timings are machine-dependent and never gate; the
 # coverage counters inside are deterministic and the run still fails on
 # any soundness violation). docs/PERFORMANCE.md explains the trajectory.
-"$BUILD/bench/bench_fuzz_campaign" --jobs "$JOBS" \
-  --json "$BUILD/bench_fuzz_campaign.json"
-echo "perf smoke timing JSON: $BUILD/bench_fuzz_campaign.json"
+"$BUILD/tools/specai-fuzz" --seed 1 --programs 50 --jobs "$JOBS" --json \
+  > "$BUILD/fuzz_perf_smoke.json"
+echo "perf smoke timing JSON: $BUILD/fuzz_perf_smoke.json"
+
+# Every JSON file the smokes above and the bench-smoke CTest cases wrote
+# must parse with a strict reader.
+for json in "$BUILD"/fuzz_*_smoke.json "$BUILD"/bench/*.json; do
+  python3 -m json.tool "$json" > /dev/null
+done
 
 # Service smoke (docs/SERVICE.md): boot a real specaid daemon on a
 # private socket, drive a 100-request/10-unique trace through it, and

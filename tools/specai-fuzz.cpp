@@ -107,74 +107,55 @@ unsigned parseNum(const char *Arg, const char *Value) {
   return *N;
 }
 
-std::string campaignJson(const FuzzCampaignStats &S) {
-  double PerSec = S.Seconds > 0 ? S.Programs / S.Seconds : 0;
-  std::string Out = "{";
-  auto Field = [&](const char *Key, const std::string &Value, bool Last) {
-    Out += "\"";
-    Out += Key;
-    Out += "\": ";
-    Out += Value;
-    Out += Last ? "" : ", ";
-  };
-  Field("programs", std::to_string(S.Programs), false);
-  Field("compile_failures", std::to_string(S.CompileFailures), false);
-  Field("analyses", std::to_string(S.Oracle.Analyses), false);
-  Field("concrete_runs", std::to_string(S.Oracle.ConcreteRuns), false);
-  Field("speculative_windows",
-        std::to_string(S.Oracle.SpeculativeWindows), false);
-  Field("committed_checks", std::to_string(S.Oracle.CommittedChecks), false);
-  Field("speculative_checks", std::to_string(S.Oracle.SpeculativeChecks),
-        false);
-  Field("wcet_checks", std::to_string(S.Oracle.WcetChecks), false);
-  Field("leak_families", std::to_string(S.Oracle.LeakFamilies), false);
-  Field("leak_runs", std::to_string(S.Oracle.LeakRuns), false);
-  Field("leak_site_checks", std::to_string(S.Oracle.LeakSiteChecks), false);
-  Field("lowering_diffs", std::to_string(S.Oracle.LoweringDiffs), false);
-  Field("lowering_loc_checks", std::to_string(S.Oracle.LoweringLocChecks),
-        false);
-  Field("lowering_wcet_checks", std::to_string(S.Oracle.LoweringWcetChecks),
-        false);
-  Field("lowering_concrete_checks",
-        std::to_string(S.Oracle.LoweringConcreteChecks), false);
-  Field("lowering_sum_only_must_hits",
-        std::to_string(S.Oracle.LoweringSumOnlyMustHits), false);
-  Field("lowering_unrolled_only_must_hits",
-        std::to_string(S.Oracle.LoweringUnrolledOnlyMustHits), false);
-  Field("lowering_wcet_tighter",
-        std::to_string(S.Oracle.LoweringWcetTighter), false);
-  Field("lowering_wcet_looser",
-        std::to_string(S.Oracle.LoweringWcetLooser), false);
-  Field("lowering_leak_deltas",
-        std::to_string(S.Oracle.LoweringLeakDeltas), false);
+/// The campaign summary as one JSON line, with the base seed and the
+/// worker threads used, so a run is reproducible from its own record.
+std::string campaignJson(const FuzzCampaignStats &S, uint64_t Seed,
+                         unsigned Jobs) {
+  const OracleStats &O = S.Oracle;
+  JsonWriter W;
+  W.field("seed", Seed);
+  W.field("programs", S.Programs);
+  W.field("jobs", static_cast<uint64_t>(Jobs));
+  W.field("compile_failures", S.CompileFailures);
+  W.field("analyses", O.Analyses);
+  W.field("concrete_runs", O.ConcreteRuns);
+  W.field("speculative_windows", O.SpeculativeWindows);
+  W.field("committed_checks", O.CommittedChecks);
+  W.field("speculative_checks", O.SpeculativeChecks);
+  W.field("wcet_checks", O.WcetChecks);
+  W.field("leak_families", O.LeakFamilies);
+  W.field("leak_runs", O.LeakRuns);
+  W.field("leak_site_checks", O.LeakSiteChecks);
+  W.field("lowering_diffs", O.LoweringDiffs);
+  W.field("lowering_loc_checks", O.LoweringLocChecks);
+  W.field("lowering_wcet_checks", O.LoweringWcetChecks);
+  W.field("lowering_concrete_checks", O.LoweringConcreteChecks);
+  W.field("lowering_sum_only_must_hits", O.LoweringSumOnlyMustHits);
+  W.field("lowering_unrolled_only_must_hits", O.LoweringUnrolledOnlyMustHits);
+  W.field("lowering_wcet_tighter", O.LoweringWcetTighter);
+  W.field("lowering_wcet_looser", O.LoweringWcetLooser);
+  W.field("lowering_leak_deltas", O.LoweringLeakDeltas);
   // Repair counters only when that oracle ran, so default (non-repair)
-  // campaign JSON stays byte-identical to the pre-repair fuzzer's.
-  if (S.Oracle.RepairChecks > 0) {
-    Field("repair_checks", std::to_string(S.Oracle.RepairChecks), false);
-    Field("repair_leaky_programs",
-          std::to_string(S.Oracle.RepairLeakyPrograms), false);
-    Field("repair_repaired", std::to_string(S.Oracle.RepairRepaired), false);
-    Field("repair_mitigations", std::to_string(S.Oracle.RepairMitigations),
-          false);
-    Field("repair_cost_total", std::to_string(S.Oracle.RepairCostTotal),
-          false);
-    Field("repair_reanalyses", std::to_string(S.Oracle.RepairReanalyses),
-          false);
-    Field("repair_replay_runs", std::to_string(S.Oracle.RepairReplayRuns),
-          false);
-    Field("repair_cost_checks", std::to_string(S.Oracle.RepairCostChecks),
-          false);
-    Field("repair_violations", std::to_string(S.RepairViolations), false);
+  // campaign JSON keeps the pre-repair fuzzer's keys.
+  if (O.RepairChecks > 0) {
+    W.field("repair_checks", O.RepairChecks);
+    W.field("repair_leaky_programs", O.RepairLeakyPrograms);
+    W.field("repair_repaired", O.RepairRepaired);
+    W.field("repair_mitigations", O.RepairMitigations);
+    W.field("repair_cost_total", O.RepairCostTotal);
+    W.field("repair_reanalyses", O.RepairReanalyses);
+    W.field("repair_replay_runs", O.RepairReplayRuns);
+    W.field("repair_cost_checks", O.RepairCostChecks);
+    W.field("repair_violations", S.RepairViolations);
   }
-  Field("violation_programs", std::to_string(S.ViolationPrograms), false);
-  Field("cache_violations", std::to_string(S.CacheViolations), false);
-  Field("wcet_violations", std::to_string(S.WcetViolations), false);
-  Field("leak_violations", std::to_string(S.LeakViolations), false);
-  Field("lowering_violations", std::to_string(S.LoweringViolations), false);
-  Field("seconds", formatDouble(S.Seconds, 3), false);
-  Field("programs_per_sec", formatDouble(PerSec, 1), true);
-  Out += "}";
-  return Out;
+  W.field("violation_programs", S.ViolationPrograms);
+  W.field("cache_violations", S.CacheViolations);
+  W.field("wcet_violations", S.WcetViolations);
+  W.field("leak_violations", S.LeakViolations);
+  W.field("lowering_violations", S.LoweringViolations);
+  W.field("seconds", S.Seconds);
+  W.field("programs_per_sec", S.Seconds > 0 ? S.Programs / S.Seconds : 0.0);
+  return W.finish();
 }
 
 /// Writes every counterexample to CeDir and prints a triage summary.
@@ -676,13 +657,15 @@ int main(int Argc, char **Argv) {
   O.Oracle.Cache.Policy = O.Policies.front();
 
   FuzzCampaignResult R = runFuzzCampaign(O);
+  // parallelFor resolves 0 to the hardware concurrency and starts at most
+  // one worker per program; report what the campaign actually used so
+  // throughput figures stay attributable.
+  unsigned JobsUsed = std::min(
+      O.Jobs ? O.Jobs : std::max(1u, std::thread::hardware_concurrency()),
+      std::max(O.Programs, 1u));
   if (Json) {
-    std::printf("%s\n", campaignJson(R.Stats).c_str());
+    std::printf("%s\n", campaignJson(R.Stats, O.Seed, JobsUsed).c_str());
   } else {
-    // parallelFor resolves 0 to the hardware concurrency; report what the
-    // campaign actually used so throughput figures stay attributable.
-    unsigned JobsUsed =
-        O.Jobs ? O.Jobs : std::max(1u, std::thread::hardware_concurrency());
     std::printf("%s", R.Stats.summary().c_str());
     std::printf("wall time:           %ss (%s programs/s, %u jobs)\n",
                 formatDouble(R.Stats.Seconds, 2).c_str(),
