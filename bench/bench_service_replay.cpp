@@ -285,7 +285,7 @@ int main(int Argc, char **Argv) {
                    static_cast<unsigned long long>(I), Out.Error.c_str());
       return 1;
     }
-    U.ColdVerdict = verdictDigest(Out.Row);
+    U.ColdVerdict = Out.Row.digest();
     (I < HeadCount ? HeadSeconds : TailSeconds) += U.ColdSeconds;
   }
   std::printf("  head: %llu programs, %.3fs total (%.1f ms mean)\n",

@@ -50,7 +50,6 @@ BatchRow runVariant(const CompiledProgram &CP, const BatchVariant &V) {
   if (V.DetectLeaks) {
     SideChannelReport SC = detectLeaks(CP, R);
     Row.LeaksChecked = true;
-    Row.LeakCount = SC.Leaks.size();
     Row.ProvenLeakFree = SC.ProvenLeakFree;
     for (const LeakSite &L : SC.Leaks)
       Row.LeakSites.push_back(L.str(*CP.P));
@@ -201,22 +200,6 @@ std::string BatchVariant::describe(const MustHitOptions &Options) {
   return S;
 }
 
-bool BatchRow::sameResults(const BatchRow &RHS) const {
-  return Label == RHS.Label && Strategy == RHS.Strategy &&
-         Bounding == RHS.Bounding &&
-         Cache.NumLines == RHS.Cache.NumLines &&
-         Cache.LineSize == RHS.Cache.LineSize &&
-         Cache.Associativity == RHS.Cache.Associativity &&
-         Cache.Policy == RHS.Cache.Policy &&
-         Speculative == RHS.Speculative && AccessNodes == RHS.AccessNodes &&
-         MissCount == RHS.MissCount && SpMissCount == RHS.SpMissCount &&
-         BranchCount == RHS.BranchCount && Iterations == RHS.Iterations &&
-         RefinementRounds == RHS.RefinementRounds &&
-         Converged == RHS.Converged && LeaksChecked == RHS.LeaksChecked &&
-         LeakCount == RHS.LeakCount &&
-         ProvenLeakFree == RHS.ProvenLeakFree && LeakSites == RHS.LeakSites;
-}
-
 const BatchRow *BatchReport::findRow(const std::string &Label) const {
   for (const BatchRow &Row : Rows)
     if (Row.Label == Label)
@@ -233,15 +216,6 @@ const BatchRow &BatchReport::requireRow(const std::string &Label) const {
   throw std::out_of_range("no '" + Label + "' row in sweep");
 }
 
-bool BatchReport::sameResults(const BatchReport &RHS) const {
-  if (Rows.size() != RHS.Rows.size())
-    return false;
-  for (size_t I = 0; I != Rows.size(); ++I)
-    if (!Rows[I].sameResults(RHS.Rows[I]))
-      return false;
-  return true;
-}
-
 TableWriter BatchReport::toTable() const {
   TableWriter T({"Config", "Cache", "#Access", "#Miss", "#SpMiss", "#Branch",
                  "#Ite", "Leaks", "Time(s)"});
@@ -255,9 +229,9 @@ TableWriter BatchReport::toTable() const {
     }
     std::string Leaks = "-";
     if (R.LeaksChecked) {
-      Leaks = std::to_string(R.LeakCount);
+      Leaks = std::to_string(R.LeakSites.size());
       Leaks += "/";
-      Leaks += std::to_string(R.LeakCount + R.ProvenLeakFree);
+      Leaks += std::to_string(R.LeakSites.size() + R.ProvenLeakFree);
     }
     T.addRow({R.Label, Cache, std::to_string(R.AccessNodes),
               std::to_string(R.MissCount), std::to_string(R.SpMissCount),

@@ -67,10 +67,41 @@ struct BatchVariant {
   static std::string describe(const MustHitOptions &Options);
 };
 
-/// Aggregated outcome of one variant. Only scalar counters are kept (the
-/// per-node state vectors of MustHitReport stay on the worker's stack), so
-/// a row is cheap to collect and compare.
-struct BatchRow {
+/// What one analysis asserts about a program under one configuration:
+/// the must-hit/miss counters and the leak verdict. Batch rows and daemon
+/// responses both carry one. The work an analysis took (worklist pops,
+/// seconds) is not part of it, because it depends on the pop schedule and
+/// the machine rather than on (program, options).
+struct Verdict {
+  // MustHitReport counters (Table 5/6 columns).
+  uint64_t AccessNodes = 0;
+  uint64_t MissCount = 0;
+  uint64_t SpMissCount = 0;
+  uint64_t BranchCount = 0;
+  unsigned RefinementRounds = 1;
+  bool Converged = true;
+
+  // SideChannelReport counters (Table 7 columns); only meaningful when
+  // LeaksChecked (the variant ran with DetectLeaks = true). LeakSites
+  // holds one rendered diagnostic per leak, so consumers can report what
+  // leaked without re-running the analysis; the leak count is its size.
+  bool LeaksChecked = false;
+  uint64_t ProvenLeakFree = 0;
+  std::vector<std::string> LeakSites;
+
+  bool operator==(const Verdict &) const = default;
+
+  /// FNV-1a over the canonical rendering of every field above, defined
+  /// with the wire format in service/Protocol.cpp. Equal verdicts have
+  /// equal digests; `specai-cli --digest` and the daemon's
+  /// `verdict_digest` print it.
+  uint64_t digest() const;
+};
+
+/// Outcome of one variant. Only scalar counters are kept (the per-node
+/// state vectors of MustHitReport stay on the worker's stack), so a row is
+/// cheap to collect and compare.
+struct BatchRow : Verdict {
   std::string Label;
 
   // Configuration echo, so tables are self-describing.
@@ -79,36 +110,17 @@ struct BatchRow {
   CacheConfig Cache;
   bool Speculative = true;
 
-  // MustHitReport counters (Table 5/6 columns).
-  uint64_t AccessNodes = 0;
-  uint64_t MissCount = 0;
-  uint64_t SpMissCount = 0;
-  uint64_t BranchCount = 0;
+  /// Worklist pops of the fixpoint. A work counter like Seconds: it
+  /// depends on the pop order, so it is not part of the verdict.
   uint64_t Iterations = 0;
-  unsigned RefinementRounds = 1;
-  bool Converged = true;
-  /// The run's ExecBudget tripped; every other field of this row is void
-  /// (the leak scan is skipped too). Excluded from sameResults like
-  /// Seconds — a timed-out row asserts nothing about the program.
+  /// The run's ExecBudget tripped; the verdict of this row is void (the
+  /// leak scan is skipped too) — a timed-out row asserts nothing about
+  /// the program.
   bool BudgetExceeded = false;
 
-  // SideChannelReport counters (Table 7 columns); only meaningful when
-  // LeaksChecked (the variant ran with DetectLeaks = true). LeakSites
-  // holds the rendered per-site diagnostics so batch consumers can report
-  // what leaked without re-running the analysis.
-  bool LeaksChecked = false;
-  uint64_t LeakCount = 0;
-  uint64_t ProvenLeakFree = 0;
-  std::vector<std::string> LeakSites;
-
   /// Wall time of this variant's analysis. Informational only: timings
-  /// depend on scheduling and are excluded from row equality.
+  /// depend on scheduling.
   double Seconds = 0;
-
-  /// Analysis-result equality (label, configuration, and every counter —
-  /// not the timing). The determinism tests and the --jobs invariance
-  /// check compare rows with this.
-  bool sameResults(const BatchRow &RHS) const;
 };
 
 /// Result of one sweep.
@@ -135,9 +147,6 @@ struct BatchReport {
   /// all); library code hosting a daemon must never exit() on a malformed
   /// sweep, so this reports instead of killing the process.
   const BatchRow &requireRow(const std::string &Label) const;
-
-  /// True when both reports hold the same rows (timings ignored).
-  bool sameResults(const BatchReport &RHS) const;
 };
 
 /// Fans analysis variants out over a pool of worker threads.

@@ -136,6 +136,66 @@ const std::string *takeString(const JsonObject &O, const char *Key) {
   return &It->second.S;
 }
 
+/// List fields travel as one newline-joined string (the protocol is flat
+/// JSON); splitLines inverts joinLines for lines without newlines.
+std::string joinLines(const std::vector<std::string> &Lines) {
+  std::string Joined;
+  for (const std::string &L : Lines) {
+    if (&L != &Lines.front())
+      Joined += '\n';
+    Joined += L;
+  }
+  return Joined;
+}
+
+std::vector<std::string> splitLines(const std::string &Joined) {
+  std::vector<std::string> Lines;
+  size_t Start = 0;
+  for (size_t End; (End = Joined.find('\n', Start)) != std::string::npos;
+       Start = End + 1)
+    Lines.push_back(Joined.substr(Start, End - Start));
+  Lines.push_back(Joined.substr(Start));
+  return Lines;
+}
+
+void writeVerdict(JsonWriter &W, const Verdict &V) {
+  W.field("access_nodes", V.AccessNodes);
+  W.field("miss_count", V.MissCount);
+  W.field("sp_miss_count", V.SpMissCount);
+  W.field("branch_count", V.BranchCount);
+  W.field("refinement_rounds", static_cast<uint64_t>(V.RefinementRounds));
+  W.field("converged", V.Converged);
+  W.field("leaks_checked", V.LeaksChecked);
+  W.field("leak_count", static_cast<uint64_t>(V.LeakSites.size()));
+  W.field("proven_leak_free", V.ProvenLeakFree);
+  if (!V.LeakSites.empty())
+    W.field("leak_sites", joinLines(V.LeakSites));
+}
+
+bool readVerdict(const JsonObject &O, Verdict &V, std::string &Error) {
+  uint64_t Rounds = V.RefinementRounds;
+  uint64_t LeakCount = 0;
+  if (!takeUInt(O, "access_nodes", UINT64_MAX >> 1, V.AccessNodes, Error) ||
+      !takeUInt(O, "miss_count", UINT64_MAX >> 1, V.MissCount, Error) ||
+      !takeUInt(O, "sp_miss_count", UINT64_MAX >> 1, V.SpMissCount, Error) ||
+      !takeUInt(O, "branch_count", UINT64_MAX >> 1, V.BranchCount, Error) ||
+      !takeUInt(O, "refinement_rounds", 1u << 20, Rounds, Error) ||
+      !takeBool(O, "converged", V.Converged, Error) ||
+      !takeBool(O, "leaks_checked", V.LeaksChecked, Error) ||
+      !takeUInt(O, "leak_count", UINT64_MAX >> 1, LeakCount, Error) ||
+      !takeUInt(O, "proven_leak_free", UINT64_MAX >> 1, V.ProvenLeakFree,
+                Error))
+    return false;
+  V.RefinementRounds = static_cast<unsigned>(Rounds);
+  if (const std::string *Sites = takeString(O, "leak_sites"))
+    V.LeakSites = splitLines(*Sites);
+  if (LeakCount != V.LeakSites.size()) {
+    Error = "response: 'leak_count' differs from the number of 'leak_sites'";
+    return false;
+  }
+  return true;
+}
+
 } // namespace
 
 MustHitOptions ServiceRequest::toMustHitOptions() const {
@@ -382,36 +442,12 @@ bool ServiceRequest::fromJson(const std::string &Line, ServiceRequest &Out,
 
 ServiceResponse ServiceResponse::fromRow(const BatchRow &Row) {
   ServiceResponse R;
+  static_cast<Verdict &>(R) = Row;
   R.Status = ServiceStatus::Ok;
-  R.AccessNodes = Row.AccessNodes;
-  R.MissCount = Row.MissCount;
-  R.SpMissCount = Row.SpMissCount;
-  R.BranchCount = Row.BranchCount;
+  R.VerdictDigest = Row.digest();
   R.Iterations = Row.Iterations;
-  R.RefinementRounds = Row.RefinementRounds;
-  R.Converged = Row.Converged;
-  R.LeaksChecked = Row.LeaksChecked;
-  R.LeakCount = Row.LeakCount;
-  R.ProvenLeakFree = Row.ProvenLeakFree;
-  R.LeakSites = Row.LeakSites;
   R.Seconds = Row.Seconds;
-  R.VerdictDigest = verdictDigest(Row);
   return R;
-}
-
-bool ServiceResponse::sameVerdict(const ServiceResponse &RHS) const {
-  return Status == RHS.Status && VerdictDigest == RHS.VerdictDigest &&
-         AccessNodes == RHS.AccessNodes && MissCount == RHS.MissCount &&
-         SpMissCount == RHS.SpMissCount && BranchCount == RHS.BranchCount &&
-         Iterations == RHS.Iterations &&
-         RefinementRounds == RHS.RefinementRounds &&
-         Converged == RHS.Converged && LeaksChecked == RHS.LeaksChecked &&
-         LeakCount == RHS.LeakCount && ProvenLeakFree == RHS.ProvenLeakFree &&
-         LeakSites == RHS.LeakSites && RepairChecked == RHS.RepairChecked &&
-         Repaired == RHS.Repaired && LeaksBefore == RHS.LeaksBefore &&
-         LeaksAfter == RHS.LeaksAfter && WcetBefore == RHS.WcetBefore &&
-         WcetAfter == RHS.WcetAfter && Mitigations == RHS.Mitigations &&
-         PatchedIr == RHS.PatchedIr;
 }
 
 std::string ServiceResponse::toJson() const {
@@ -428,25 +464,8 @@ std::string ServiceResponse::toJson() const {
   W.field("cached", Cached);
   W.hexField("request_digest", RequestDigest);
   W.hexField("verdict_digest", VerdictDigest);
-  W.field("access_nodes", AccessNodes);
-  W.field("miss_count", MissCount);
-  W.field("sp_miss_count", SpMissCount);
-  W.field("branch_count", BranchCount);
+  writeVerdict(W, *this);
   W.field("iterations", Iterations);
-  W.field("refinement_rounds", static_cast<uint64_t>(RefinementRounds));
-  W.field("converged", Converged);
-  W.field("leaks_checked", LeaksChecked);
-  W.field("leak_count", LeakCount);
-  W.field("proven_leak_free", ProvenLeakFree);
-  if (!LeakSites.empty()) {
-    std::string Joined;
-    for (const std::string &S : LeakSites) {
-      if (!Joined.empty())
-        Joined += '\n';
-      Joined += S;
-    }
-    W.field("leak_sites", Joined);
-  }
   if (RepairChecked) {
     W.field("repair_checked", true);
     W.field("repaired", Repaired);
@@ -454,15 +473,8 @@ std::string ServiceResponse::toJson() const {
     W.field("leaks_after", LeaksAfter);
     W.field("wcet_before", WcetBefore);
     W.field("wcet_after", WcetAfter);
-    if (!Mitigations.empty()) {
-      std::string Joined;
-      for (const std::string &M : Mitigations) {
-        if (!Joined.empty())
-          Joined += '\n';
-        Joined += M;
-      }
-      W.field("mitigations", Joined);
-    }
+    if (!Mitigations.empty())
+      W.field("mitigations", joinLines(Mitigations));
     if (!PatchedIr.empty())
       W.field("patched_ir", PatchedIr);
   }
@@ -502,39 +514,10 @@ bool ServiceResponse::fromJson(const std::string &Line, ServiceResponse &Out,
       return false;
     }
   }
-  if (!takeBool(O, "cached", Out.Cached, Error))
-    return false;
-  if (!takeUInt(O, "access_nodes", UINT64_MAX >> 1, Out.AccessNodes, Error) ||
-      !takeUInt(O, "miss_count", UINT64_MAX >> 1, Out.MissCount, Error) ||
-      !takeUInt(O, "sp_miss_count", UINT64_MAX >> 1, Out.SpMissCount, Error) ||
-      !takeUInt(O, "branch_count", UINT64_MAX >> 1, Out.BranchCount, Error) ||
+  if (!takeBool(O, "cached", Out.Cached, Error) ||
+      !readVerdict(O, Out, Error) ||
       !takeUInt(O, "iterations", UINT64_MAX >> 1, Out.Iterations, Error) ||
-      !takeUInt(O, "leak_count", UINT64_MAX >> 1, Out.LeakCount, Error) ||
-      !takeUInt(O, "proven_leak_free", UINT64_MAX >> 1, Out.ProvenLeakFree,
-                Error))
-    return false;
-  U = 1;
-  if (!takeUInt(O, "refinement_rounds", 1u << 20, U, Error))
-    return false;
-  Out.RefinementRounds = O.count("refinement_rounds")
-                             ? static_cast<unsigned>(U)
-                             : Out.RefinementRounds;
-  if (!takeBool(O, "converged", Out.Converged, Error) ||
-      !takeBool(O, "leaks_checked", Out.LeaksChecked, Error))
-    return false;
-  if (const std::string *Sites = takeString(O, "leak_sites")) {
-    size_t Start = 0;
-    while (Start <= Sites->size()) {
-      size_t End = Sites->find('\n', Start);
-      if (End == std::string::npos) {
-        Out.LeakSites.push_back(Sites->substr(Start));
-        break;
-      }
-      Out.LeakSites.push_back(Sites->substr(Start, End - Start));
-      Start = End + 1;
-    }
-  }
-  if (!takeBool(O, "repair_checked", Out.RepairChecked, Error))
+      !takeBool(O, "repair_checked", Out.RepairChecked, Error))
     return false;
   if (Out.RepairChecked) {
     if (!takeBool(O, "repaired", Out.Repaired, Error) ||
@@ -544,18 +527,8 @@ bool ServiceResponse::fromJson(const std::string &Line, ServiceResponse &Out,
         !takeUInt(O, "wcet_before", UINT64_MAX >> 1, Out.WcetBefore, Error) ||
         !takeUInt(O, "wcet_after", UINT64_MAX >> 1, Out.WcetAfter, Error))
       return false;
-    if (const std::string *Ms = takeString(O, "mitigations")) {
-      size_t Start = 0;
-      while (Start <= Ms->size()) {
-        size_t End = Ms->find('\n', Start);
-        if (End == std::string::npos) {
-          Out.Mitigations.push_back(Ms->substr(Start));
-          break;
-        }
-        Out.Mitigations.push_back(Ms->substr(Start, End - Start));
-        Start = End + 1;
-      }
-    }
+    if (const std::string *Ms = takeString(O, "mitigations"))
+      Out.Mitigations = splitLines(*Ms);
     if (const std::string *P = takeString(O, "patched_ir"))
       Out.PatchedIr = *P;
   }
@@ -564,32 +537,31 @@ bool ServiceResponse::fromJson(const std::string &Line, ServiceResponse &Out,
   return true;
 }
 
-uint64_t specai::verdictDigest(const BatchRow &Row) {
-  // Canonical rendering of everything sameResults() compares except the
-  // label (a service response has none) and the configuration echo (the
-  // request digest already covers the configuration). Field order and
-  // separators are part of the digest contract pinned by service_test.
+uint64_t Verdict::digest() const {
+  // Canonical rendering of every verdict field, leaving out what is not
+  // the verdict: a row's label and configuration echo (the request digest
+  // covers the configuration) and the work counters. Field order and
+  // separators are part of the digest contract that `specai-cli --digest`
+  // and the CI stress smokes (tools/stress_smoke.sh) pin.
   std::string S = "access_nodes=";
-  S += std::to_string(Row.AccessNodes);
+  S += std::to_string(AccessNodes);
   S += ";miss_count=";
-  S += std::to_string(Row.MissCount);
+  S += std::to_string(MissCount);
   S += ";sp_miss_count=";
-  S += std::to_string(Row.SpMissCount);
+  S += std::to_string(SpMissCount);
   S += ";branch_count=";
-  S += std::to_string(Row.BranchCount);
-  S += ";iterations=";
-  S += std::to_string(Row.Iterations);
+  S += std::to_string(BranchCount);
   S += ";refinement_rounds=";
-  S += std::to_string(Row.RefinementRounds);
+  S += std::to_string(RefinementRounds);
   S += ";converged=";
-  S += Row.Converged ? '1' : '0';
+  S += Converged ? '1' : '0';
   S += ";leaks_checked=";
-  S += Row.LeaksChecked ? '1' : '0';
+  S += LeaksChecked ? '1' : '0';
   S += ";leak_count=";
-  S += std::to_string(Row.LeakCount);
+  S += std::to_string(LeakSites.size());
   S += ";proven_leak_free=";
-  S += std::to_string(Row.ProvenLeakFree);
-  for (const std::string &Site : Row.LeakSites) {
+  S += std::to_string(ProvenLeakFree);
+  for (const std::string &Site : LeakSites) {
     S += ";site=";
     S += Site;
   }

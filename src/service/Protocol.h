@@ -10,7 +10,7 @@
 /// JSON objects over a local stream socket. One request line yields
 /// exactly one response line. The request carries the program source plus
 /// *every* option that can change a verdict; the response carries either a
-/// condensed verdict (the same counters a BatchRow holds), an error, or an
+/// Verdict (the record a BatchRow holds too), an error, or an
 /// explicit `overloaded` rejection — the daemon never degrades into
 /// unbounded queueing latency.
 ///
@@ -154,8 +154,9 @@ const char *serviceFaultName(ServiceFault F);
 /// Parses a service fault name; returns false on unknown names.
 bool parseServiceFault(const std::string &Name, ServiceFault &Out);
 
-/// One response line.
-struct ServiceResponse {
+/// One response line. An Ok analyze response carries the verdict of a
+/// BatchRow; an Ok repair response carries the repair fields below instead.
+struct ServiceResponse : Verdict {
   ServiceStatus Status = ServiceStatus::Error;
   uint64_t Id = 0;
   /// True when the verdict came from the cache (or coalesced onto an
@@ -163,32 +164,19 @@ struct ServiceResponse {
   bool Cached = false;
   /// Content-addressed cache key of the request (0 on errors).
   uint64_t RequestDigest = 0;
-  /// Digest over the canonical verdict rendering; equal digests mean
-  /// bit-identical counters and leak sites.
+  /// Verdict::digest() of an analyze response, repairVerdictDigest() of
+  /// a repair response: equal digests mean equal verdicts.
   uint64_t VerdictDigest = 0;
   std::string Error;
 
-  // The condensed verdict (BatchRow counters).
-  uint64_t AccessNodes = 0;
-  uint64_t MissCount = 0;
-  uint64_t SpMissCount = 0;
-  uint64_t BranchCount = 0;
+  /// Work counters of the analysis (BatchRow::Iterations and Seconds;
+  /// Seconds is 0 for cache hits). On the wire, but not in the digest.
   uint64_t Iterations = 0;
-  unsigned RefinementRounds = 1;
-  bool Converged = true;
-  bool LeaksChecked = false;
-  uint64_t LeakCount = 0;
-  uint64_t ProvenLeakFree = 0;
-  /// Rendered per-site diagnostics, newline-joined on the wire.
-  std::vector<std::string> LeakSites;
-  /// Server-side analysis seconds (0 for cache hits); informational,
-  /// excluded from the verdict digest.
   double Seconds = 0;
 
   // The repair verdict (`op: repair` responses only; every field below is
-  // omitted from the wire and from sameVerdict comparisons when
-  // RepairChecked is false, so analyze responses are byte-identical to
-  // the pre-repair protocol).
+  // omitted from the wire when RepairChecked is false, so analyze
+  // responses are byte-identical to the pre-repair protocol).
   bool RepairChecked = false;
   /// Every reported leak site of the original program is proven leak-free
   /// by re-analysis of the patched program (vacuous when LeaksBefore==0).
@@ -204,27 +192,20 @@ struct ServiceResponse {
   /// program's rendering when nothing was applied.
   std::string PatchedIr;
 
-  /// Builds an Ok response from a finished row (digests left 0 for the
-  /// caller to fill).
+  /// Builds an Ok response from a finished row, with its verdict digest
+  /// (the request digest is left 0 for the caller to fill).
   static ServiceResponse fromRow(const BatchRow &Row);
 
-  /// True when both responses assert the same verdict (status, counters,
-  /// leak sites — not timing, caching, or id metadata).
-  bool sameVerdict(const ServiceResponse &RHS) const;
-
   std::string toJson() const;
+  /// Parses one response line. Rejects a `leak_count` that differs from
+  /// the number of `leak_sites`.
   static bool fromJson(const std::string &Line, ServiceResponse &Out,
                        std::string &Error);
 };
 
-/// Digest over the canonical rendering of a finished row's verdict —
-/// label-independent, so a service response and a single-shot CLI run of
-/// the same request compare equal. Pinned by service_test.
-uint64_t verdictDigest(const BatchRow &Row);
-
 /// Digest over the canonical rendering of a repair verdict (the
 /// RepairChecked fields, mitigations, and the patched IR). A repair
-/// response's VerdictDigest carries this instead of verdictDigest().
+/// response's VerdictDigest carries this instead of Verdict::digest().
 uint64_t repairVerdictDigest(const ServiceResponse &R);
 
 /// The content-addressed cache key: \p ProgramDigest (runRequest's FNV-1a

@@ -214,6 +214,10 @@ bool VerdictCache::spillRead(Shard &S, uint64_t Digest, const std::string &Key,
   ServiceResponse R;
   if (!ServiceResponse::fromJson(Line, R, Error))
     return Reject(); // Checksummed but unparseable: writer bug, still safe.
+  // The stored digest is not trusted: a file written under an older
+  // digest rendering would otherwise keep serving digests that no fresh
+  // run reproduces.
+  R.VerdictDigest = R.RepairChecked ? repairVerdictDigest(R) : R.digest();
   Out = R;
   return true;
 }

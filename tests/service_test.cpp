@@ -16,6 +16,7 @@
 
 #include "service/ServiceEngine.h"
 
+#include "VerdictMatchers.h"
 #include "fuzz/ProgramGen.h"
 #include "service/Client.h"
 #include "service/Json.h"
@@ -266,7 +267,6 @@ TEST(ServiceProtocolTest, ResponsesRoundTripThroughJson) {
   Row.RefinementRounds = 2;
   Row.Converged = true;
   Row.LeaksChecked = true;
-  Row.LeakCount = 2;
   Row.ProvenLeakFree = 1;
   Row.LeakSites = {"site one", "site two"};
   Row.Seconds = 0.25;
@@ -277,8 +277,9 @@ TEST(ServiceProtocolTest, ResponsesRoundTripThroughJson) {
   ServiceResponse Back;
   std::string Error;
   ASSERT_TRUE(ServiceResponse::fromJson(R.toJson(), Back, Error)) << Error;
-  EXPECT_TRUE(Back.sameVerdict(R));
+  EXPECT_TRUE(sameAnswer(Back, R));
   EXPECT_EQ(Back.Id, R.Id);
+  EXPECT_EQ(Back.Iterations, 29u) << "work counters stay on the wire";
   EXPECT_EQ(Back.RequestDigest, R.RequestDigest);
   EXPECT_EQ(Back.LeakSites, R.LeakSites);
 
@@ -289,6 +290,23 @@ TEST(ServiceProtocolTest, ResponsesRoundTripThroughJson) {
   ASSERT_TRUE(ServiceResponse::fromJson(Err.toJson(), Back, Error)) << Error;
   EXPECT_EQ(Back.Status, ServiceStatus::Overloaded);
   EXPECT_EQ(Back.Error, "queue full");
+}
+
+TEST(ServiceProtocolTest, LeakCountMustMatchTheLeakSites) {
+  // The leak count is the number of sites; a response whose two disagree
+  // is corrupt, not a verdict.
+  ServiceResponse R;
+  R.Status = ServiceStatus::Ok;
+  R.LeaksChecked = true;
+  R.LeakSites = {"site one", "site two"};
+  std::string Line = R.toJson();
+  size_t At = Line.find("\"leak_count\": 2");
+  ASSERT_NE(At, std::string::npos) << "written from the sites: " << Line;
+  Line.replace(At, 15, "\"leak_count\": 3");
+  ServiceResponse Back;
+  std::string Error;
+  EXPECT_FALSE(ServiceResponse::fromJson(Line, Back, Error));
+  EXPECT_NE(Error.find("leak_count"), std::string::npos) << Error;
 }
 
 //===----------------------------------------------------------------------===//
@@ -333,7 +351,7 @@ TEST(ServiceProtocolTest, RepairRequestsAndResponsesRoundTrip) {
   EXPECT_EQ(BackR.WcetAfter, 650u);
   EXPECT_EQ(BackR.Mitigations, R.Mitigations);
   EXPECT_EQ(BackR.PatchedIr, R.PatchedIr);
-  EXPECT_TRUE(BackR.sameVerdict(R));
+  EXPECT_TRUE(sameAnswer(BackR, R));
 
   // A non-repair response must not gain a single new wire key: analyze
   // responses are byte-compatible with the pre-repair protocol.
@@ -406,13 +424,15 @@ TEST(ServiceDigestTest, VerdictDigestIsLabelAndTimingIndependent) {
   BatchRow B = A;
   B.Label = "cli";
   B.Seconds = 99;
-  EXPECT_EQ(verdictDigest(A), verdictDigest(B));
+  // Pops are a cost of the schedule, not part of the answer.
+  B.Iterations = A.Iterations + 1;
+  EXPECT_EQ(A.digest(), B.digest());
 
   B.MissCount = 4;
-  EXPECT_NE(verdictDigest(A), verdictDigest(B));
+  EXPECT_NE(A.digest(), B.digest());
   B = A;
   B.LeakSites = {"leak"};
-  EXPECT_NE(verdictDigest(A), verdictDigest(B));
+  EXPECT_NE(A.digest(), B.digest());
 }
 
 //===----------------------------------------------------------------------===//
@@ -662,6 +682,36 @@ TEST(SpillCrashMatrixTest, RestartOverTheSameSpillDirServesOldVerdicts) {
   EXPECT_EQ(Cache.stats().SpillCorrupt, 0u);
 }
 
+TEST(SpillCrashMatrixTest, ReloadedEntriesServeRecomputedDigests) {
+  // payload() stores VerdictDigest = Tag, which no verdict hashes to: the
+  // state a spill file written under an older digest rendering is in.
+  // The read path must serve the digest of the verdict it parsed.
+  std::string Dir = freshSpillDir("stale_digest");
+  spillOne(Dir);
+  VerdictCache Cache(8, 1, Dir);
+  ServiceResponse Out;
+  ASSERT_TRUE(Cache.lookup(1, "k1", Out));
+  EXPECT_EQ(Out.MissCount, 11u);
+  EXPECT_NE(Out.VerdictDigest, 11u);
+  EXPECT_EQ(Out.VerdictDigest, Out.digest());
+
+  // A repair entry gets the repair digest.
+  ServiceResponse Repair = payload(33);
+  Repair.RepairChecked = true;
+  Repair.Mitigations = {"fence at bb2 (cost 12)"};
+  {
+    VerdictCache Writer(1, 1, Dir);
+    Writer.insert(3, "k3", Repair);
+    Writer.insert(4, "k4", payload(44));
+    ASSERT_EQ(Writer.stats().SpillWrites, 1u);
+  }
+  VerdictCache Reader(8, 1, Dir);
+  ASSERT_TRUE(Reader.lookup(3, "k3", Out));
+  EXPECT_TRUE(Out.RepairChecked);
+  EXPECT_EQ(Out.VerdictDigest, repairVerdictDigest(Out));
+  EXPECT_NE(Out.VerdictDigest, 33u);
+}
+
 TEST(SpillCrashMatrixTest, StartupSweepsOrphanedTempFiles) {
   std::string Dir = freshSpillDir("orphans");
   std::ofstream(Dir + "/0000000000000001.verdict.tmp") << "half a write";
@@ -822,12 +872,12 @@ TEST(ServiceEngineTest, IdenticalRequestsHitAndMatchSingleShotRuns) {
   ASSERT_EQ(Second.Status, ServiceStatus::Ok);
   EXPECT_TRUE(Second.Cached) << "identical request must hit";
   EXPECT_EQ(Second.Id, 2u) << "id echoes the request, not the cache entry";
-  EXPECT_TRUE(Second.sameVerdict(First));
+  EXPECT_TRUE(sameAnswer(Second, First));
 
   // Bit-identical to the library single-shot path.
   RunOutcome Out = runRequest(Req.toRunRequest());
   ASSERT_TRUE(Out.Ok);
-  EXPECT_EQ(First.VerdictDigest, verdictDigest(Out.Row));
+  EXPECT_EQ(First.VerdictDigest, Out.Row.digest());
   EXPECT_EQ(First.RequestDigest, requestDigest(Out.ProgramDigest, Req));
 
   ServiceEngineStats S = Engine.stats();
@@ -1030,7 +1080,7 @@ TEST(ServiceEngineTest, StepCapAnswersTimeoutAndNeverCaches) {
   // aborted attempt left no trace in the verdict path.
   RunOutcome Out = runRequest(Req.toRunRequest());
   ASSERT_TRUE(Out.Ok);
-  EXPECT_EQ(Full.VerdictDigest, verdictDigest(Out.Row));
+  EXPECT_EQ(Full.VerdictDigest, Out.Row.digest());
 }
 
 TEST(ServiceEngineTest, StalledWorkerAnswersTimeoutWithinTwiceTheDeadline) {
@@ -1210,7 +1260,7 @@ TEST(ServiceEngineTest, RepairVerbSynthesizesCachesAndDigests) {
   ServiceResponse Second = Engine.handle(Req);
   ASSERT_EQ(Second.Status, ServiceStatus::Ok);
   EXPECT_TRUE(Second.Cached) << "identical repair requests must hit";
-  EXPECT_TRUE(Second.sameVerdict(First));
+  EXPECT_TRUE(sameAnswer(Second, First));
 
   // Bit-identical to the library single-shot path, like analyze.
   RepairRunOutcome Out = runRepairRequest(Req.toRunRequest());
@@ -1247,7 +1297,7 @@ TEST(ServiceEngineTest, RepairResponsesSurviveTheWireFormat) {
   ServiceResponse Back;
   std::string Error;
   ASSERT_TRUE(ServiceResponse::fromJson(R.toJson(), Back, Error)) << Error;
-  EXPECT_TRUE(Back.sameVerdict(R));
+  EXPECT_TRUE(sameAnswer(Back, R));
   EXPECT_EQ(Back.PatchedIr, R.PatchedIr);
   EXPECT_EQ(Back.VerdictDigest, repairVerdictDigest(Back));
 }

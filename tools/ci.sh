@@ -100,52 +100,10 @@ cat "$BUILD/fuzz_lowering_smoke.json"
 # values, this feeds it real counterexamples.
 "$REPO/tools/replay_smoke.sh" "$BUILD/tools/specai-fuzz" "$BUILD"
 
-# Set-associative stress smoke: perfbench/stress.mc at 512 lines, 8-way
-# (64 cache sets) is the one fixed workload whose states hold many
-# partitions, so it pins the per-set copy-on-write joins and hashes of
-# docs/PERFORMANCE.md end to end. Its verdict digest must not move.
-STRESS_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
-  --lines 512 --assoc 8 --digest | grep '^verdict-digest:')
-if [ "$STRESS_DIGEST" != "verdict-digest: 0x381190335582f93f" ]; then
-  echo "ci: FAIL - stress verdict digest moved: $STRESS_DIGEST" >&2
-  exit 1
-fi
-echo "stress smoke: $STRESS_DIGEST"
-
-# The same program under --lowering summarize keeps its rolled loops, so
-# the speculative engine widens at loop headers: this pins the widening
-# path through the lazy post-rollback fold and the cached window bounds.
-SUMMARIZE_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
-  --lines 512 --assoc 8 --lowering summarize --digest \
-  | grep '^verdict-digest:')
-if [ "$SUMMARIZE_DIGEST" != "verdict-digest: 0x6d716bd620266606" ]; then
-  echo "ci: FAIL - summarize stress verdict digest moved: $SUMMARIZE_DIGEST" >&2
-  exit 1
-fi
-echo "summarize stress smoke: $SUMMARIZE_DIGEST"
-
-# The non-speculative baseline of the same program: the engine over an
-# empty speculation plan in reverse post-order, so this pins Algorithm 1
-# as the empty-plan case of the one fixpoint loop.
-BASELINE_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
-  --no-spec --lines 512 --assoc 8 --digest | grep '^verdict-digest:')
-if [ "$BASELINE_DIGEST" != "verdict-digest: 0x5e14fb27c0c9e20f" ]; then
-  echo "ci: FAIL - baseline stress verdict digest moved: $BASELINE_DIGEST" >&2
-  exit 1
-fi
-echo "baseline stress smoke: $BASELINE_DIGEST"
-
-# No-merge keeps one post-rollback slot per rollback point, so it sends
-# the most post-rollback flows through site branches, where the engine's
-# clean-flow skip compares window depths; it is also the strategy the
-# repair configuration runs. 64 lines, 4-way keeps it to a few seconds.
-NOMERGE_DIGEST=$("$BUILD/tools/specai-cli" "$REPO/perfbench/stress.mc" \
-  --lines 64 --assoc 4 --strategy no-merge --digest | grep '^verdict-digest:')
-if [ "$NOMERGE_DIGEST" != "verdict-digest: 0xf96b2c349d1d2dc0" ]; then
-  echo "ci: FAIL - no-merge stress verdict digest moved: $NOMERGE_DIGEST" >&2
-  exit 1
-fi
-echo "no-merge stress smoke: $NOMERGE_DIGEST"
+# Stress smokes (tools/stress_smoke.sh): perfbench/stress.mc at 8-way,
+# under --lowering summarize, as the --no-spec baseline and under
+# no-merge, each with its verdict digest pinned.
+"$REPO/tools/stress_smoke.sh" "$BUILD" "$REPO"
 
 # Fixed-coverage perf smoke: the 50-program campaign behind
 # BENCH_fuzz.json, with timing JSON written next to the build

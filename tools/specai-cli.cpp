@@ -301,8 +301,8 @@ int main(int Argc, char **Argv) {
     std::printf("program-digest: 0x%016llx\n",
                 static_cast<unsigned long long>(Out.ProgramDigest));
     std::printf("verdict-digest: 0x%016llx\n",
-                static_cast<unsigned long long>(verdictDigest(Out.Row)));
-    if (Leaks && Out.Row.LeakCount != 0) {
+                static_cast<unsigned long long>(Out.Row.digest()));
+    if (Leaks && !Out.Row.LeakSites.empty()) {
       for (const std::string &Site : Out.Row.LeakSites)
         std::printf("%s\n", Site.c_str());
       return 2;
@@ -345,7 +345,7 @@ int main(int Argc, char **Argv) {
     if (Leaks) {
       bool AnyLeak = false;
       for (const BatchRow &Row : Report.Rows) {
-        if (Row.LeakCount == 0)
+        if (Row.LeakSites.empty())
           continue;
         AnyLeak = true;
         for (const std::string &Site : Row.LeakSites)

@@ -184,7 +184,7 @@ int runTrace(ServiceClient &Client, RetryPolicy &Policy,
                      static_cast<unsigned long long>(I), Out.Error.c_str());
         return 1;
       }
-      WantDigest[I] = verdictDigest(Out.Row);
+      WantDigest[I] = Out.Row.digest();
     }
   }
 
@@ -474,7 +474,7 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Resp.SpMissCount),
               static_cast<unsigned long long>(Resp.Iterations));
   if (Resp.LeaksChecked) {
-    if (Resp.LeakCount != 0) {
+    if (!Resp.LeakSites.empty()) {
       for (const std::string &Site : Resp.LeakSites)
         std::printf("%s\n", Site.c_str());
       return 2;
