@@ -38,8 +38,18 @@ struct GeomFixture {
       Var.NumElements = 1;
       P.Vars.push_back(Var);
     }
-    // One terminating block so the program is structurally valid.
+    // One load per variable puts every line in the model's block
+    // universes, then one terminator keeps the program valid.
     BasicBlock BB;
+    for (VarId V = 0; V != P.Vars.size(); ++V) {
+      Instruction Load;
+      Load.Op = Opcode::Load;
+      Load.Dst = 0;
+      Load.Var = V;
+      Load.Index = Operand::imm(0);
+      BB.Insts.push_back(Load);
+    }
+    P.NumRegs = 1;
     Instruction Ret;
     Ret.Op = Opcode::Ret;
     BB.Insts.push_back(Ret);
@@ -109,7 +119,7 @@ void BM_Widen(benchmark::State &State) {
   Cur.accessBlock(F.MM->blockOf(0, 0), *F.MM, true);
   for (auto _ : State) {
     CacheAbsState W = Cur;
-    W.widenFrom(Prev, F.Config.Associativity);
+    W.widenFrom(Prev);
     benchmark::DoNotOptimize(W);
   }
   State.SetItemsProcessed(State.iterations());

@@ -168,12 +168,14 @@ void classify(const CompiledProgram &CP, CacheDomain &D,
 
 /// Runs the engine, and any §6.2 refinement rounds, over one Program (the
 /// pre-Summarize runMustHitAnalysis body); \p DomOpts carries the summary
-/// table in Summarize mode.
+/// table in Summarize mode, and \p Callees the module's callee Programs,
+/// whose blocks the summaries insert.
 MustHitReport runEngines(const CompiledProgram &CP,
                          const MustHitOptions &Options,
-                         const CacheDomainOptions &DomOpts) {
+                         const CacheDomainOptions &DomOpts,
+                         const std::vector<const Program *> &Callees = {}) {
   MustHitReport Report;
-  Report.MM = std::make_unique<MemoryModel>(*CP.P, Options.Cache);
+  Report.MM = std::make_unique<MemoryModel>(*CP.P, Options.Cache, Callees);
   Report.BranchCount = CP.Plan.siteCount();
 
   // The baseline (Algorithm 1) is the same engine without virtual control
@@ -258,7 +260,7 @@ CallSummary buildSummary(const CompiledProgram &CP, const MustHitReport &R,
         uint64_t Elem = I.Index.isImm() ? Var.wrapIndex(I.Index.Imm) : 0;
         Sum.MayBlocks.push_back(MM.blockOf(I.Var, Elem));
       } else {
-        std::vector<BlockAddr> All = MM.blocksOf(I.Var);
+        const std::vector<BlockAddr> &All = MM.blocksOf(I.Var);
         Sum.MayBlocks.insert(Sum.MayBlocks.end(), All.begin(), All.end());
       }
     }
@@ -321,6 +323,11 @@ MustHitReport specai::runMustHitAnalysis(const CompiledProgram &CP,
   // function references is already present.
   std::vector<CallSummary> Summaries;
   Summaries.reserve(CP.Callees.size());
+  // Every Program of the module shares one layout; each model's universes
+  // cover the whole module, whose callees' blocks call effects insert.
+  std::vector<const Program *> Callees;
+  for (const std::unique_ptr<CompiledProgram> &CalleeCP : CP.Callees)
+    Callees.push_back(CalleeCP->P.get());
   std::vector<std::unique_ptr<MustHitReport>> CalleeReports;
   for (const std::unique_ptr<CompiledProgram> &CalleeCP : CP.Callees) {
     MustHitOptions CalleeOpts = SumOpts;
@@ -330,12 +337,13 @@ MustHitReport specai::runMustHitAnalysis(const CompiledProgram &CP,
     CalleeDom.Summaries = &Summaries;
     CalleeDom.Fault = Options.Fault;
     auto R = std::make_unique<MustHitReport>(
-        runEngines(*CalleeCP, CalleeOpts, CalleeDom));
+        runEngines(*CalleeCP, CalleeOpts, CalleeDom, Callees));
     if (R->BudgetExceeded) {
       // A budget that dies in a callee voids the whole module run: its
       // summary would be built from partial states.
       MustHitReport Aborted;
-      Aborted.MM = std::make_unique<MemoryModel>(*CP.P, Options.Cache);
+      Aborted.MM =
+          std::make_unique<MemoryModel>(*CP.P, Options.Cache, Callees);
       Aborted.BudgetExceeded = true;
       Aborted.Converged = false;
       return Aborted;
@@ -348,7 +356,7 @@ MustHitReport specai::runMustHitAnalysis(const CompiledProgram &CP,
   MainDom.UseShadow = Options.UseShadow;
   MainDom.Summaries = &Summaries;
   MainDom.Fault = Options.Fault;
-  MustHitReport Report = runEngines(CP, SumOpts, MainDom);
+  MustHitReport Report = runEngines(CP, SumOpts, MainDom, Callees);
   Report.Summaries = std::move(Summaries);
   Report.CalleeReports = std::move(CalleeReports);
   return Report;

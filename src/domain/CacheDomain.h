@@ -146,9 +146,7 @@ public:
   /// Structural state hash for the engines' transfer memo and interner.
   uint64_t stateHash(const State &S) const { return S.structuralHash(); }
 
-  void widen(State &Cur, const State &Prev) const {
-    Cur.widenFrom(Prev, MM->config().Associativity);
-  }
+  void widen(State &Cur, const State &Prev) const { Cur.widenFrom(Prev); }
 
   /// True iff node \p N is a memory access that is a guaranteed cache hit
   /// in state \p S (evaluated on the state *before* the access). Unknown

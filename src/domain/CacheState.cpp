@@ -14,8 +14,8 @@
 
 #include "domain/CacheState.h"
 
-
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <map>
@@ -70,17 +70,43 @@ uint64_t laneGE(uint64_t A, uint64_t B, const LaneOps &O) {
   return ((A & ~B) | (~(A ^ B) & T)) & O.High;
 }
 
+/// Lane-flag to lane-mask expansion: every lane whose MSB is set in \p H
+/// becomes all ones. MSB minus LSB fills the bits between them without a
+/// borrow across lanes; the OR restores the MSB.
+uint64_t expandLanes(uint64_t H, unsigned LaneBits) {
+  return (H - (H >> (LaneBits - 1))) | H;
+}
+
+/// Word \p K (absolute) of a window starting at \p Base, 0 outside it.
+uint64_t wordAt(const std::vector<uint64_t> &Words, uint32_t Base, size_t K) {
+  size_t I = K - Base;
+  return I < Words.size() ? Words[I] : 0;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // PackedAges
 //===----------------------------------------------------------------------===//
 
-size_t PackedAges::find(BlockAddr Block) const {
-  auto It = std::lower_bound(Blks.begin(), Blks.end(), Block);
-  if (It != Blks.end() && *It == Block)
-    return static_cast<size_t>(It - Blks.begin());
-  return npos;
+void PackedAges::const_iterator::seek() {
+  const std::vector<uint64_t> &Words = PA->Words;
+  if (W >= Words.size()) {
+    W = Words.size();
+    Pending = 0;
+    return;
+  }
+  const LaneOps &O = opsFor(PA->laneBits());
+  while (W != Words.size() && !(Pending = laneNonzero(Words[W], O)))
+    ++W;
+}
+
+SlotAge PackedAges::const_iterator::operator*() const {
+  unsigned Lane = static_cast<unsigned>(std::countr_zero(Pending)) >>
+                  PA->LaneLog;
+  uint32_t Slot = static_cast<uint32_t>(
+      ((size_t(PA->BaseWord) + W) << PA->lanesPerWordLog()) + Lane);
+  return {Slot, PA->ageAt(Slot)};
 }
 
 void PackedAges::installLaneBits(unsigned LaneBits) {
@@ -88,112 +114,78 @@ void PackedAges::installLaneBits(unsigned LaneBits) {
   LaneLog = LaneBits == 4 ? 2 : LaneBits == 8 ? 3 : 4;
 }
 
-void PackedAges::retruncate() {
-  if (Blks.empty()) {
-    Words.clear();
-    LaneLog = 0;
-    return;
-  }
-  Words.resize(wordsFor(Blks.size()));
-  // Zero the tail lanes of the last word so bulk ops stay unmasked.
-  size_t Rem = Blks.size() & ((size_t(1) << lanesPerWordLog()) - 1);
-  if (Rem) {
-    unsigned UsedBits = static_cast<unsigned>(Rem << LaneLog);
-    Words.back() &= (uint64_t(1) << UsedBits) - 1;
-  }
-}
-
-void PackedAges::set(BlockAddr Block, uint16_t Age, unsigned LaneBits) {
-  size_t Pos = static_cast<size_t>(
-      std::lower_bound(Blks.begin(), Blks.end(), Block) - Blks.begin());
-  if (Pos != Blks.size() && Blks[Pos] == Block) {
-    setAgeAt(Pos, Age);
-    return;
-  }
-  if (Blks.empty())
-    installLaneBits(LaneBits);
-  assert(laneBits() == LaneBits && "mixed lane widths in one entry list");
-  Blks.insert(Blks.begin() + static_cast<ptrdiff_t>(Pos), Block);
-  if (Words.size() < wordsFor(Blks.size()))
-    Words.push_back(0);
-  for (size_t I = Blks.size() - 1; I > Pos; --I)
-    setAgeAt(I, ageAt(I - 1));
-  setAgeAt(Pos, Age);
-}
-
-void PackedAges::append(BlockAddr Block, uint16_t Age, unsigned LaneBits) {
-  if (Blks.empty())
-    installLaneBits(LaneBits);
-  assert(laneBits() == LaneBits && "mixed lane widths in one entry list");
-  assert((Blks.empty() || Blks.back() < Block) && "append must keep order");
-  size_t I = Blks.size();
-  Blks.push_back(Block);
-  if (Words.size() < wordsFor(Blks.size()))
-    Words.push_back(0);
-  setAgeAt(I, Age);
-}
-
-void PackedAges::eraseAt(size_t I) {
-  size_t N = Blks.size();
-  for (size_t K = I; K + 1 < N; ++K)
-    setAgeAt(K, ageAt(K + 1));
-  Blks.erase(Blks.begin() + static_cast<ptrdiff_t>(I));
-  retruncate();
-}
-
 void PackedAges::clear() {
-  Blks.clear();
   Words.clear();
+  BaseWord = 0;
   LaneLog = 0;
 }
 
+void PackedAges::trim() {
+  size_t Lo = 0, Hi = Words.size();
+  while (Lo != Hi && !Words[Lo])
+    ++Lo;
+  if (Lo == Hi) {
+    clear();
+    return;
+  }
+  while (!Words[Hi - 1])
+    --Hi;
+  if (Lo)
+    Words.erase(Words.begin(), Words.begin() + static_cast<ptrdiff_t>(Lo));
+  Words.resize(Hi - Lo);
+  BaseWord += static_cast<uint32_t>(Lo);
+}
+
+void PackedAges::set(uint32_t Slot, uint16_t Age, unsigned LaneBits) {
+  assert(Age >= 1 && "zero lanes mean absent");
+  if (empty()) {
+    installLaneBits(LaneBits);
+    BaseWord = Slot >> lanesPerWordLog();
+    Words.assign(1, 0);
+  }
+  assert(laneBits() == LaneBits && "mixed lane widths in one entry list");
+  uint32_t W = Slot >> lanesPerWordLog();
+  if (W < BaseWord) {
+    Words.insert(Words.begin(), BaseWord - W, 0);
+    BaseWord = W;
+  } else if (W - BaseWord >= Words.size()) {
+    Words.resize(W - BaseWord + 1, 0);
+  }
+  uint64_t &Word = Words[W - BaseWord];
+  unsigned Sh = shiftOf(Slot);
+  Word = (Word & ~(laneMask() << Sh)) | (static_cast<uint64_t>(Age) << Sh);
+}
+
 void PackedAges::compactAgesAbove(uint32_t Cap) {
-  size_t OutN = 0, N = Blks.size();
-  for (size_t I = 0; I != N; ++I) {
-    uint16_t Age = ageAt(I);
-    if (Age > Cap)
-      continue;
-    if (OutN != I) {
-      Blks[OutN] = Blks[I];
-      setAgeAt(OutN, Age);
+  if (empty())
+    return;
+  const LaneOps &O = opsFor(laneBits());
+  uint64_t BCap1 = O.Ones * std::min<uint64_t>(uint64_t(Cap) + 1, laneMask());
+  bool Any = false;
+  for (uint64_t &W : Words) {
+    uint64_t Over = laneGE(W, BCap1, O); // Zero lanes are below cap + 1.
+    if (Over) {
+      W &= ~expandLanes(Over, laneBits());
+      Any = true;
     }
-    ++OutN;
   }
-  if (OutN != N) {
-    Blks.resize(OutN);
-    retruncate();
-  }
+  if (Any)
+    trim();
 }
 
-void PackedAges::removeFlagged(const std::vector<char> &Remove) {
-  assert(Remove.size() == Blks.size());
-  size_t OutN = 0, N = Blks.size();
-  for (size_t I = 0; I != N; ++I) {
-    if (Remove[I])
-      continue;
-    if (OutN != I) {
-      Blks[OutN] = Blks[I];
-      setAgeAt(OutN, ageAt(I));
-    }
-    ++OutN;
-  }
-  if (OutN != N) {
-    Blks.resize(OutN);
-    retruncate();
-  }
-}
-
-void PackedAges::agePredLE(uint32_t MaxOldAge, size_t Skip, uint32_t Cap) {
-  if (Blks.empty() || MaxOldAge == 0)
+void PackedAges::agePredLE(uint32_t MaxOldAge, uint32_t Skip, uint32_t Cap) {
+  if (empty() || MaxOldAge == 0)
     return;
   const LaneOps &O = opsFor(laneBits());
   assert(uint64_t(Cap) + 1 <= laneMask() && "cap+1 must fit a lane");
   uint64_t BV = O.Ones * std::min<uint64_t>(MaxOldAge, laneMask());
   uint64_t BCap1 = O.Ones * (uint64_t(Cap) + 1);
   unsigned MsbShift = laneBits() - 1;
-  size_t SkipWord = Skip == npos ? npos : wordOf(Skip);
+  size_t SkipWord = Skip == NoSlot
+                        ? Words.size()
+                        : (size_t(Skip) >> lanesPerWordLog()) - BaseWord;
   uint64_t SkipBit =
-      Skip == npos ? 0 : uint64_t(1) << (shiftOf(Skip) + MsbShift);
+      Skip == NoSlot ? 0 : uint64_t(1) << (shiftOf(Skip) + MsbShift);
   bool AnyEvict = false;
   for (size_t W = 0; W != Words.size(); ++W) {
     uint64_t A = Words[W];
@@ -213,7 +205,7 @@ void PackedAges::agePredLE(uint32_t MaxOldAge, size_t Skip, uint32_t Cap) {
 }
 
 bool PackedAges::anyAgeLT(uint32_t V) const {
-  if (Blks.empty() || V <= 1)
+  if (empty() || V <= 1)
     return false;
   const LaneOps &O = opsFor(laneBits());
   uint64_t BV = O.Ones * std::min<uint64_t>(V, laneMask());
@@ -224,7 +216,7 @@ bool PackedAges::anyAgeLT(uint32_t V) const {
 }
 
 void PackedAges::addPressure(uint32_t K, uint32_t Cap) {
-  if (Blks.empty() || K == 0)
+  if (empty() || K == 0)
     return;
   if (K > Cap) {
     clear();
@@ -233,7 +225,7 @@ void PackedAges::addPressure(uint32_t K, uint32_t Cap) {
   // Age + K > Cap evicts, i.e. everything above Cap - K goes; survivors
   // take the un-masked add (their lanes stay <= Cap).
   compactAgesAbove(Cap - K);
-  if (Blks.empty())
+  if (empty())
     return;
   const LaneOps &O = opsFor(laneBits());
   unsigned MsbShift = laneBits() - 1;
@@ -241,60 +233,140 @@ void PackedAges::addPressure(uint32_t K, uint32_t Cap) {
     W += (laneNonzero(W, O) >> MsbShift) * K;
 }
 
-bool PackedAges::allLanesGE(const PackedAges &RHS) const {
-  assert(sameBlocks(RHS) && "allLanesGE requires identical block lists");
-  if (empty())
-    return true;
-  assert(LaneLog == RHS.LaneLog);
+void PackedAges::ageByShadow(const PackedAges &May, uint32_t Touched,
+                             uint32_t VMustOld, uint32_t Assoc) {
+  if (empty() || May.empty() || VMustOld <= 1)
+    return; // No shadow entry: NYoung(u) = 0 < Age(u) everywhere.
+  assert(LaneLog == May.LaneLog && "LRU lanes share one width");
   const LaneOps &O = opsFor(laneBits());
-  for (size_t W = 0; W != Words.size(); ++W)
-    if (laneGE(Words[W], RHS.Words[W], O) != O.High)
-      return false; // Tail lanes are 0 on both sides and compare GE.
-  return true;
+  unsigned LB = laneBits(), MsbShift = LB - 1;
+  uint64_t LM = laneMask();
+  // Only ages below VMustOld move, and NYoung(u) >= Age(u) needs Age(u)
+  // shadow entries besides u's own: Top is the oldest age read.
+  uint32_t MayN = 0;
+  for (uint64_t Y : May.Words)
+    MayN += static_cast<uint32_t>(std::popcount(laneNonzero(Y, O)));
+  uint32_t Top = std::min(VMustOld - 1, MayN);
+  size_t TouchedWord = (size_t(Touched) >> lanesPerWordLog()) - BaseWord;
+  uint64_t TouchedMsb = uint64_t(1) << (shiftOf(Touched) + MsbShift);
+  auto Candidates = [&](size_t I, uint32_t MaxAge) {
+    uint64_t X = Words[I];
+    uint64_t M = laneNonzero(X, O) & laneGE(O.Ones * MaxAge, X, O);
+    return I == TouchedWord ? M & ~TouchedMsb : M;
+  };
+  bool Any = false;
+  for (size_t I = 0; I != Words.size() && !Any; ++I)
+    Any = Candidates(I, Top) != 0;
+  if (!Any)
+    return;
+
+  // LeqCnt[a] = #shadow entries with age <= a, for a <= Top; older
+  // entries are never read.
+  constexpr uint32_t StackCap = 2048;
+  uint32_t StackBuf[StackCap + 1];
+  std::vector<uint32_t> HeapBuf;
+  uint32_t *LeqCnt = StackBuf;
+  if (Top > StackCap) {
+    HeapBuf.resize(size_t(Top) + 1);
+    LeqCnt = HeapBuf.data();
+  }
+  std::fill(LeqCnt, LeqCnt + Top + 1, 0u);
+  uint64_t BTop = O.Ones * Top;
+  for (uint64_t Y : May.Words)
+    for (uint64_t M = laneNonzero(Y, O) & laneGE(BTop, Y, O); M; M &= M - 1)
+      ++LeqCnt[(Y >> (std::countr_zero(M) - MsbShift)) & LM];
+  for (uint32_t A = 1; A <= Top; ++A)
+    LeqCnt[A] += LeqCnt[A - 1];
+
+  bool AnyEvict = false;
+  for (size_t I = 0; I != Words.size(); ++I) {
+    uint64_t Cand = Candidates(I, Top);
+    if (!Cand)
+      continue;
+    uint64_t X = Words[I];
+    uint64_t Y = wordAt(May.Words, May.BaseWord, BaseWord + I);
+    // u's own shadow entry, where it counts toward NYoung(u).
+    uint64_t Own = laneNonzero(Y, O) & laneGE(X, Y, O);
+    uint64_t Inc = 0;
+    for (uint64_t M = Cand; M; M &= M - 1) {
+      unsigned Msb = static_cast<unsigned>(std::countr_zero(M));
+      uint32_t Age = static_cast<uint32_t>((X >> (Msb - MsbShift)) & LM);
+      if (LeqCnt[Age] - ((Own >> Msb) & 1) >= Age) {
+        Inc |= uint64_t(1) << (Msb - MsbShift);
+        AnyEvict |= Age == Assoc;
+      }
+    }
+    Words[I] = X + Inc; // Ages stay <= Assoc + 1: no lane overflow.
+  }
+  if (AnyEvict)
+    compactAgesAbove(Assoc);
 }
 
-void PackedAges::assignMustMerge(const PackedAges &A, const PackedAges &B) {
-  assert(this != &A && this != &B);
+bool PackedAges::grewFrom(const PackedAges &Prev) const {
+  if (empty() || Prev.empty())
+    return false;
+  assert(LaneLog == Prev.LaneLog);
+  const LaneOps &O = opsFor(laneBits());
+  for (size_t I = 0; I != Words.size(); ++I) {
+    uint64_t X = Words[I], Y = wordAt(Prev.Words, Prev.BaseWord, BaseWord + I);
+    if (laneNonzero(Y, O) & ~laneGE(Y, X, O)) // Y present and X > Y.
+      return true;
+  }
+  return false;
+}
+
+void PackedAges::removeGrownFrom(const PackedAges &Prev) {
+  if (empty() || Prev.empty())
+    return;
+  const LaneOps &O = opsFor(laneBits());
+  for (size_t I = 0; I != Words.size(); ++I) {
+    uint64_t Y = wordAt(Prev.Words, Prev.BaseWord, BaseWord + I);
+    uint64_t Grown = laneNonzero(Y, O) & ~laneGE(Y, Words[I], O);
+    Words[I] &= ~expandLanes(Grown, laneBits());
+  }
+  trim();
+}
+
+void PackedAges::assignMustJoin(const PackedAges &A, const PackedAges &B) {
+  assert(this != &B);
   if (A.empty() || B.empty()) {
     clear();
     return;
   }
   assert(A.LaneLog == B.LaneLog);
-  if (A.sameBlocks(B)) {
-    Blks = A.Blks;
-    LaneLog = A.LaneLog;
-    Words.resize(A.Words.size());
-    const LaneOps &O = opsFor(A.laneBits());
-    unsigned MsbShift = A.laneBits() - 1;
-    uint64_t LM = A.laneMask();
-    for (size_t W = 0; W != Words.size(); ++W) {
-      uint64_t X = A.Words[W], Y = B.Words[W];
-      uint64_t Exp = (laneGE(X, Y, O) >> MsbShift) * LM;
-      Words[W] = Y ^ ((X ^ Y) & Exp); // Lanewise max.
-    }
+  // The intersection lives in the overlap of the two windows. Writing
+  // word K to index K - Lo never passes A's index K - A.BaseWord, so the
+  // forward pass may read A from the words it overwrites.
+  size_t Lo = std::max(A.BaseWord, B.BaseWord);
+  size_t Hi = std::min(A.BaseWord + A.Words.size(),
+                       B.BaseWord + B.Words.size());
+  if (Lo >= Hi) {
+    clear();
     return;
   }
-  clear();
   unsigned LB = A.laneBits();
-  size_t I = 0, J = 0;
-  while (I != A.size() && J != B.size()) {
-    BlockAddr BA = A.blockAt(I), BB = B.blockAt(J);
-    if (BA < BB)
-      ++I;
-    else if (BA > BB)
-      ++J;
-    else {
-      append(BA, std::max(A.ageAt(I), B.ageAt(J)), LB);
-      ++I;
-      ++J;
-    }
+  const LaneOps &O = opsFor(LB);
+  uint32_t ABase = A.BaseWord;
+  if (this != &A)
+    LaneLog = A.LaneLog;
+  Words.resize(std::max(Words.size(), Hi - Lo));
+  for (size_t K = Lo; K != Hi; ++K) {
+    uint64_t X = A.Words[K - ABase], Y = B.Words[K - B.BaseWord];
+    uint64_t Max = Y ^ ((X ^ Y) & expandLanes(laneGE(X, Y, O), LB));
+    // Both lanes are present exactly where the lane min is nonzero.
+    uint64_t Min = X ^ Y ^ Max;
+    Words[K - Lo] = Max & expandLanes(laneNonzero(Min, O), LB);
   }
+  Words.resize(Hi - Lo);
+  BaseWord = static_cast<uint32_t>(Lo);
+  trim();
 }
 
-void PackedAges::assignMayMerge(const PackedAges &A, const PackedAges &B) {
-  assert(this != &A && this != &B);
+void PackedAges::assignMayJoin(const PackedAges &A, const PackedAges &B) {
+  assert(this != &B);
   if (B.empty()) {
-    *this = A;
+    if (this != &A)
+      *this = A;
     return;
   }
   if (A.empty()) {
@@ -302,151 +374,71 @@ void PackedAges::assignMayMerge(const PackedAges &A, const PackedAges &B) {
     return;
   }
   assert(A.LaneLog == B.LaneLog);
-  if (A.sameBlocks(B)) {
-    Blks = A.Blks;
-    LaneLog = A.LaneLog;
-    Words.resize(A.Words.size());
-    const LaneOps &O = opsFor(A.laneBits());
-    unsigned MsbShift = A.laneBits() - 1;
-    uint64_t LM = A.laneMask();
-    for (size_t W = 0; W != Words.size(); ++W) {
-      uint64_t X = A.Words[W], Y = B.Words[W];
-      uint64_t Exp = (laneGE(X, Y, O) >> MsbShift) * LM;
-      Words[W] = X ^ ((X ^ Y) & Exp); // Lanewise min.
-    }
-    return;
-  }
-  clear();
+  // The union spans both windows. Writing word K to index K - Lo never
+  // falls below A's index K - A.BaseWord, so a backward pass may read A
+  // from the words it overwrites.
+  uint32_t ABase = A.BaseWord;
+  size_t ASize = A.Words.size();
+  size_t Lo = std::min(ABase, B.BaseWord);
+  size_t Hi = std::max(ABase + ASize, B.BaseWord + B.Words.size());
   unsigned LB = A.laneBits();
-  size_t I = 0, J = 0;
-  while (I != A.size() || J != B.size()) {
-    if (J == B.size() || (I != A.size() && A.blockAt(I) < B.blockAt(J))) {
-      append(A.blockAt(I), A.ageAt(I), LB);
-      ++I;
-    } else if (I == A.size() || A.blockAt(I) > B.blockAt(J)) {
-      append(B.blockAt(J), B.ageAt(J), LB);
-      ++J;
-    } else {
-      append(A.blockAt(I), std::min(A.ageAt(I), B.ageAt(J)), LB);
-      ++I;
-      ++J;
-    }
+  const LaneOps &O = opsFor(LB);
+  if (this != &A)
+    LaneLog = A.LaneLog;
+  Words.resize(std::max(Words.size(), Hi - Lo));
+  for (size_t K = Hi; K-- != Lo;) {
+    size_t AI = K - ABase, BI = K - B.BaseWord;
+    uint64_t X = AI < ASize ? A.Words[AI] : 0;
+    uint64_t Y = BI < B.Words.size() ? B.Words[BI] : 0;
+    // The lane min where both are present (the min is nonzero), else the
+    // lane max: the one present lane, or zero.
+    uint64_t Max = Y ^ ((X ^ Y) & expandLanes(laneGE(X, Y, O), LB));
+    uint64_t Min = X ^ Y ^ Max;
+    Words[K - Lo] = Max ^ ((Max ^ Min) & expandLanes(laneNonzero(Min, O), LB));
   }
+  Words.resize(Hi - Lo);
+  BaseWord = static_cast<uint32_t>(Lo);
 }
 
-void PackedAges::mustMergeInPlace(const PackedAges &From,
-                                  PackedAges &Scratch) {
-  if (empty())
-    return;
-  if (From.empty()) {
-    clear();
-    return;
+unsigned PackedAges::notBelow(const PackedAges &RHS) const {
+  if (empty() || RHS.empty())
+    return (empty() ? 0 : 1) | (RHS.empty() ? 0 : 2);
+  assert(LaneLog == RHS.LaneLog);
+  // Trimmed windows end in nonzero words, so a window reaching past the
+  // other's holds entries the other lacks.
+  size_t End = BaseWord + Words.size();
+  size_t RHSEnd = RHS.BaseWord + RHS.Words.size();
+  unsigned Bits = (BaseWord < RHS.BaseWord || End > RHSEnd ? 1 : 0) |
+                  (RHS.BaseWord < BaseWord || RHSEnd > End ? 2 : 0);
+  const LaneOps &O = opsFor(laneBits());
+  size_t Lo = std::max(BaseWord, RHS.BaseWord), Hi = std::min(End, RHSEnd);
+  for (size_t K = Lo; K < Hi && Bits != 3; ++K) {
+    uint64_t X = Words[K - BaseWord], Y = RHS.Words[K - RHS.BaseWord];
+    if (X == Y)
+      continue;
+    uint64_t NX = laneNonzero(X, O), NY = laneNonzero(Y, O);
+    uint64_t GE = laneGE(X, Y, O);
+    uint64_t LE = (~GE | ~laneNonzero(X ^ Y, O)) & O.High;
+    if (NX & ~(NY & GE))
+      Bits |= 1; // One of ours is missing there or older there.
+    if (NY & ~(NX & LE))
+      Bits |= 2; // One of theirs is missing here or older here.
   }
-  assert(LaneLog == From.LaneLog);
-  if (sameBlocks(From)) {
-    const LaneOps &O = opsFor(laneBits());
-    unsigned MsbShift = laneBits() - 1;
-    uint64_t LM = laneMask();
-    for (size_t W = 0; W != Words.size(); ++W) {
-      uint64_t X = Words[W], Y = From.Words[W];
-      uint64_t Exp = (laneGE(X, Y, O) >> MsbShift) * LM;
-      Words[W] = Y ^ ((X ^ Y) & Exp); // Lanewise max.
-    }
-    return;
-  }
-  Scratch.assignMustMerge(*this, From);
-  std::swap(Blks, Scratch.Blks);
-  std::swap(Words, Scratch.Words);
-  std::swap(LaneLog, Scratch.LaneLog);
-}
-
-void PackedAges::mayMergeInPlace(const PackedAges &From,
-                                 PackedAges &Scratch) {
-  if (From.empty())
-    return;
-  if (empty()) {
-    *this = From;
-    return;
-  }
-  assert(LaneLog == From.LaneLog);
-  if (sameBlocks(From)) {
-    const LaneOps &O = opsFor(laneBits());
-    unsigned MsbShift = laneBits() - 1;
-    uint64_t LM = laneMask();
-    for (size_t W = 0; W != Words.size(); ++W) {
-      uint64_t X = Words[W], Y = From.Words[W];
-      uint64_t Exp = (laneGE(X, Y, O) >> MsbShift) * LM;
-      Words[W] = X ^ ((X ^ Y) & Exp); // Lanewise min.
-    }
-    return;
-  }
-  Scratch.assignMayMerge(*this, From);
-  std::swap(Blks, Scratch.Blks);
-  std::swap(Words, Scratch.Words);
-  std::swap(LaneLog, Scratch.LaneLog);
+  return Bits;
 }
 
 unsigned PackedAges::mustJoinOrder(const PackedAges &From) const {
-  if (empty())
-    return JoinKeepsThis | (From.empty() ? JoinYieldsFrom : 0);
-  if (From.empty())
-    return JoinYieldsFrom; // Every entry leaves the intersection.
-  if (sameBlocks(From)) {
-    // Lane max. Keeping ours and yielding theirs at once means equal lanes.
-    if (allLanesGE(From))
-      return JoinKeepsThis | (Words == From.Words ? JoinYieldsFrom : 0);
-    return From.allLanesGE(*this) ? JoinYieldsFrom : 0;
-  }
-  unsigned Order = JoinKeepsThis | JoinYieldsFrom;
-  size_t I = 0, J = 0;
-  while (Order && (I != size() || J != From.size())) {
-    if (J == From.size() || (I != size() && blockAt(I) < From.blockAt(J))) {
-      Order &= ~JoinKeepsThis; // Ours leaves the intersection.
-      ++I;
-    } else if (I == size() || blockAt(I) > From.blockAt(J)) {
-      Order &= ~JoinYieldsFrom; // Theirs leaves the intersection.
-      ++J;
-    } else {
-      if (From.ageAt(J) > ageAt(I))
-        Order &= ~JoinKeepsThis; // Our age grows to the max.
-      else if (ageAt(I) > From.ageAt(J))
-        Order &= ~JoinYieldsFrom;
-      ++I;
-      ++J;
-    }
-  }
-  return Order;
+  // The lane max keeps ours iff every entry of ours is in From at an age
+  // no older, and yields From's in the mirror case.
+  unsigned Bits = notBelow(From);
+  return (Bits & 1 ? 0 : JoinKeepsThis) | (Bits & 2 ? 0 : JoinYieldsFrom);
 }
 
 unsigned PackedAges::mayJoinOrder(const PackedAges &From) const {
-  if (From.empty())
-    return JoinKeepsThis | (empty() ? JoinYieldsFrom : 0);
-  if (empty())
-    return JoinYieldsFrom; // Their shadow entries enter the union.
-  if (sameBlocks(From)) { // Lane min: the mirror image of the MUST case.
-    if (From.allLanesGE(*this))
-      return JoinKeepsThis | (Words == From.Words ? JoinYieldsFrom : 0);
-    return allLanesGE(From) ? JoinYieldsFrom : 0;
-  }
-  unsigned Order = JoinKeepsThis | JoinYieldsFrom;
-  size_t I = 0, J = 0;
-  while (Order && (I != size() || J != From.size())) {
-    if (J == From.size() || (I != size() && blockAt(I) < From.blockAt(J))) {
-      Order &= ~JoinYieldsFrom; // Ours joins the union.
-      ++I;
-    } else if (I == size() || blockAt(I) > From.blockAt(J)) {
-      Order &= ~JoinKeepsThis; // Theirs joins the union.
-      ++J;
-    } else {
-      if (From.ageAt(J) < ageAt(I))
-        Order &= ~JoinKeepsThis; // Our age shrinks to the min.
-      else if (ageAt(I) < From.ageAt(J))
-        Order &= ~JoinYieldsFrom;
-      ++I;
-      ++J;
-    }
-  }
-  return Order;
+  // The union keeps ours iff every entry of From is here at an age no
+  // older: the mirror image of the MUST case.
+  unsigned Bits = notBelow(From);
+  return (Bits & 2 ? 0 : JoinKeepsThis) | (Bits & 1 ? 0 : JoinYieldsFrom);
 }
 
 //===----------------------------------------------------------------------===//
@@ -527,7 +519,7 @@ CacheAbsState::Payload &CacheAbsState::mut() {
   if (!P)
     P = allocPayload();
   else if (P->RefCount.load(std::memory_order_acquire) > 1)
-    unshareWith(PackedAges::npos, nullptr);
+    unshareWith(NoPart, nullptr);
   else
     P->Hash.store(0, std::memory_order_relaxed);
   return *P;
@@ -560,18 +552,22 @@ void CacheAbsState::setPart(size_t Idx, PartNode *N) {
   P->Parts[Idx] = N;
 }
 
-CacheSetPartition &CacheAbsState::ensurePart(uint32_t Set) {
+CacheSetPartition &CacheAbsState::ensurePart(const BlockUniverse::Loc &L,
+                                             const BlockUniverse &U) {
+  assert(L.valid() && "block outside the model's universe");
   if (P) {
-    auto It = lowerBoundSet(P->Parts, Set);
-    if (It != P->Parts.end() && (*It)->Part.Set == Set)
+    auto It = lowerBoundSet(P->Parts, L.Set);
+    if (It != P->Parts.end() && (*It)->Part.Set == L.Set)
       return mutPart(static_cast<size_t>(It - P->Parts.begin()));
   }
   Payload &PL = mut();
   PartNode *N = allocNode();
-  N->Part.Set = Set;
+  N->Part.Set = L.Set;
+  N->Part.U = &U;
+  N->Part.Blocks = L.SetBlocks;
   N->Part.Must.clear();
   N->Part.May.clear();
-  PL.Parts.insert(lowerBoundSet(PL.Parts, Set), N);
+  PL.Parts.insert(lowerBoundSet(PL.Parts, L.Set), N);
   return N->Part;
 }
 
@@ -614,39 +610,30 @@ bool CacheAbsState::sharesPartitionWith(const CacheAbsState &RHS,
   return N && N == RHS.findNode(Set);
 }
 
-uint32_t CacheAbsState::mustAge(BlockAddr Block, uint32_t Assoc) const {
-  // The block's set is unknown here (no MemoryModel); a block lives in
-  // exactly one partition, so probe each. Partition counts are tiny (one
-  // for fully associative geometries).
-  for (const CacheSetPartition &Part : partitions()) {
-    size_t I = Part.Must.find(Block);
-    if (I != PackedAges::npos)
-      return Part.Must.ageAt(I);
-  }
-  return Assoc + 1;
+uint16_t CacheAbsState::laneOf(const BlockUniverse &U, BlockAddr Block,
+                              bool May) const {
+  BlockUniverse::Loc L = U.locate(Block);
+  const CacheSetPartition *Part = L.valid() ? findPart(L.Set) : nullptr;
+  if (!Part)
+    return 0;
+  return (May ? Part->May : Part->Must).ageAt(L.Slot);
 }
 
-uint32_t CacheAbsState::mustAgeInSet(BlockAddr Block,
-                                     const MemoryModel &MM) const {
-  uint32_t Absent = MM.config().Associativity + 1;
-  const CacheSetPartition *Part = findPart(MM.setOf(Block));
-  return Part ? Part->Must.ageOf(Block, Absent) : Absent;
+uint32_t CacheAbsState::mustAge(BlockAddr Block, uint32_t Assoc) const {
+  const BlockUniverse *U = universe();
+  uint16_t Age = U ? laneOf(*U, Block, /*May=*/false) : 0;
+  return Age ? Age : Assoc + 1;
 }
 
 uint32_t CacheAbsState::mayAge(BlockAddr Block, uint32_t Assoc) const {
-  for (const CacheSetPartition &Part : partitions()) {
-    size_t I = Part.May.find(Block);
-    if (I != PackedAges::npos)
-      return Part.May.ageAt(I);
-  }
-  return Assoc + 1;
+  const BlockUniverse *U = universe();
+  uint16_t Age = U ? laneOf(*U, Block, /*May=*/true) : 0;
+  return Age ? Age : Assoc + 1;
 }
 
 bool CacheAbsState::isMustCached(BlockAddr Block) const {
-  for (const CacheSetPartition &Part : partitions())
-    if (Part.Must.find(Block) != PackedAges::npos)
-      return true;
-  return false;
+  const BlockUniverse *U = universe();
+  return U && laneOf(*U, Block, /*May=*/false) != 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -661,7 +648,7 @@ void CacheAbsState::ageSets(const std::vector<uint32_t> &Sets,
     // with entries are unshared.
     if (!Part.Must.empty() &&
         std::binary_search(Sets.begin(), Sets.end(), Part.Set))
-      mutPart(I).Must.agePredLE(Cap, PackedAges::npos, Cap);
+      mutPart(I).Must.agePredLE(Cap, PackedAges::NoSlot, Cap);
   }
 }
 
@@ -678,132 +665,53 @@ void CacheAbsState::accessBlock(BlockAddr Block, const MemoryModel &MM,
   }
 }
 
-namespace {
-
-/// The refined MUST aging of Appendix B under LRU: u ages only when at
-/// least Age(u) shadow blocks other than u are at least as young as u.
-/// NYoung(u) comes from a histogram of the (already updated) MAY ages —
-/// LeqCnt[a] counts shadow entries with age <= a — plus a sorted merge
-/// walk to subtract u's own shadow entry, making the whole pass
-/// O(n + assoc) instead of the reference's O(n^2).
-void ageMustShadowLru(PackedAges &Must, const PackedAges &May,
-                      BlockAddr Touched, uint32_t VMustOld, uint32_t Assoc) {
-  if (Must.empty())
-    return;
-  size_t MustN = Must.size(), MayN = May.size();
-  bool AnyEvict = false;
-
-  if (MustN * MayN <= 256) {
-    // Tiny states (the fuzz corpus's common case): the direct O(n*m)
-    // count beats building a histogram sized by the associativity.
-    for (size_t I = 0; I != MustN; ++I) {
-      BlockAddr B = Must.blockAt(I);
-      uint16_t Age = Must.ageAt(I);
-      if (B == Touched || Age >= VMustOld)
-        continue;
-      uint32_t NYoung = 0;
-      for (size_t J = 0; J != MayN; ++J)
-        if (May.blockAt(J) != B && May.ageAt(J) <= Age)
-          ++NYoung;
-      if (NYoung >= Age) {
-        Must.setAgeAt(I, static_cast<uint16_t>(Age + 1));
-        if (Age + 1u > Assoc)
-          AnyEvict = true;
-      }
-    }
-    if (AnyEvict)
-      Must.compactAgesAbove(Assoc);
-    return;
-  }
-
-  // Dense states: LeqCnt[a] = #shadow entries with age <= a, built once in
-  // O(m + assoc); a sorted merge walk subtracts u's own shadow entry.
-  constexpr uint32_t StackCap = 2048;
-  uint32_t StackBuf[StackCap + 2];
-  std::vector<uint32_t> HeapBuf;
-  uint32_t *LeqCnt;
-  if (Assoc <= StackCap) {
-    LeqCnt = StackBuf;
-  } else {
-    HeapBuf.resize(size_t(Assoc) + 2);
-    LeqCnt = HeapBuf.data();
-  }
-  std::fill(LeqCnt, LeqCnt + Assoc + 2, 0u);
-  for (size_t I = 0; I != MayN; ++I)
-    ++LeqCnt[May.ageAt(I)]; // MAY ages are in [1, Assoc].
-  for (uint32_t A = 1; A <= Assoc + 1; ++A)
-    LeqCnt[A] += LeqCnt[A - 1];
-
-  size_t J = 0;
-  for (size_t I = 0; I != MustN; ++I) {
-    BlockAddr B = Must.blockAt(I);
-    uint16_t Age = Must.ageAt(I);
-    while (J != MayN && May.blockAt(J) < B)
-      ++J;
-    if (B == Touched || Age >= VMustOld)
-      continue;
-    uint32_t NYoung = LeqCnt[Age];
-    if (J != MayN && May.blockAt(J) == B && May.ageAt(J) <= Age)
-      --NYoung; // u's own shadow entry does not count.
-    if (NYoung >= Age) {
-      Must.setAgeAt(I, static_cast<uint16_t>(Age + 1));
-      if (Age + 1u > Assoc)
-        AnyEvict = true;
-    }
-  }
-  if (AnyEvict)
-    Must.compactAgesAbove(Assoc);
-}
-
-} // namespace
-
 void CacheAbsState::accessBlockLru(BlockAddr Block, const MemoryModel &MM,
                                    bool UseShadow) {
   uint32_t Assoc = MM.config().Associativity;
   unsigned Lanes = mustLanesOf(MM); // == mayLanesOf: LRU cap is the assoc.
-  uint32_t Set = MM.setOf(Block);
+  const BlockUniverse &U = MM.universe();
+  BlockUniverse::Loc L = U.locate(Block);
 
   // Previous ages, read before any update. Only the accessed set's
-  // partition can hold the block. The found positions stay valid across
-  // ensurePart: unsharing copies entry lists verbatim.
-  const CacheSetPartition *Old = findPart(Set);
-  size_t MustPos = Old ? Old->Must.find(Block) : PackedAges::npos;
-  size_t MayPos = Old ? Old->May.find(Block) : PackedAges::npos;
-  uint32_t VMustOld =
-      MustPos == PackedAges::npos ? Assoc + 1 : Old->Must.ageAt(MustPos);
-  uint32_t VMayOld =
-      MayPos == PackedAges::npos ? Assoc + 1 : Old->May.ageAt(MayPos);
+  // partition can hold the block.
+  const CacheSetPartition *Old = findPart(L.Set);
+  uint32_t VMustOld = Old ? Old->Must.ageAt(L.Slot) : 0;
+  uint32_t VMayOld = Old ? Old->May.ageAt(L.Slot) : 0;
+  if (!VMustOld)
+    VMustOld = Assoc + 1;
+  if (!VMayOld)
+    VMayOld = Assoc + 1;
 
-  CacheSetPartition &Part = ensurePart(Set);
+  CacheSetPartition &Part = ensurePart(L, U);
 
   if (UseShadow) {
     // MAY (shadow) update first, Appendix B: ∃u with Age(∃u) <= Age(∃v)
     // ages by one; older shadows keep their age. The partition holds only
     // this set's entries, so no per-entry set check is needed.
-    Part.May.agePredLE(VMayOld, MayPos, Assoc);
-    Part.May.set(Block, 1, Lanes);
+    Part.May.agePredLE(VMayOld, L.Slot, Assoc);
+    Part.May.set(L.Slot, 1, Lanes);
   }
 
   // MUST update; the refined NYoung rule reads the updated MAY side.
   if (UseShadow)
-    ageMustShadowLru(Part.Must, Part.May, Block, VMustOld, Assoc);
+    Part.Must.ageByShadow(Part.May, L.Slot, VMustOld, Assoc);
   else
-    Part.Must.agePredLE(VMustOld - 1, MustPos, Assoc);
-  Part.Must.set(Block, 1, Lanes);
+    Part.Must.agePredLE(VMustOld - 1, L.Slot, Assoc);
+  Part.Must.set(L.Slot, 1, Lanes);
 }
 
 void CacheAbsState::accessBlockFifo(BlockAddr Block, const MemoryModel &MM,
                                     bool UseShadow) {
   uint32_t Assoc = MM.config().Associativity;
   unsigned Lanes = mustLanesOf(MM); // FIFO cap is the assoc; MAY matches.
-  uint32_t Set = MM.setOf(Block);
+  const BlockUniverse &U = MM.universe();
+  BlockUniverse::Loc L = U.locate(Block);
 
-  const CacheSetPartition *Old = findPart(Set);
-  uint32_t VMustOld = Old ? Old->Must.ageOf(Block, Assoc + 1) : Assoc + 1;
+  const CacheSetPartition *Old = findPart(L.Set);
   // A provably resident block hits on every path, and a FIFO hit leaves
   // the whole set untouched (no rejuvenation): the transfer is exactly the
   // identity. This is also what makes repeated accesses must-hits.
-  if (VMustOld <= Assoc)
+  if (Old && Old->Must.ageAt(L.Slot))
     return;
 
   // Possible miss. With shadows, a block absent from MAY is not cached on
@@ -812,29 +720,28 @@ void CacheAbsState::accessBlockFifo(BlockAddr Block, const MemoryModel &MM,
   // Without that proof the touched block still ends resident either way
   // (hit: it already was; miss: it is inserted), but only at the weakest
   // bound — position <= associativity.
-  uint32_t VMayOld = Old ? Old->May.ageOf(Block, Assoc + 1) : Assoc + 1;
-  bool DefiniteMiss = UseShadow && VMayOld > Assoc;
+  bool DefiniteMiss = UseShadow && !(Old && Old->May.ageAt(L.Slot));
 
-  CacheSetPartition &Part = ensurePart(Set);
+  CacheSetPartition &Part = ensurePart(L, U);
 
   if (UseShadow) {
     if (DefiniteMiss)
       // Every path misses, so every other line's insertion position (and
       // with it its MAY lower bound) advances by one.
-      Part.May.agePredLE(Assoc, Part.May.find(Block), Assoc);
-    Part.May.set(Block, 1, Lanes);
+      Part.May.agePredLE(Assoc, L.Slot, Assoc);
+    Part.May.set(L.Slot, 1, Lanes);
   }
 
   // MUST: the access may miss, displacing every tracked line of the set
   // one insertion position.
-  Part.Must.agePredLE(Assoc, Part.Must.find(Block), Assoc);
+  Part.Must.agePredLE(Assoc, L.Slot, Assoc);
   if (DefiniteMiss)
-    Part.Must.set(Block, 1, Lanes);
+    Part.Must.set(L.Slot, 1, Lanes);
   else if (Assoc <= UINT16_MAX)
     // Resident either way, but only at the weakest bound. Geometries
     // whose associativity does not fit the age field simply leave the
     // block untracked (sound: untracked = not provably resident).
-    Part.Must.set(Block, static_cast<uint16_t>(Assoc), Lanes);
+    Part.Must.set(L.Slot, static_cast<uint16_t>(Assoc), Lanes);
   normalize();
 }
 
@@ -849,17 +756,18 @@ void CacheAbsState::accessBlockPlru(BlockAddr Block, const MemoryModel &MM,
   // neither does the recency-based shadow NYoung rule), and the touched
   // block is fully protected at age 1 afterwards.
   uint32_t Cap = MM.config().mustAgeCap();
-  uint32_t Set = MM.setOf(Block);
+  const BlockUniverse &U = MM.universe();
+  BlockUniverse::Loc L = U.locate(Block);
 
-  CacheSetPartition &Part = ensurePart(Set);
+  CacheSetPartition &Part = ensurePart(L, U);
 
-  Part.Must.agePredLE(Cap, Part.Must.find(Block), Cap);
-  Part.Must.set(Block, 1, mustLanesOf(MM));
+  Part.Must.agePredLE(Cap, L.Slot, Cap);
+  Part.Must.set(L.Slot, 1, mustLanesOf(MM));
   // MAY: the touched block may be the youngest; other lower bounds stay
   // valid because no access is guaranteed to flip a bit toward a
   // particular block (tree ages are not monotone across paths).
   if (UseShadow)
-    Part.May.set(Block, 1, mayLanesOf(MM));
+    Part.May.set(L.Slot, 1, mayLanesOf(MM));
   normalize();
 }
 
@@ -876,10 +784,21 @@ void CacheAbsState::accessUnknown(VarId Var, uint64_t InstanceK,
   }
 }
 
+void CacheAbsState::insertMay(const std::vector<BlockAddr> &Blocks,
+                              const MemoryModel &MM) {
+  const BlockUniverse &U = MM.universe();
+  unsigned MayL = mayLanesOf(MM);
+  for (BlockAddr Block : Blocks) {
+    BlockUniverse::Loc L = U.locate(Block);
+    ensurePart(L, U).May.set(L.Slot, 1, MayL);
+  }
+}
+
 void CacheAbsState::accessUnknownLru(VarId Var, uint64_t InstanceK,
                                      const MemoryModel &MM, bool UseShadow) {
   uint32_t Assoc = MM.config().Associativity;
-  std::vector<uint32_t> Sets = MM.setsOf(Var); // Sorted, deduplicated.
+  const BlockUniverse &U = MM.universe();
+  const std::vector<uint32_t> &Sets = MM.setsOf(Var); // Sorted, unique.
   auto IsCandidateSet = [&](uint32_t Set) {
     return std::binary_search(Sets.begin(), Sets.end(), Set);
   };
@@ -887,18 +806,20 @@ void CacheAbsState::accessUnknownLru(VarId Var, uint64_t InstanceK,
   // Guaranteed-hit refinement (paper §2.2's ph[k]): when every line of the
   // array is provably resident, the access hits some line of age at most
   // MaxAge; only strictly younger blocks can age, and nothing is evicted.
-  std::vector<BlockAddr> ArrayBlocks = MM.blocksOf(Var);
+  const std::vector<BlockAddr> &ArrayBlocks = MM.blocksOf(Var);
   uint32_t MaxAge = 0;
   bool AllCached = true;
   for (BlockAddr Block : ArrayBlocks) {
-    uint32_t Age = mustAgeInSet(Block, MM);
-    if (Age > Assoc) {
+    uint32_t Age = laneOf(U, Block, /*May=*/false);
+    if (!Age) {
       AllCached = false;
       break;
     }
     MaxAge = std::max(MaxAge, Age);
   }
 
+  BlockAddr Instance = MM.symbolicBlock(Var, InstanceK);
+  BlockUniverse::Loc IL = U.locate(Instance);
   if (AllCached) {
     // Pure aging with no eviction and no insertion: skip the payload clone
     // when nothing moves and the MAY side will not be touched either.
@@ -913,7 +834,7 @@ void CacheAbsState::accessUnknownLru(VarId Var, uint64_t InstanceK,
         const CacheSetPartition &Part = nodes()[I]->Part;
         if (IsCandidateSet(Part.Set) && Part.Must.anyAgeLT(MaxAge))
           // Aged lanes stay <= MaxAge <= Assoc: a hit evicts nothing.
-          mutPart(I).Must.agePredLE(MaxAge - 1, PackedAges::npos, Assoc);
+          mutPart(I).Must.agePredLE(MaxAge - 1, PackedAges::NoSlot, Assoc);
       }
     } else if (!UseShadow) {
       return;
@@ -923,19 +844,14 @@ void CacheAbsState::accessUnknownLru(VarId Var, uint64_t InstanceK,
     // candidate set, displacing one position everywhere.
     ageSets(Sets, Assoc);
     // The nondeterministically picked fresh line (decis_levl[k*]).
-    BlockAddr Instance = MM.symbolicBlock(Var, InstanceK);
-    ensurePart(MM.setOf(Instance)).Must.set(Instance, 1, mustLanesOf(MM));
+    ensurePart(IL, U).Must.set(IL.Slot, 1, mustLanesOf(MM));
   }
 
   if (UseShadow) {
     // Any line of the array may now be the youngest in its set.
-    unsigned MayL = mayLanesOf(MM);
-    for (BlockAddr Block : ArrayBlocks)
-      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
-    if (!AllCached) {
-      BlockAddr Instance = MM.symbolicBlock(Var, InstanceK);
-      ensurePart(MM.setOf(Instance)).May.set(Instance, 1, MayL);
-    }
+    insertMay(ArrayBlocks, MM);
+    if (!AllCached)
+      ensurePart(IL, U).May.set(IL.Slot, 1, mayLanesOf(MM));
   }
   normalize();
 }
@@ -943,14 +859,14 @@ void CacheAbsState::accessUnknownLru(VarId Var, uint64_t InstanceK,
 void CacheAbsState::accessUnknownFifo(VarId Var, const MemoryModel &MM,
                                       bool UseShadow) {
   uint32_t Assoc = MM.config().Associativity;
-  std::vector<uint32_t> Sets = MM.setsOf(Var); // Sorted, deduplicated.
+  const BlockUniverse &U = MM.universe();
 
   // When every line of the array is provably resident the access hits
   // whichever line it touches, and a FIFO hit is the identity.
-  std::vector<BlockAddr> ArrayBlocks = MM.blocksOf(Var);
+  const std::vector<BlockAddr> &ArrayBlocks = MM.blocksOf(Var);
   bool AllCached = true;
   for (BlockAddr Block : ArrayBlocks)
-    if (mustAgeInSet(Block, MM) > Assoc) {
+    if (!laneOf(U, Block, /*May=*/false)) {
       AllCached = false;
       break;
     }
@@ -962,35 +878,30 @@ void CacheAbsState::accessUnknownFifo(VarId Var, const MemoryModel &MM,
   // which line it is is unknown, so no MUST entry can claim it (a symbolic
   // instance at the weakest bound would be evicted by the next possible
   // miss anyway).
-  ageSets(Sets, Assoc);
-  if (UseShadow) {
+  ageSets(MM.setsOf(Var), Assoc);
+  if (UseShadow)
     // Any line of the array may now sit at insertion position 1.
-    unsigned MayL = mayLanesOf(MM);
-    for (BlockAddr Block : ArrayBlocks)
-      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
-  }
+    insertMay(ArrayBlocks, MM);
   normalize();
 }
 
 void CacheAbsState::accessUnknownPlru(VarId Var, uint64_t InstanceK,
                                       const MemoryModel &MM, bool UseShadow) {
   uint32_t Cap = MM.config().mustAgeCap();
-  std::vector<uint32_t> Sets = MM.setsOf(Var); // Sorted, deduplicated.
+  const BlockUniverse &U = MM.universe();
 
   // Hit or miss, the access flips tree bits in whichever candidate set it
   // lands in, so every tracked block there ages one step toward the tree
   // bound; the touched line itself ends fully protected, represented by
   // the fresh symbolic instance at age 1 (its concrete age is 1 whether
   // the access hit or filled).
-  ageSets(Sets, Cap);
-  BlockAddr Instance = MM.symbolicBlock(Var, InstanceK);
-  ensurePart(MM.setOf(Instance)).Must.set(Instance, 1, mustLanesOf(MM));
+  ageSets(MM.setsOf(Var), Cap);
+  BlockUniverse::Loc IL = U.locate(MM.symbolicBlock(Var, InstanceK));
+  ensurePart(IL, U).Must.set(IL.Slot, 1, mustLanesOf(MM));
 
   if (UseShadow) {
-    unsigned MayL = mayLanesOf(MM);
-    for (BlockAddr Block : MM.blocksOf(Var))
-      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
-    ensurePart(MM.setOf(Instance)).May.set(Instance, 1, MayL);
+    insertMay(MM.blocksOf(Var), MM);
+    ensurePart(IL, U).May.set(IL.Slot, 1, mayLanesOf(MM));
   }
   normalize();
 }
@@ -1031,24 +942,20 @@ void CacheAbsState::applyCallEffect(const std::vector<uint32_t> &SetPressure,
   }
 
   if (InsertExitMust && !ExitMust.empty()) {
+    const BlockUniverse &U = MM.universe();
     unsigned MustL = mustLanesOf(MM);
     for (const AgedBlock &E : ExitMust) {
-      PackedAges &Must = ensurePart(MM.setOf(E.Block)).Must;
+      BlockUniverse::Loc L = U.locate(E.Block);
+      PackedAges &Must = ensurePart(L, U).Must;
       // Both the surviving caller bound and the callee exit bound are valid
       // age upper bounds; keep the tighter one.
-      size_t Pos = Must.find(E.Block);
-      if (Pos != PackedAges::npos)
-        Must.setAgeAt(Pos, std::min(Must.ageAt(Pos), E.Age));
-      else
-        Must.set(E.Block, E.Age, MustL);
+      uint16_t Age = Must.ageAt(L.Slot);
+      Must.set(L.Slot, Age ? std::min(Age, E.Age) : E.Age, MustL);
     }
   }
 
-  if (UseShadow && !MayBlocks.empty()) {
-    unsigned MayL = mayLanesOf(MM);
-    for (BlockAddr Block : MayBlocks)
-      ensurePart(MM.setOf(Block)).May.set(Block, 1, MayL);
-  }
+  if (UseShadow)
+    insertMay(MayBlocks, MM);
   normalize();
 }
 
@@ -1142,6 +1049,8 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
         } else {
           N = allocNode();
           N->Part.Set = Theirs.Set;
+          N->Part.U = Theirs.U;
+          N->Part.Blocks = Theirs.Blocks;
           N->Part.Must.clear();
           N->Part.May = Theirs.May;
         }
@@ -1186,19 +1095,20 @@ void CacheAbsState::joinPartInto(size_t Idx, PartNode *From,
     // copying ours and merging into the copy.
     PartNode *N = allocNode();
     N->Part.Set = Mine.Set;
-    N->Part.Must.assignMustMerge(Mine.Must, Theirs.Must);
+    N->Part.U = Mine.U;
+    N->Part.Blocks = Mine.Blocks;
+    N->Part.Must.assignMustJoin(Mine.Must, Theirs.Must);
     if (UseShadow)
-      N->Part.May.assignMayMerge(Mine.May, Theirs.May);
+      N->Part.May.assignMayJoin(Mine.May, Theirs.May);
     else
       N->Part.May = Mine.May;
     setPart(Idx, N);
     return;
   }
   CacheSetPartition &Part = mutPart(Idx);
-  PackedAges Scratch;
-  Part.Must.mustMergeInPlace(Theirs.Must, Scratch);
+  Part.Must.assignMustJoin(Part.Must, Theirs.Must);
   if (UseShadow)
-    Part.May.mayMergeInPlace(Theirs.May, Scratch);
+    Part.May.assignMayJoin(Part.May, Theirs.May);
 }
 
 bool CacheAbsState::leq(const CacheAbsState &RHS) const {
@@ -1239,14 +1149,13 @@ bool CacheAbsState::leq(const CacheAbsState &RHS) const {
   return true;
 }
 
-void CacheAbsState::widenFrom(const CacheAbsState &Prev, uint32_t Assoc) {
+void CacheAbsState::widenFrom(const CacheAbsState &Prev) {
   if (Bottom || Prev.Bottom || P == Prev.P)
     return;
   // Evict MUST entries whose age grew since the previous iterate. Only
   // partitions with such an entry are unshared, so the stable case never
   // clones anything.
   const std::vector<PartNode *> &PrevParts = Prev.nodes();
-  std::vector<char> Remove;
   bool Changed = false;
   size_t J = 0;
   for (size_t I = 0; I != nodes().size(); ++I) {
@@ -1260,20 +1169,9 @@ void CacheAbsState::widenFrom(const CacheAbsState &Prev, uint32_t Assoc) {
     if (J == PrevParts.size() || PrevParts[J]->Part.Set != Set ||
         PrevParts[J] == Ours)
       continue;
-    const PackedAges &Must = Ours->Part.Must;
     const PackedAges &PrevMust = PrevParts[J]->Part.Must;
-    size_t N = Must.size();
-    Remove.assign(N, 0);
-    bool Any = false;
-    for (size_t K = 0; K != N; ++K) {
-      uint32_t PrevAge = PrevMust.ageOf(Must.blockAt(K), Assoc + 1);
-      if (PrevAge <= Assoc && Must.ageAt(K) > PrevAge) {
-        Remove[K] = 1;
-        Any = true;
-      }
-    }
-    if (Any) {
-      mutPart(I).Must.removeFlagged(Remove);
+    if (Ours->Part.Must.grewFrom(PrevMust)) {
+      mutPart(I).Must.removeGrownFrom(PrevMust);
       Changed = true;
     }
   }
@@ -1317,7 +1215,7 @@ bool CacheAbsState::operator==(const CacheAbsState &RHS) const {
 std::vector<AgedBlock> CacheAbsState::mustEntries() const {
   std::vector<AgedBlock> Out;
   for (const CacheSetPartition &Part : partitions())
-    for (const AgedBlock E : Part.Must)
+    for (const AgedBlock E : Part.must())
       Out.push_back(E);
   std::sort(Out.begin(), Out.end(),
             [](const AgedBlock &A, const AgedBlock &B) {
@@ -1329,7 +1227,7 @@ std::vector<AgedBlock> CacheAbsState::mustEntries() const {
 std::vector<AgedBlock> CacheAbsState::mayEntries() const {
   std::vector<AgedBlock> Out;
   for (const CacheSetPartition &Part : partitions())
-    for (const AgedBlock E : Part.May)
+    for (const AgedBlock E : Part.may())
       Out.push_back(E);
   std::sort(Out.begin(), Out.end(),
             [](const AgedBlock &A, const AgedBlock &B) {
@@ -1353,17 +1251,14 @@ struct HashMixer {
 uint64_t CacheAbsState::nodeHash(const PartNode &N) {
   if (uint64_t H = N.Hash.load(std::memory_order_relaxed))
     return H;
+  // Canonical windows make equal partitions word-for-word equal.
   HashMixer M;
   M.mix(N.Part.Set);
-  M.mix(N.Part.Must.size());
-  for (const AgedBlock E : N.Part.Must) {
-    M.mix(E.Block);
-    M.mix(E.Age);
-  }
-  M.mix(N.Part.May.size());
-  for (const AgedBlock E : N.Part.May) {
-    M.mix(E.Block);
-    M.mix(E.Age);
+  for (const PackedAges *Ages : {&N.Part.Must, &N.Part.May}) {
+    M.mix(Ages->baseWord());
+    M.mix(Ages->words().size());
+    for (uint64_t W : Ages->words())
+      M.mix(W);
   }
   // Racing readers of a shared node compute and store the same value.
   N.Hash.store(M.value(), std::memory_order_relaxed);
@@ -1393,9 +1288,9 @@ std::string CacheAbsState::str(const MemoryModel &MM) const {
   // Group by age, youngest first, like the paper's tables.
   std::map<uint32_t, std::vector<std::string>> ByAge;
   for (const CacheSetPartition &Part : partitions()) {
-    for (const AgedBlock E : Part.Must)
+    for (const AgedBlock E : Part.must())
       ByAge[E.Age].push_back(MM.blockName(E.Block));
-    for (const AgedBlock E : Part.May)
+    for (const AgedBlock E : Part.may())
       ByAge[E.Age].push_back("∃" + MM.blockName(E.Block));
   }
   std::string Out = "{";

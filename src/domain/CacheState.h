@@ -51,17 +51,23 @@
 /// "Packed age lanes"):
 ///
 ///  - Entries are *partitioned by cache set*: each CacheSetPartition holds
-///    the MUST/MAY entries of one set, sorted by block. Partitions are
-///    kept sorted by set id and never empty (canonical form), so
-///    structural equality is memberwise.
-///  - Within a partition, ages are *bit-packed*: PackedAges stores the
-///    sorted block list alongside a u64 word array holding one fixed-width
-///    age lane per entry (nibble / byte / 16-bit, chosen from the policy's
-///    `mustAgeCap()`). Aging a set is a masked SWAR add over whole words,
-///    joins are per-lane max/min, and containment is a subtract-and-test —
-///    16/8/4 entries per instruction instead of one. The Appendix B NYoung
-///    rule runs off a MAY-age histogram (O(n + cap) per transfer, not
-///    O(n^2)). Zero lanes mark absent tail slots (real ages are >= 1).
+///    the MUST/MAY entries of one set. Partitions are kept sorted by set
+///    id and never empty (canonical form), so structural equality is
+///    memberwise.
+///  - Each set has a static *block universe* (MemoryModel::universe()):
+///    the blocks a transfer of the program can insert, numbered by dense
+///    *slots* in increasing block order. Within a partition, ages are
+///    *bit-packed by slot*: PackedAges holds one fixed-width lane per slot
+///    (nibble / byte / 16-bit, chosen from the policy's `mustAgeCap()`),
+///    zero meaning absent (real ages are >= 1), over a word-aligned
+///    *window* from the lowest present slot to the highest, trimmed in
+///    canonical form. Two lists of one set line up word for word, so
+///    aging a set is a masked SWAR add, joins are per-lane max/min under
+///    zero-lane masks, containment is a subtract-and-test — 16/8/4
+///    entries per instruction — and point reads and writes are O(1) lane
+///    accesses. The Appendix B NYoung rule runs off a MAY-age histogram
+///    read only below the touched block's old age (O(n + ages read) per
+///    transfer, not O(n^2)).
 ///  - Copy-on-write at two levels. A state is a handle to a *payload*
 ///    holding set-sorted pointers to *partition nodes*, one per cache set;
 ///    both carry an intrusive atomic refcount. Copying a state is a
@@ -94,8 +100,9 @@
 /// shared payloads and nodes are safe. Mutation still requires exclusive
 /// ownership of the handle, which copy-on-write guarantees.
 ///
-/// `mustEntries()/mayEntries()` materialize the canonical block-sorted
-/// entry order of the pre-packing representations, so every golden digest
+/// `mustEntries()/mayEntries()` decode the lanes through the universe into
+/// the canonical block-sorted entry order of the pre-packing
+/// representations, so every golden digest
 /// pinned by the fuzz corpus is bit-identical across representations; the
 /// retained reference implementation (tests/reference/RefCacheState.h,
 /// built only into the tests) and the
@@ -120,7 +127,7 @@
 
 namespace specai {
 
-/// One tracked (block, age) pair — the element type PackedAges decodes to;
+/// One tracked (block, age) pair — the element type partitions decode to;
 /// canonical entry lists (mustEntries) and call summaries store these.
 struct AgedBlock {
   BlockAddr Block;
@@ -129,102 +136,106 @@ struct AgedBlock {
   bool operator==(const AgedBlock &RHS) const = default;
 };
 
-/// A sorted block list with bit-packed age lanes: entry i's age lives in a
-/// fixed-width lane (4/8/16 bits) of the u64 word array. Lane width is
+/// One present lane of a PackedAges: a universe slot and its age.
+struct SlotAge {
+  uint32_t Slot;
+  uint16_t Age;
+};
+
+/// Bit-packed age lanes indexed by universe slot: slot s's age lives in
+/// the fixed-width lane s (4/8/16 bits) of a u64 word array, and a zero
+/// lane means "absent" (real ages are >= 1). The words cover only a
+/// *window*: from the word holding the lowest present slot to the word
+/// holding the highest. Canonical form trims the window, so its first and
+/// last words are nonzero, and an empty list holds no words, window 0 and
+/// lane width 0; structural equality is then memberwise. Lane width is
 /// chosen once per analysis from the policy's age cap
-/// (CacheAbsState::packedLaneBits) and is 0 canonically when empty. Tail
-/// lanes past size() are zero — real ages are >= 1 — so bulk SWAR ops can
-/// run over whole words unmasked.
+/// (CacheAbsState::packedLaneBits).
 ///
-/// Reads decode on the fly (operator[], iteration yields AgedBlock by
-/// value); bulk mutators (aging, pressure, merges) work a word at a time.
+/// Lists of one set always share slot numbering, so two lists line up word
+/// for word: joins, order tests and widening run word-wise SWAR with
+/// zero-lane masks, and point reads and writes are O(1) lane accesses.
 class PackedAges {
 public:
-  static constexpr size_t npos = static_cast<size_t>(-1);
+  static constexpr uint32_t NoSlot = ~uint32_t(0);
 
   PackedAges() = default;
 
-  size_t size() const { return Blks.size(); }
-  bool empty() const { return Blks.empty(); }
+  bool empty() const { return Words.empty(); }
   /// Lane width in bits (4, 8 or 16); 0 canonically when empty.
   unsigned laneBits() const { return LaneLog ? 1u << LaneLog : 0; }
-
-  BlockAddr blockAt(size_t I) const { return Blks[I]; }
-  uint16_t ageAt(size_t I) const {
-    return static_cast<uint16_t>((Words[wordOf(I)] >> shiftOf(I)) &
-                                 laneMask());
+  /// Age in \p Slot, 0 when absent.
+  uint16_t ageAt(uint32_t Slot) const {
+    size_t W = (size_t(Slot) >> lanesPerWordLog()) - BaseWord;
+    if (W >= Words.size())
+      return 0;
+    return static_cast<uint16_t>((Words[W] >> shiftOf(Slot)) & laneMask());
   }
-  AgedBlock operator[](size_t I) const { return {Blks[I], ageAt(I)}; }
 
-  /// The sorted block list (parallel to the age lanes).
-  const std::vector<BlockAddr> &blocks() const { return Blks; }
-  /// The raw lane words (tail lanes zero); for the word-at-a-time merge
-  /// fast paths and the differential harness's layout checks.
+  /// The window's first word, as an index into the slot space's words.
+  uint32_t baseWord() const { return BaseWord; }
+  /// The window's lane words; for hashing and the harness's layout checks.
   const std::vector<uint64_t> &words() const { return Words; }
 
-  /// Index of \p Block, or npos.
-  size_t find(BlockAddr Block) const;
-  /// Age of \p Block, or \p Fallback when absent.
-  uint32_t ageOf(BlockAddr Block, uint32_t Fallback) const {
-    size_t I = find(Block);
-    return I == npos ? Fallback : ageAt(I);
-  }
-
-  /// Proxy iteration yielding AgedBlock by value, so range-for over a
-  /// partition reads exactly like the pre-packing representation.
+  /// Iteration over the present lanes, yielding SlotAge by value in
+  /// increasing slot order.
   class const_iterator {
   public:
     using iterator_category = std::forward_iterator_tag;
-    using value_type = AgedBlock;
+    using value_type = SlotAge;
     using difference_type = std::ptrdiff_t;
     using pointer = void;
-    using reference = AgedBlock;
+    using reference = SlotAge;
 
     const_iterator() = default;
-    const_iterator(const PackedAges *PA, size_t I) : PA(PA), I(I) {}
-    AgedBlock operator*() const { return (*PA)[I]; }
+    const_iterator(const PackedAges *PA, size_t W) : PA(PA), W(W) {
+      seek();
+    }
+    SlotAge operator*() const;
     const_iterator &operator++() {
-      ++I;
+      Pending &= Pending - 1;
+      if (!Pending) {
+        ++W;
+        seek();
+      }
       return *this;
     }
     const_iterator operator++(int) {
       const_iterator T = *this;
-      ++I;
+      ++*this;
       return T;
     }
-    bool operator==(const const_iterator &RHS) const { return I == RHS.I; }
+    bool operator==(const const_iterator &RHS) const {
+      return W == RHS.W && Pending == RHS.Pending;
+    }
 
   private:
+    /// Advances W to the next word with a present lane (or the end).
+    void seek();
+
     const PackedAges *PA = nullptr;
-    size_t I = 0;
+    size_t W = 0;
+    /// Lane MSBs of the present lanes of word W not yet visited.
+    uint64_t Pending = 0;
   };
   const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, Blks.size()}; }
+  const_iterator end() const { return {this, Words.size()}; }
 
-  // -- Mutators (all maintain sorted-by-block, zero-tail, canonical-empty
-  // -- invariants). LaneBits parameters install the width on the first
-  // -- entry and must match afterwards.
+  // -- Mutators (all keep the canonical trimmed window). LaneBits
+  // -- parameters install the width on the first entry and must match
+  // -- afterwards.
 
-  /// Inserts or overwrites (Block -> Age).
-  void set(BlockAddr Block, uint16_t Age, unsigned LaneBits);
-  /// Overwrites the age lane of entry \p I.
-  void setAgeAt(size_t I, uint16_t Age) {
-    uint64_t &W = Words[wordOf(I)];
-    unsigned Sh = shiftOf(I);
-    W = (W & ~(laneMask() << Sh)) | (static_cast<uint64_t>(Age) << Sh);
-  }
-  /// Appends (Block, Age); Block must sort after every present block.
-  void append(BlockAddr Block, uint16_t Age, unsigned LaneBits);
-  void eraseAt(size_t I);
+  /// Inserts or overwrites (Slot -> Age), Age >= 1, growing the window.
+  void set(uint32_t Slot, uint16_t Age, unsigned LaneBits);
   /// Removes every entry; buffer capacity is retained.
   void clear();
 
   // -- Bulk SWAR transfer kernels (CacheState.cpp).
 
-  /// Ages by one every entry with Age <= \p MaxOldAge, except index \p
-  /// Skip (npos for none); entries aged past \p Cap are removed. The
+  /// Ages by one every entry with Age <= \p MaxOldAge, except slot \p
+  /// Skip (NoSlot for none); entries aged past \p Cap are removed. The
   /// masked-saturating-add at the heart of every access transfer.
-  void agePredLE(uint32_t MaxOldAge, size_t Skip, uint32_t Cap);
+  void agePredLE(uint32_t MaxOldAge, uint32_t Skip, uint32_t Cap);
   /// True iff any entry has Age < \p V.
   bool anyAgeLT(uint32_t V) const;
   /// The LRU call-pressure transfer: Age += K, entries past \p Cap
@@ -232,68 +243,126 @@ public:
   void addPressure(uint32_t K, uint32_t Cap);
   /// Removes every entry with Age > \p Cap (eviction compaction).
   void compactAgesAbove(uint32_t Cap);
-  /// Removes every entry whose flag in \p Remove is nonzero.
-  void removeFlagged(const std::vector<char> &Remove);
+  /// The refined MUST aging of Appendix B under LRU, on the MUST lanes
+  /// of an access to \p Touched whose previous MUST age was \p VMustOld:
+  /// u ages only when at least Age(u) shadow entries of \p May (already
+  /// updated) other than u's own are at least as young as u. NYoung(u)
+  /// comes from a histogram of the MAY ages, read only at ages below
+  /// VMustOld, minus u's own shadow lane at the same slot: O(n + ages
+  /// read) per access instead of the reference's O(n^2).
+  void ageByShadow(const PackedAges &May, uint32_t Touched, uint32_t VMustOld,
+                   uint32_t Assoc);
+  /// True iff some entry is older here than in \p Prev, which has it too.
+  bool grewFrom(const PackedAges &Prev) const;
+  /// Removes every entry grewFrom() finds (the widening's eviction).
+  void removeGrownFrom(const PackedAges &Prev);
 
-  // -- Merge/compare kernels; `sameBlocks` peers run a word at a time.
+  // -- Join and order kernels over two lists of one set.
 
-  bool sameBlocks(const PackedAges &RHS) const { return Blks == RHS.Blks; }
-  /// this = MUST join of A and B: key intersection, lane max.
-  void assignMustMerge(const PackedAges &A, const PackedAges &B);
-  /// this = MAY join of A and B: key union, lane min.
-  void assignMayMerge(const PackedAges &A, const PackedAges &B);
-  /// this ⊔must= From, mutating in place (uniquely-owned join
-  /// destinations). Peers with identical block lists merge word-at-a-time
-  /// with no allocation; otherwise \p Scratch (caller-reused storage)
-  /// takes the rebuilt result and is swapped in.
-  void mustMergeInPlace(const PackedAges &From, PackedAges &Scratch);
-  /// this ⊔may= From, mutating in place; see mustMergeInPlace.
-  void mayMergeInPlace(const PackedAges &From, PackedAges &Scratch);
+  /// this = MUST join of A and B: key intersection, lane max. \p A may be
+  /// this list itself (an in-place join).
+  void assignMustJoin(const PackedAges &A, const PackedAges &B);
+  /// this = MAY join of A and B: key union, lane min. \p A may be this.
+  void assignMayJoin(const PackedAges &A, const PackedAges &B);
   /// Result bits of mustJoinOrder/mayJoinOrder.
   static constexpr unsigned JoinKeepsThis = 1;  ///< this ⊔ From == this.
   static constexpr unsigned JoinYieldsFrom = 2; ///< this ⊔ From == From.
   /// Where a MUST join (intersection, lane max) of this and From lands,
-  /// in one walk: JoinKeepsThis iff From ⊑ this, JoinYieldsFrom iff
+  /// in one pass: JoinKeepsThis iff From ⊑ this, JoinYieldsFrom iff
   /// this ⊑ From.
   unsigned mustJoinOrder(const PackedAges &From) const;
   /// The same for a MAY join (union, lane min).
   unsigned mayJoinOrder(const PackedAges &From) const;
-  /// Precondition sameBlocks(RHS): true iff every lane here >= RHS's.
-  bool allLanesGE(const PackedAges &RHS) const;
 
   bool operator==(const PackedAges &RHS) const = default;
 
 private:
   unsigned lanesPerWordLog() const { return 6u - LaneLog; }
-  size_t wordOf(size_t I) const { return I >> lanesPerWordLog(); }
-  unsigned shiftOf(size_t I) const {
-    return static_cast<unsigned>((I & ((size_t(1) << lanesPerWordLog()) - 1))
-                                 << LaneLog);
+  unsigned shiftOf(uint32_t Slot) const {
+    return static_cast<unsigned>(
+        (Slot & ((uint32_t(1) << lanesPerWordLog()) - 1)) << LaneLog);
   }
   uint64_t laneMask() const { return (uint64_t(1) << (1u << LaneLog)) - 1; }
-  size_t wordsFor(size_t N) const {
-    unsigned Lpw = lanesPerWordLog();
-    return (N + (size_t(1) << Lpw) - 1) >> Lpw;
-  }
   void installLaneBits(unsigned LaneBits);
-  /// Resizes Words to match Blks.size() and zeroes tail lanes; resets the
-  /// lane width when empty (canonical form).
-  void retruncate();
+  /// Drops zero words at both ends of the window; clears when none is
+  /// left (canonical form).
+  void trim();
+  /// Two bits: 1 when some lane present in this list is absent from
+  /// \p RHS or older there, 2 when some lane present in RHS is absent here
+  /// or older here.
+  unsigned notBelow(const PackedAges &RHS) const;
 
-  /// Sorted blocks; ages at matching lane indices.
-  std::vector<BlockAddr> Blks;
+  /// Lane words of the window; word i holds slots of word BaseWord + i.
   std::vector<uint64_t> Words;
+  uint32_t BaseWord = 0;
   /// log2(lane bits): 2/3/4 for nibble/byte/u16 lanes; 0 when empty.
   uint8_t LaneLog = 0;
 };
 
-/// The MUST/MAY entries of one cache set, each sorted by block.
+/// The MUST/MAY lanes of one cache set, indexed by the slots of the set's
+/// block universe (MemoryModel::universe()).
 struct CacheSetPartition {
   uint32_t Set = 0;
+  /// The universe the slots index, and this set's slot -> block table.
+  const BlockUniverse *U = nullptr;
+  const BlockAddr *Blocks = nullptr;
   PackedAges Must;
   PackedAges May;
 
-  bool operator==(const CacheSetPartition &RHS) const = default;
+  /// Iteration over one lane list decoded to AgedBlock, in increasing
+  /// block order.
+  class EntryRange {
+  public:
+    class const_iterator {
+    public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = AgedBlock;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = AgedBlock;
+
+      const_iterator() = default;
+      const_iterator(PackedAges::const_iterator It, const BlockAddr *Blocks)
+          : It(It), Blocks(Blocks) {}
+      AgedBlock operator*() const {
+        SlotAge E = *It;
+        return {Blocks[E.Slot], E.Age};
+      }
+      const_iterator &operator++() {
+        ++It;
+        return *this;
+      }
+      const_iterator operator++(int) {
+        const_iterator T = *this;
+        ++It;
+        return T;
+      }
+      bool operator==(const const_iterator &RHS) const {
+        return It == RHS.It;
+      }
+
+    private:
+      PackedAges::const_iterator It;
+      const BlockAddr *Blocks = nullptr;
+    };
+
+    EntryRange(const PackedAges &Ages, const BlockAddr *Blocks)
+        : Ages(&Ages), Blocks(Blocks) {}
+    const_iterator begin() const { return {Ages->begin(), Blocks}; }
+    const_iterator end() const { return {Ages->end(), Blocks}; }
+
+  private:
+    const PackedAges *Ages;
+    const BlockAddr *Blocks;
+  };
+
+  EntryRange must() const { return {Must, Blocks}; }
+  EntryRange may() const { return {May, Blocks}; }
+
+  /// The universe is implied by the set within one analysis.
+  bool operator==(const CacheSetPartition &RHS) const {
+    return Set == RHS.Set && Must == RHS.Must && May == RHS.May;
+  }
 };
 
 /// Abstract cache state: MUST ages plus optional MAY (shadow) ages.
@@ -495,7 +564,7 @@ public:
   /// Widening: this = \p Prev ∇ this. Any MUST entry whose age grew since
   /// \p Prev is evicted, jumping chains to the top of the per-block ladder
   /// (paper §6.3).
-  void widenFrom(const CacheAbsState &Prev, uint32_t Assoc);
+  void widenFrom(const CacheAbsState &Prev);
 
   /// Structural equality (bottom flag + partition contents). Shared
   /// payloads and mismatched cached hashes short-circuit.
@@ -552,6 +621,7 @@ private:
     N->RefCount.fetch_add(1, std::memory_order_relaxed);
     return N;
   }
+  static constexpr size_t NoPart = static_cast<size_t>(-1);
   /// A fresh unique payload with no partitions (possibly recycled).
   static Payload *allocPayload();
   /// A fresh unique node (possibly recycled; Part contents unspecified
@@ -569,7 +639,7 @@ private:
   /// partition by partition through mutPart/setPart.
   Payload &mut();
   /// Replaces the shared payload by a unique copy that holds a reference
-  /// to each node, except that slot \p Idx (npos: none) takes \p Slot,
+  /// to each node, except that slot \p Idx (NoPart: none) takes \p Slot,
   /// or a copy of its old node when \p Slot is null.
   void unshareWith(size_t Idx, PartNode *Slot);
   /// Unshares partition \p Idx, and the payload when shared, and
@@ -578,10 +648,14 @@ private:
   /// Puts \p N (whose reference the payload takes) in slot \p Idx,
   /// unsharing the payload when shared.
   void setPart(size_t Idx, PartNode *N);
-  /// Find-or-insert the partition of \p Set, unshared. The reference
+  /// Find-or-insert the partition of \p L's set, unshared. The reference
   /// stays valid across later inserts: partitions live in their nodes,
   /// not in the pointer vector.
-  CacheSetPartition &ensurePart(uint32_t Set);
+  CacheSetPartition &ensurePart(const BlockUniverse::Loc &L,
+                                const BlockUniverse &U);
+  /// Inserts every one of \p Blocks on the MAY side at age 1 (possibly
+  /// youngest in its set).
+  void insertMay(const std::vector<BlockAddr> &Blocks, const MemoryModel &MM);
   /// Ages by one every MUST entry in the partitions of \p Sets (sorted),
   /// evicting past \p Cap — an access that may miss in any of those sets.
   void ageSets(const std::vector<uint32_t> &Sets, uint32_t Cap);
@@ -603,9 +677,14 @@ private:
   const CacheSetPartition *findPart(uint32_t Set) const;
   /// Node of \p Set's partition, or nullptr.
   const PartNode *findNode(uint32_t Set) const;
-  /// mustAge() with the MemoryModel at hand: probes only the partition of
-  /// \p Block's own set instead of scanning every partition.
-  uint32_t mustAgeInSet(BlockAddr Block, const MemoryModel &MM) const;
+  /// The universe the partitions index; null for the empty and bottom
+  /// states, which track nothing.
+  const BlockUniverse *universe() const {
+    return P ? P->Parts.front()->Part.U : nullptr;
+  }
+  /// The MUST (or, with \p May, MAY) lane of \p Block, located through
+  /// \p U: its age, or 0 when absent.
+  uint16_t laneOf(const BlockUniverse &U, BlockAddr Block, bool May) const;
 
   // Per-policy transfer bodies behind the accessBlock/accessUnknown
   // dispatchers (docs/DOMAINS.md). The Lru bodies are the paper's rules,

@@ -435,7 +435,7 @@ SoundnessOracle::runScenario(const RunSpec &Spec, OracleStats &Stats,
       // check (tens of millions per campaign), and the merged mustEntries()
       // view would allocate every time.
       for (const CacheSetPartition &Part : S.partitions()) {
-        for (const AgedBlock &Entry : Part.Must) {
+        for (const AgedBlock &Entry : Part.must()) {
           if (MM.isSymbolic(Entry.Block))
             continue; // Symbolic instances have no single concrete line.
           uint32_t Age = Cache.ageOf(Entry.Block);

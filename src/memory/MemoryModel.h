@@ -17,6 +17,15 @@
 /// notation (Table 1). Instances are capped at the number of lines the
 /// array spans, since the array can never occupy more lines than that.
 ///
+/// Each cache set has a static *block universe*: the blocks some transfer
+/// of the program can insert into an abstract cache state (constant-index
+/// lines, every line and symbolic instance of an array with an unknown-
+/// index access, and whatever the module's callees insert under the
+/// Summarize lowering). A universe numbers its blocks with dense *slots*
+/// in increasing BlockAddr order, so the abstract state can store ages in
+/// lanes indexed by slot and still walk them in canonical block order
+/// (docs/PERFORMANCE.md, "Packed age lanes").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECAI_MEMORY_MEMORYMODEL_H
@@ -25,16 +34,78 @@
 #include "cache/CacheSim.h"
 #include "ir/Ir.h"
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace specai {
 
+/// The per-set block universes of one MemoryModel: a read-only table,
+/// shared by every abstract cache state built over the model.
+class BlockUniverse {
+public:
+  /// Where a universe block sits. \c SetBlocks is the slot -> block table
+  /// of its set; null when the block is in no universe.
+  struct Loc {
+    uint32_t Set = 0;
+    uint32_t Slot = 0;
+    const BlockAddr *SetBlocks = nullptr;
+
+    bool valid() const { return SetBlocks != nullptr; }
+  };
+
+  /// (set, slot) of \p Block; invalid when no transfer can insert it.
+  Loc locate(BlockAddr Block) const;
+
+  /// The universe of \p Set: its blocks indexed by slot, in increasing
+  /// BlockAddr order (empty when no universe block maps to the set).
+  std::span<const BlockAddr> slotsOf(uint32_t Set) const;
+
+  /// Number of blocks across every set.
+  size_t size() const { return Blocks.size(); }
+
+private:
+  friend class MemoryModel;
+
+  /// Universe blocks grouped by set (ascending), each group ascending.
+  std::vector<BlockAddr> Blocks;
+  /// One per nonempty set, ascending by set: the set and its group's
+  /// first index in Blocks.
+  struct SetRange {
+    uint32_t Set;
+    uint32_t First;
+    uint32_t Count;
+  };
+  std::vector<SetRange> Sets;
+  /// Open-addressing block -> location table (power-of-two capacity,
+  /// linear probing; empty slots hold NoBlock).
+  struct Entry {
+    BlockAddr Block;
+    uint32_t Set;
+    uint32_t Slot;
+    uint32_t First;
+  };
+  static constexpr BlockAddr NoBlock = ~BlockAddr(0);
+  std::vector<Entry> Table;
+  /// 64 - log2(Table.size()): Fibonacci hashing keeps the top bits.
+  unsigned Shift = 64;
+
+  size_t hashOf(BlockAddr Block) const {
+    return static_cast<size_t>((Block * 0x9E3779B97F4A7C15ULL) >> Shift);
+  }
+};
+
 /// Address layout and block naming for one Program under one cache
 /// geometry. Both must outlive the model.
 class MemoryModel {
 public:
-  MemoryModel(const Program &P, const CacheConfig &Config);
+  /// Lays out \p P's variables and builds the block universes from the
+  /// accesses of \p P and of \p Callees: the module's other functions
+  /// under the Summarize lowering, which share P's layout and whose
+  /// blocks call summaries insert into P's states.
+  MemoryModel(const Program &P, const CacheConfig &Config,
+              const std::vector<const Program *> &Callees = {});
 
   const CacheConfig &config() const { return Config; }
   const Program &program() const { return *P; }
@@ -74,13 +145,22 @@ public:
   /// Human-readable block name: "p", "ph[3]", "decis_levl[2*]".
   std::string blockName(BlockAddr Block) const;
 
-  /// All concrete blocks of \p Var.
-  std::vector<BlockAddr> blocksOf(VarId Var) const;
+  /// All concrete blocks of \p Var, ascending.
+  const std::vector<BlockAddr> &blocksOf(VarId Var) const {
+    return VarBlocks[Var];
+  }
 
-  /// Cache sets that \p Var's lines may map to (deduplicated).
-  std::vector<uint32_t> setsOf(VarId Var) const;
+  /// Cache sets that \p Var's lines may map to (sorted, deduplicated).
+  const std::vector<uint32_t> &setsOf(VarId Var) const {
+    return VarSets[Var];
+  }
+
+  /// The per-set block universes abstract cache states index by slot.
+  const BlockUniverse &universe() const { return *Universe; }
 
 private:
+  void buildUniverse(const std::vector<const Program *> &Programs);
+
   const Program *P;
   CacheConfig Config;
   std::vector<uint64_t> Bases;
@@ -90,6 +170,11 @@ private:
   BlockAddr SymbolicBase = 0;
   /// Per variable: first symbolic id.
   std::vector<uint64_t> SymbolicFirst;
+  /// Per variable: blocksOf / setsOf, built once.
+  std::vector<std::vector<BlockAddr>> VarBlocks;
+  std::vector<std::vector<uint32_t>> VarSets;
+  /// Shared so states stay decodable across copies of the model.
+  std::shared_ptr<const BlockUniverse> Universe;
 };
 
 } // namespace specai

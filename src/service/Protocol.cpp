@@ -101,33 +101,37 @@ bool specai::parseServiceFault(const std::string &Name, ServiceFault &Out) {
 
 namespace {
 
-/// Fetches an integer field, rejecting values outside [0, Max].
-bool takeUInt(const JsonObject &O, const char *Key, uint64_t Max,
-              uint64_t &Out, std::string &Error) {
+/// Fetches an integer field, rejecting values outside [0, Max]. \p Side
+/// ("request" or "response") prefixes the error.
+bool takeUInt(const char *Side, const JsonObject &O, const char *Key,
+              uint64_t Max, uint64_t &Out, std::string &Error) {
   auto It = O.find(Key);
   if (It == O.end())
     return true; // Absent: keep the default.
   if (It->second.K != JsonValue::Kind::Int || It->second.I < 0 ||
       static_cast<uint64_t>(It->second.I) > Max) {
-    Error = std::string("request: bad '") + Key + "'";
+    Error = std::string(Side) + ": bad '" + Key + "'";
     return false;
   }
   Out = static_cast<uint64_t>(It->second.I);
   return true;
 }
 
-bool takeBool(const JsonObject &O, const char *Key, bool &Out,
-              std::string &Error) {
+bool takeBool(const char *Side, const JsonObject &O, const char *Key,
+              bool &Out, std::string &Error) {
   auto It = O.find(Key);
   if (It == O.end())
     return true;
   if (It->second.K != JsonValue::Kind::Bool) {
-    Error = std::string("request: bad '") + Key + "'";
+    Error = std::string(Side) + ": bad '" + Key + "'";
     return false;
   }
   Out = It->second.B;
   return true;
 }
+
+constexpr const char *Req = "request";
+constexpr const char *Resp = "response";
 
 const std::string *takeString(const JsonObject &O, const char *Key) {
   auto It = O.find(Key);
@@ -175,16 +179,16 @@ void writeVerdict(JsonWriter &W, const Verdict &V) {
 bool readVerdict(const JsonObject &O, Verdict &V, std::string &Error) {
   uint64_t Rounds = V.RefinementRounds;
   uint64_t LeakCount = 0;
-  if (!takeUInt(O, "access_nodes", UINT64_MAX >> 1, V.AccessNodes, Error) ||
-      !takeUInt(O, "miss_count", UINT64_MAX >> 1, V.MissCount, Error) ||
-      !takeUInt(O, "sp_miss_count", UINT64_MAX >> 1, V.SpMissCount, Error) ||
-      !takeUInt(O, "branch_count", UINT64_MAX >> 1, V.BranchCount, Error) ||
-      !takeUInt(O, "refinement_rounds", 1u << 20, Rounds, Error) ||
-      !takeBool(O, "converged", V.Converged, Error) ||
-      !takeBool(O, "leaks_checked", V.LeaksChecked, Error) ||
-      !takeUInt(O, "leak_count", UINT64_MAX >> 1, LeakCount, Error) ||
-      !takeUInt(O, "proven_leak_free", UINT64_MAX >> 1, V.ProvenLeakFree,
-                Error))
+  constexpr uint64_t Max = UINT64_MAX >> 1;
+  if (!takeUInt(Resp, O, "access_nodes", Max, V.AccessNodes, Error) ||
+      !takeUInt(Resp, O, "miss_count", Max, V.MissCount, Error) ||
+      !takeUInt(Resp, O, "sp_miss_count", Max, V.SpMissCount, Error) ||
+      !takeUInt(Resp, O, "branch_count", Max, V.BranchCount, Error) ||
+      !takeUInt(Resp, O, "refinement_rounds", 1u << 20, Rounds, Error) ||
+      !takeBool(Resp, O, "converged", V.Converged, Error) ||
+      !takeBool(Resp, O, "leaks_checked", V.LeaksChecked, Error) ||
+      !takeUInt(Resp, O, "leak_count", Max, LeakCount, Error) ||
+      !takeUInt(Resp, O, "proven_leak_free", Max, V.ProvenLeakFree, Error))
     return false;
   V.RefinementRounds = static_cast<unsigned>(Rounds);
   if (const std::string *Sites = takeString(O, "leak_sites"))
@@ -337,7 +341,7 @@ bool ServiceRequest::fromJson(const std::string &Line, ServiceRequest &Out,
   }
 
   uint64_t U = 0;
-  if (!takeUInt(O, "id", UINT64_MAX >> 1, U, Error))
+  if (!takeUInt(Req, O, "id", UINT64_MAX >> 1, U, Error))
     return false;
   Out.Id = O.count("id") ? U : 0;
   if (auto It = O.find("priority"); It != O.end()) {
@@ -401,36 +405,36 @@ bool ServiceRequest::fromJson(const std::string &Line, ServiceRequest &Out,
     }
   }
 
-  if (!takeUInt(O, "lines", MaxCacheLines, U, Error))
+  if (!takeUInt(Req, O, "lines", MaxCacheLines, U, Error))
     return false;
   if (O.count("lines"))
     Out.Cache.NumLines = static_cast<uint32_t>(U);
-  if (!takeUInt(O, "line_size", 1u << 16, U, Error))
+  if (!takeUInt(Req, O, "line_size", 1u << 16, U, Error))
     return false;
   if (O.count("line_size"))
     Out.Cache.LineSize = static_cast<uint32_t>(U);
-  if (!takeUInt(O, "assoc", MaxCacheLines, U, Error))
+  if (!takeUInt(Req, O, "assoc", MaxCacheLines, U, Error))
     return false;
   if (O.count("assoc"))
     Out.Cache.Associativity = static_cast<uint32_t>(U);
-  if (!takeUInt(O, "depth_miss", MaxSpecDepth, U, Error))
+  if (!takeUInt(Req, O, "depth_miss", MaxSpecDepth, U, Error))
     return false;
   if (O.count("depth_miss"))
     Out.DepthMiss = static_cast<uint32_t>(U);
-  if (!takeUInt(O, "depth_hit", MaxSpecDepth, U, Error))
+  if (!takeUInt(Req, O, "depth_hit", MaxSpecDepth, U, Error))
     return false;
   if (O.count("depth_hit"))
     Out.DepthHit = static_cast<uint32_t>(U);
 
-  if (!takeUInt(O, "timeout_ms", UINT64_MAX >> 1, Out.TimeoutMs, Error))
+  if (!takeUInt(Req, O, "timeout_ms", UINT64_MAX >> 1, Out.TimeoutMs, Error))
     return false;
-  if (!takeUInt(O, "max_iterations", UINT64_MAX >> 1, Out.MaxSteps, Error))
+  if (!takeUInt(Req, O, "max_iterations", UINT64_MAX >> 1, Out.MaxSteps, Error))
     return false;
 
-  if (!takeBool(O, "spec", Out.Speculative, Error) ||
-      !takeBool(O, "shadow", Out.UseShadow, Error) ||
-      !takeBool(O, "refine", Out.Refine, Error) ||
-      !takeBool(O, "leaks", Out.DetectLeaks, Error))
+  if (!takeBool(Req, O, "spec", Out.Speculative, Error) ||
+      !takeBool(Req, O, "shadow", Out.UseShadow, Error) ||
+      !takeBool(Req, O, "refine", Out.Refine, Error) ||
+      !takeBool(Req, O, "leaks", Out.DetectLeaks, Error))
     return false;
 
   if (!Out.Cache.isValid()) {
@@ -495,7 +499,7 @@ bool ServiceResponse::fromJson(const std::string &Line, ServiceResponse &Out,
     return false;
   }
   uint64_t U = 0;
-  if (!takeUInt(O, "id", UINT64_MAX >> 1, U, Error))
+  if (!takeUInt(Resp, O, "id", UINT64_MAX >> 1, U, Error))
     return false;
   Out.Id = O.count("id") ? U : 0;
   if (const std::string *E = takeString(O, "error"))
@@ -514,18 +518,18 @@ bool ServiceResponse::fromJson(const std::string &Line, ServiceResponse &Out,
       return false;
     }
   }
-  if (!takeBool(O, "cached", Out.Cached, Error) ||
+  constexpr uint64_t Max = UINT64_MAX >> 1;
+  if (!takeBool(Resp, O, "cached", Out.Cached, Error) ||
       !readVerdict(O, Out, Error) ||
-      !takeUInt(O, "iterations", UINT64_MAX >> 1, Out.Iterations, Error) ||
-      !takeBool(O, "repair_checked", Out.RepairChecked, Error))
+      !takeUInt(Resp, O, "iterations", Max, Out.Iterations, Error) ||
+      !takeBool(Resp, O, "repair_checked", Out.RepairChecked, Error))
     return false;
   if (Out.RepairChecked) {
-    if (!takeBool(O, "repaired", Out.Repaired, Error) ||
-        !takeUInt(O, "leaks_before", UINT64_MAX >> 1, Out.LeaksBefore,
-                  Error) ||
-        !takeUInt(O, "leaks_after", UINT64_MAX >> 1, Out.LeaksAfter, Error) ||
-        !takeUInt(O, "wcet_before", UINT64_MAX >> 1, Out.WcetBefore, Error) ||
-        !takeUInt(O, "wcet_after", UINT64_MAX >> 1, Out.WcetAfter, Error))
+    if (!takeBool(Resp, O, "repaired", Out.Repaired, Error) ||
+        !takeUInt(Resp, O, "leaks_before", Max, Out.LeaksBefore, Error) ||
+        !takeUInt(Resp, O, "leaks_after", Max, Out.LeaksAfter, Error) ||
+        !takeUInt(Resp, O, "wcet_before", Max, Out.WcetBefore, Error) ||
+        !takeUInt(Resp, O, "wcet_after", Max, Out.WcetAfter, Error))
       return false;
     if (const std::string *Ms = takeString(O, "mitigations"))
       Out.Mitigations = splitLines(*Ms);

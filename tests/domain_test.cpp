@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "domain/CacheState.h"
+#include "TouchAllBlocks.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -40,6 +41,7 @@ struct Blocks {
     Ret.Op = Opcode::Ret;
     B.Insts.push_back(Ret);
     P.Blocks.push_back(B);
+    touchAllBlocks(P);
     MM = std::make_unique<MemoryModel>(P, Config);
   }
 
@@ -212,6 +214,7 @@ TEST(CacheStateTest, UnknownAccessAgesEverythingWhenNotAllCached) {
   Ret.Op = Opcode::Ret;
   B.Insts.push_back(Ret);
   P.Blocks.push_back(B);
+  touchAllBlocks(P);
   MemoryModel MM(P, CacheConfig::fullyAssociative(4));
 
   CacheAbsState S = CacheAbsState::empty();
@@ -239,6 +242,7 @@ TEST(CacheStateTest, UnknownAccessOnFullyCachedArrayIsAHit) {
   Ret.Op = Opcode::Ret;
   B.Insts.push_back(Ret);
   P.Blocks.push_back(B);
+  touchAllBlocks(P);
   MemoryModel MM(P, CacheConfig::fullyAssociative(4));
 
   CacheAbsState S = CacheAbsState::empty();
@@ -358,7 +362,7 @@ TEST(CacheStateTest, WideningEvictsGrowingEntries) {
   Prev.accessBlock(F.block(1), *F.MM, false); // v1@1 v0@2.
   CacheAbsState Cur = Prev;
   Cur.accessBlock(F.block(2), *F.MM, false); // v0 grows to 3.
-  Cur.widenFrom(Prev, 4);
+  Cur.widenFrom(Prev);
   EXPECT_FALSE(Cur.isMustCached(F.block(0))); // Grew: widened away.
   EXPECT_TRUE(Cur.isMustCached(F.block(2)));  // New at age 1: kept.
 }

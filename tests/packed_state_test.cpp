@@ -24,9 +24,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TouchAllBlocks.h"
+#include "analysis/AnalysisPipeline.h"
 #include "domain/CacheState.h"
-#include "reference/RefCacheState.h"
 #include "memory/MemoryModel.h"
+#include "reference/RefCacheState.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -126,6 +129,7 @@ struct DiffHarness {
     Ret.Op = Opcode::Ret;
     BB.Insts.push_back(Ret);
     P.Blocks.push_back(BB);
+    touchAllBlocks(P);
     MM = std::make_unique<MemoryModel>(P, Config);
   }
 
@@ -146,6 +150,19 @@ struct DiffHarness {
         *Why = "bottom flag";
       return false;
     }
+    // Canonical windows: trimmed to nonzero end words, or fully reset.
+    for (const CacheSetPartition &Part : S.partitions())
+      for (const PackedAges *Ages : {&Part.Must, &Part.May}) {
+        const std::vector<uint64_t> &W = Ages->words();
+        bool Canonical = W.empty() ? Ages->baseWord() == 0 &&
+                                         Ages->laneBits() == 0
+                                   : W.front() != 0 && W.back() != 0;
+        if (!Canonical) {
+          if (Why)
+            *Why = "untrimmed window";
+          return false;
+        }
+      }
     if (S.mustEntries() != R.mustEntries()) {
       if (Why)
         *Why = "mustEntries";
@@ -258,7 +275,7 @@ struct DiffHarness {
       R[Reg].joinInto(R[Other], UseShadow);
       return;
     case Op::Widen:
-      S[Reg].widenFrom(S[Other], Config.Associativity);
+      S[Reg].widenFrom(S[Other]);
       R[Reg].widenFrom(R[Other], Config.Associativity);
       return;
     case Op::Reset:
@@ -373,6 +390,13 @@ std::vector<GeomCase> geometriesFor(ReplacementPolicy Policy) {
   Add(CacheConfig::fullyAssociative(16, 8), "fa16", 1);
   Add(CacheConfig::setAssociative(32, 16, 8), "sa32w16", 1);
   Add(CacheConfig::setAssociative(512, 8, 8), "sa512w8", 16);
+  // Fully associative universes many words wide at each lane width: 288
+  // slots of nibble lanes, 192 of byte lanes (nibbles for PLRU's MUST
+  // side), and 768 of 16-bit lanes, where sparse states open windows far
+  // from slot 0 and joins, evictions and widening move both ends.
+  Add(CacheConfig::fullyAssociative(8, 8), "fa8wide", 12);
+  Add(CacheConfig::fullyAssociative(64, 8), "fa64wide", 8);
+  Add(CacheConfig::fullyAssociative(512, 8), "fa512wide", 32);
   return Out;
 }
 
@@ -416,7 +440,6 @@ TEST_P(PackedStateDiff, LatticeLaws) {
   auto [Policy, Shadow] = GetParam();
   for (const GeomCase &G : geometriesFor(Policy)) {
     DiffHarness H(G.Config, Shadow, G.LinesPerUnit);
-    uint32_t Assoc = G.Config.Associativity;
     Rng R(0xAB5EED + static_cast<uint64_t>(Policy) * 131 + Shadow);
     for (unsigned Round = 0; Round != 60; ++Round) {
       CacheAbsState A, B, C;
@@ -479,7 +502,7 @@ TEST_P(PackedStateDiff, LatticeLaws) {
         CacheAbsState Prev = W;
         bool Changed = W.joinInto(B, Shadow);
         if (Changed)
-          W.widenFrom(Prev, Assoc);
+          W.widenFrom(Prev);
         CacheAbsState Again = W;
         if (!Again.joinInto(B, Shadow))
           break;
@@ -519,6 +542,137 @@ TEST(PackedStateArena, ScriptsAgreeUnderArenaScope) {
     ASSERT_TRUE(H.runScript(Ops, &FailAt, &Why))
         << Why << " at op " << FailAt << "\n"
         << renderScript(Ops);
+  }
+}
+
+/// Windows move at both ends: a universe of 768 slots in 16-bit lanes,
+/// four per word, driven through transfers, joins and widening whose
+/// results land at known words, with the reference in lock-step.
+TEST(PackedStateWindows, GrowAndShrinkAtBothEnds) {
+  DiffHarness H(CacheConfig::fullyAssociative(512, 8), /*UseShadow=*/true,
+                32);
+  // Slots follow block order: a0's first line is slot 0, a2's line 40
+  // slot 136 (word 34), a5's last line slot 383 (word 95), and the
+  // symbolic instances sit above, from 384.
+  const MemoryModel &MM = *H.MM;
+  BlockAddr Low = MM.blockOf(0, 0), High = MM.blockOf(5, 95);
+  BlockAddr Mid = MM.blockOf(2, 40);
+  auto Window = [](const CacheAbsState &S, bool May) {
+    const CacheSetPartition &Part = *S.partitions().begin();
+    const PackedAges &A = May ? Part.May : Part.Must;
+    return std::pair<uint32_t, size_t>(A.baseWord(), A.words().size());
+  };
+  using Win = std::pair<uint32_t, size_t>;
+  auto Access = [&](CacheAbsState &S, RefCacheState &R, BlockAddr B) {
+    S.accessBlock(B, MM, true);
+    R.accessBlock(B, MM, true);
+  };
+
+  CacheAbsState S = CacheAbsState::empty();
+  RefCacheState R = RefCacheState::empty();
+  Access(S, R, High);
+  EXPECT_EQ(Window(S, false), Win(95, 1));
+  Access(S, R, Low); // Grows at the front.
+  EXPECT_EQ(Window(S, false), Win(0, 96));
+  ASSERT_TRUE(H.agree(S, R));
+
+  CacheAbsState T = CacheAbsState::empty();
+  RefCacheState Rt = RefCacheState::empty();
+  Access(T, Rt, Low);
+  CacheAbsState J = S;
+  RefCacheState Rj = R;
+  J.joinInto(T, true); // MUST intersection shrinks at the back...
+  Rj.joinInto(Rt, true);
+  EXPECT_EQ(Window(J, false), Win(0, 1));
+  EXPECT_EQ(Window(J, true), Win(0, 96)); // ...the MAY union keeps both.
+  ASSERT_TRUE(H.agree(J, Rj));
+  CacheAbsState J2 = CacheAbsState::empty();
+  RefCacheState Rj2 = RefCacheState::empty();
+  Access(J2, Rj2, Low); // Unshared, so the join below runs in place.
+  J2.joinInto(S, true); // MAY grows at the back.
+  Rj2.joinInto(R, true);
+  EXPECT_EQ(Window(J2, true), Win(0, 96));
+  ASSERT_TRUE(H.agree(J2, Rj2));
+
+  // Widening evicts both old entries, whose ages grew: the window shrinks
+  // at both ends onto Mid's word.
+  CacheAbsState W = S;
+  RefCacheState Rw = R;
+  Access(W, Rw, Mid);
+  W.widenFrom(S);
+  Rw.widenFrom(R, 512);
+  EXPECT_EQ(Window(W, false), Win(34, 1));
+  ASSERT_TRUE(H.agree(W, Rw));
+
+  // An unknown-index access inserts a symbolic slot above every concrete
+  // one: the MUST window grows at the back past slot 383.
+  CacheAbsState U = T;
+  RefCacheState Ru = Rt;
+  U.accessUnknown(5, 2, MM, true);
+  Ru.accessUnknown(5, 2, MM, true);
+  EXPECT_EQ(Window(U, false).first, 0u);
+  EXPECT_GT(Window(U, false).first + Window(U, false).second, 96u);
+  ASSERT_TRUE(H.agree(U, Ru));
+}
+
+/// Slot order within a set is increasing BlockAddr order — what makes a
+/// partition's lane walk its canonical entry order — for the stress
+/// program at 8-way and a Table-7 client at 512 lines.
+TEST(BlockUniverseTest, SlotsAscendByBlockWithinEverySet) {
+  // perfbench/stress.mc.
+  const char *Stress =
+      "char a[16384]; char b[16384]; char c[8192]; int m[64]; int n;\n"
+      "secret reg char key;\n"
+      "int main() {\n"
+      "  reg int t;\n"
+      "  for (reg int i = 0; i < 16384; i += 64) t = t + a[i];\n"
+      "  for (reg int j = 0; j < 48; j += 1) {\n"
+      "    if (m[j] == 0) { t = t + b[j * 64]; } else { t = t + c[j * 64]; }\n"
+      "    if (m[j + 1] < 3) { t = t + a[j * 128]; }\n"
+      "  }\n"
+      "  t = t + a[key & 255];\n"
+      "  return t;\n"
+      "}\n";
+  const CryptoWorkload &Aes = cryptoWorkloads()[5];
+  ASSERT_EQ(Aes.Name, "aes");
+  struct Case {
+    std::string Source;
+    CacheConfig Config;
+  } Cases[] = {{Stress, CacheConfig::setAssociative(512, 8)},
+               {makeClientProgram(Aes, 32256), CacheConfig::paperDefault()}};
+  for (const Case &C : Cases) {
+    DiagnosticEngine Diags;
+    auto CP = compileSource(C.Source, Diags);
+    ASSERT_TRUE(CP) << Diags.str();
+    MemoryModel MM(*CP->P, C.Config);
+    const BlockUniverse &U = MM.universe();
+    size_t Total = 0, Symbolic = 0;
+    for (uint32_t Set = 0; Set != C.Config.numSets(); ++Set) {
+      std::span<const BlockAddr> Slots = U.slotsOf(Set);
+      for (uint32_t Slot = 0; Slot != Slots.size(); ++Slot) {
+        BlockAddr B = Slots[Slot];
+        if (Slot) {
+          EXPECT_LT(Slots[Slot - 1], B) << "set " << Set << " slot " << Slot;
+        }
+        EXPECT_EQ(MM.setOf(B), Set);
+        BlockUniverse::Loc L = U.locate(B);
+        EXPECT_TRUE(L.valid() && L.Set == Set && L.Slot == Slot &&
+                    L.SetBlocks == Slots.data());
+        Symbolic += MM.isSymbolic(B);
+      }
+      Total += Slots.size();
+    }
+    EXPECT_EQ(Total, U.size());
+    EXPECT_GT(Symbolic, 0u) << "both programs index arrays by unknowns";
+    // Every block the program accesses at a known index is in the
+    // universe.
+    for (const BasicBlock &BB : CP->P->Blocks)
+      for (const Instruction &I : BB.Insts) {
+        if (!I.accessesMemory() || !I.Index.isImm())
+          continue;
+        uint64_t Elem = CP->P->Vars[I.Var].wrapIndex(I.Index.Imm);
+        EXPECT_TRUE(U.locate(MM.blockOf(I.Var, Elem)).valid());
+      }
   }
 }
 

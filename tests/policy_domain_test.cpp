@@ -20,6 +20,7 @@
 
 #include "cache/CacheSim.h"
 #include "domain/CacheState.h"
+#include "TouchAllBlocks.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -51,6 +52,7 @@ struct Blocks {
     Ret.Op = Opcode::Ret;
     B.Insts.push_back(Ret);
     P.Blocks.push_back(B);
+    touchAllBlocks(P);
     MM = std::make_unique<MemoryModel>(P, Config);
   }
 
@@ -396,6 +398,7 @@ TEST(PlruDomainTest, UnknownIndexAgesCandidatesAndInsertsInstance) {
   Ret.Op = Opcode::Ret;
   B.Insts.push_back(Ret);
   P.Blocks.push_back(B);
+  touchAllBlocks(P);
   MemoryModel MM(P, Config);
 
   CacheAbsState S = CacheAbsState::empty();
@@ -497,7 +500,7 @@ TEST_P(PolicyLatticeTest, AbstractAgeBoundsConcreteAgeOnRandomRuns) {
       C.access(B);
       S.accessBlock(B, *F.MM, /*UseShadow=*/true);
       for (const CacheSetPartition &Part : S.partitions()) {
-        for (const AgedBlock &E : Part.Must) {
+        for (const AgedBlock &E : Part.must()) {
           uint32_t Concrete = C.ageOf(E.Block);
           ASSERT_NE(Concrete, 0u)
               << replacementPolicyName(GetParam()) << ": MUST entry "
@@ -563,7 +566,7 @@ TEST_P(PolicyLatticeTest, AbstractAgeBoundsConcreteAgeAcrossLaneWidths) {
         C.access(B);
         S.accessBlock(B, *F.MM, /*UseShadow=*/true);
         for (const CacheSetPartition &Part : S.partitions()) {
-          for (const AgedBlock &E : Part.Must) {
+          for (const AgedBlock &E : Part.must()) {
             uint32_t Concrete = C.ageOf(E.Block);
             ASSERT_NE(Concrete, 0u)
                 << replacementPolicyName(Policy) << " assoc " << Assoc

@@ -309,6 +309,29 @@ TEST(ServiceProtocolTest, LeakCountMustMatchTheLeakSites) {
   EXPECT_NE(Error.find("leak_count"), std::string::npos) << Error;
 }
 
+TEST(ServiceProtocolTest, FieldErrorsNameTheSideThatSentThem) {
+  // A bad field blames the message it came in: a daemon answer with a
+  // negative counter is a bad response, not a bad request.
+  ServiceResponse Back;
+  std::string Error;
+  EXPECT_FALSE(ServiceResponse::fromJson(
+      "{\"status\": \"ok\", \"miss_count\": -1}", Back, Error));
+  EXPECT_EQ(Error, "response: bad 'miss_count'");
+  EXPECT_FALSE(ServiceResponse::fromJson(
+      "{\"status\": \"ok\", \"converged\": 1}", Back, Error));
+  EXPECT_EQ(Error, "response: bad 'converged'");
+
+  ServiceRequest Req;
+  EXPECT_FALSE(ServiceRequest::fromJson(
+      "{\"op\": \"analyze\", \"source\": \"x\", \"lines\": -1}", Req,
+      Error));
+  EXPECT_EQ(Error, "request: bad 'lines'");
+  EXPECT_FALSE(ServiceRequest::fromJson(
+      "{\"op\": \"analyze\", \"source\": \"x\", \"spec\": 2}", Req,
+      Error));
+  EXPECT_EQ(Error, "request: bad 'spec'");
+}
+
 //===----------------------------------------------------------------------===//
 // Digest soundness: every verdict-visible option must split the key
 //===----------------------------------------------------------------------===//

@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TouchAllBlocks.h"
 #include "analysis/AnalysisPipeline.h"
 #include "fuzz/ProgramGen.h"
 #include "fuzz/StateDigest.h"
@@ -48,6 +49,7 @@ struct Blocks {
     Ret.Op = Opcode::Ret;
     B.Insts.push_back(Ret);
     P.Blocks.push_back(B);
+    touchAllBlocks(P);
     MM = std::make_unique<MemoryModel>(P, Config);
   }
 
@@ -282,15 +284,16 @@ TEST(PartitionTest, PartitionsAreCanonicalAndEntriesBlockSorted) {
           << "partitions must be strictly sorted by set";
       EXPECT_FALSE(Part.Must.empty() && Part.May.empty())
           << "canonical form forbids empty partitions";
-      for (size_t K = 1; K < Part.Must.size(); ++K)
-        EXPECT_LT(Part.Must[K - 1].Block, Part.Must[K].Block);
-      for (size_t K = 1; K < Part.May.size(); ++K)
-        EXPECT_LT(Part.May[K - 1].Block, Part.May[K].Block);
-      for (const AgedBlock &E : Part.Must)
+      for (auto Entries : {Part.must(), Part.may()}) {
+        std::vector<AgedBlock> List(Entries.begin(), Entries.end());
+        for (size_t K = 1; K < List.size(); ++K)
+          EXPECT_LT(List[K - 1].Block, List[K].Block);
+        PartEntries += List.size();
+      }
+      for (const AgedBlock &E : Part.must())
         EXPECT_EQ(F.MM->setOf(E.Block), Part.Set);
       LastSet = Part.Set;
       FirstPart = false;
-      PartEntries += Part.Must.size() + Part.May.size();
     }
     // The canonical views agree with the partitions and are block-sorted.
     std::vector<AgedBlock> Must = S.mustEntries(), May = S.mayEntries();

@@ -23,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "domain/CacheState.h"
+#include "TouchAllBlocks.h"
 #include "reference/IntervalDomain.h"
 #include "support/Rng.h"
 
@@ -51,6 +52,7 @@ struct Blocks {
     Ret.Op = Opcode::Ret;
     B.Insts.push_back(Ret);
     P.Blocks.push_back(B);
+    touchAllBlocks(P);
     MM = std::make_unique<MemoryModel>(P, Config);
   }
 
@@ -87,7 +89,7 @@ TEST_P(CacheWideningTest, WidenUpperBoundsJoin) {
     Cur.joinInto(randomState(R, F), /*UseShadow=*/true);
     ASSERT_TRUE(Prev.leq(Cur)); // join moved up; precondition
     CacheAbsState W = Cur;
-    W.widenFrom(Prev, Assoc);
+    W.widenFrom(Prev);
     EXPECT_TRUE(Cur.leq(W))
         << "widen is not an upper bound of the joined iterate";
     EXPECT_TRUE(Prev.leq(W))
@@ -102,7 +104,7 @@ TEST_P(CacheWideningTest, WidenOnlyEvictsGrownMustEntries) {
     CacheAbsState Cur = Prev;
     Cur.joinInto(randomState(R, F), /*UseShadow=*/true);
     CacheAbsState W = Cur;
-    W.widenFrom(Prev, Assoc);
+    W.widenFrom(Prev);
 
     // Survivors keep their exact joined age; casualties had grown.
     std::vector<AgedBlock> CurMust = Cur.mustEntries();
@@ -134,8 +136,8 @@ TEST_P(CacheWideningTest, WidenIsMonotone) {
     ASSERT_TRUE(B.leq(A)); // by join's upper-bound law
 
     CacheAbsState WB = B, WA = A;
-    WB.widenFrom(Prev, Assoc);
-    WA.widenFrom(Prev, Assoc);
+    WB.widenFrom(Prev);
+    WA.widenFrom(Prev);
     EXPECT_TRUE(WB.leq(WA))
         << "widen is not monotone in the current iterate";
   }
@@ -162,7 +164,7 @@ TEST_P(CacheWideningTest, WidenChainStabilizesWithinMustAgeCap) {
       for (BlockAddr Block : Body)
         Next.accessBlock(Block, *F.MM, /*UseShadow=*/true);
       Next.joinInto(S, /*UseShadow=*/true);
-      Next.widenFrom(S, Assoc);
+      Next.widenFrom(S);
       EXPECT_TRUE(S.leq(Next)) << "widening chain is not ascending";
       if (Next == S)
         break;

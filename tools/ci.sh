@@ -101,8 +101,9 @@ cat "$BUILD/fuzz_lowering_smoke.json"
 "$REPO/tools/replay_smoke.sh" "$BUILD/tools/specai-fuzz" "$BUILD"
 
 # Stress smokes (tools/stress_smoke.sh): perfbench/stress.mc at 8-way,
-# under --lowering summarize, as the --no-spec baseline and under
-# no-merge, each with its verdict digest pinned.
+# under --lowering summarize, as the --no-spec baseline, under no-merge
+# and fully associative at 64 lines, plus the wide streaming fixture, each
+# with its verdict digest pinned.
 "$REPO/tools/stress_smoke.sh" "$BUILD" "$REPO"
 
 # Fixed-coverage perf smoke: the 50-program campaign behind
@@ -231,16 +232,20 @@ echo "tsan leg: unit suite + --jobs 4 fuzz and repair smokes race-free"
 # the service/support suite, the two state-representation suites (cache
 # states are built from two refcounted copy-on-write node types, payloads
 # and partitions, so a refcount slip fails here as a leak or a
-# use-after-free), and a sanitized daemon serving a --check trace.
+# use-after-free), the paper-kernel digests (states of hundreds of
+# entries in 16-bit lanes, whose windows a lane-index slip would overrun),
+# and a sanitized daemon serving a --check trace.
 ASAN_BUILD="$REPO/build-asan"
 cmake -B "$ASAN_BUILD" -S "$REPO" -DSPECAI_WERROR=ON \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target service_test \
-  packed_state_test state_repr_test specaid specaid-cli
+  packed_state_test paper_kernel_digest_test state_repr_test specaid \
+  specaid-cli
 "$ASAN_BUILD/tests/service_test"
 "$ASAN_BUILD/tests/packed_state_test"
+"$ASAN_BUILD/tests/paper_kernel_digest_test"
 "$ASAN_BUILD/tests/state_repr_test"
 SOCK="$ASAN_BUILD/specaid-asan.sock"
 SPILL="$ASAN_BUILD/asan-spill"
