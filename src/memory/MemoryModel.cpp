@@ -107,12 +107,14 @@ void MemoryModel::buildUniverse(const std::vector<const Program *> &Programs) {
     Cap <<= 1;
   U->Shift = 64 - static_cast<unsigned>(std::countr_zero(Cap));
   U->Table.assign(Cap, BlockUniverse::Entry{BlockUniverse::NoBlock, 0, 0, 0});
+  uint32_t First = 0, PrevSet = 0;
   for (size_t I = 0; I != Blocks.size(); ++I) {
     uint32_t Set = setOf(Blocks[I]);
-    if (U->Sets.empty() || U->Sets.back().Set != Set)
-      U->Sets.push_back({Set, static_cast<uint32_t>(I), 0});
-    BlockUniverse::SetRange &R = U->Sets.back();
-    BlockUniverse::Entry E{Blocks[I], Set, R.Count++, R.First};
+    if (I && Set != PrevSet)
+      First = static_cast<uint32_t>(I); // A set's group starts its slots.
+    PrevSet = Set;
+    BlockUniverse::Entry E{Blocks[I], Set, static_cast<uint32_t>(I) - First,
+                           First};
     size_t H = U->hashOf(E.Block);
     while (U->Table[H].Block != BlockUniverse::NoBlock)
       H = (H + 1) & (Cap - 1);
@@ -131,15 +133,6 @@ BlockUniverse::Loc BlockUniverse::locate(BlockAddr Block) const {
     if (E.Block == Block)
       return {E.Set, E.Slot, Blocks.data() + E.First};
   }
-}
-
-std::span<const BlockAddr> BlockUniverse::slotsOf(uint32_t Set) const {
-  auto It = std::lower_bound(
-      Sets.begin(), Sets.end(), Set,
-      [](const SetRange &R, uint32_t S) { return R.Set < S; });
-  if (It == Sets.end() || It->Set != Set)
-    return {};
-  return {Blocks.data() + It->First, It->Count};
 }
 
 BlockAddr MemoryModel::blockOf(VarId Var, uint64_t Element) const {

@@ -35,7 +35,6 @@
 #include "ir/Ir.h"
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -58,26 +57,12 @@ public:
   /// (set, slot) of \p Block; invalid when no transfer can insert it.
   Loc locate(BlockAddr Block) const;
 
-  /// The universe of \p Set: its blocks indexed by slot, in increasing
-  /// BlockAddr order (empty when no universe block maps to the set).
-  std::span<const BlockAddr> slotsOf(uint32_t Set) const;
-
-  /// Number of blocks across every set.
-  size_t size() const { return Blocks.size(); }
-
 private:
   friend class MemoryModel;
 
-  /// Universe blocks grouped by set (ascending), each group ascending.
+  /// Universe blocks grouped by set (ascending), each group ascending:
+  /// a set's slot -> block table is its group.
   std::vector<BlockAddr> Blocks;
-  /// One per nonempty set, ascending by set: the set and its group's
-  /// first index in Blocks.
-  struct SetRange {
-    uint32_t Set;
-    uint32_t First;
-    uint32_t Count;
-  };
-  std::vector<SetRange> Sets;
   /// Open-addressing block -> location table (power-of-two capacity,
   /// linear probing; empty slots hold NoBlock).
   struct Entry {

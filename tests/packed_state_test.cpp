@@ -646,23 +646,40 @@ TEST(BlockUniverseTest, SlotsAscendByBlockWithinEverySet) {
     ASSERT_TRUE(CP) << Diags.str();
     MemoryModel MM(*CP->P, C.Config);
     const BlockUniverse &U = MM.universe();
-    size_t Total = 0, Symbolic = 0;
-    for (uint32_t Set = 0; Set != C.Config.numSets(); ++Set) {
-      std::span<const BlockAddr> Slots = U.slotsOf(Set);
-      for (uint32_t Slot = 0; Slot != Slots.size(); ++Slot) {
-        BlockAddr B = Slots[Slot];
-        if (Slot) {
-          EXPECT_LT(Slots[Slot - 1], B) << "set " << Set << " slot " << Slot;
-        }
-        EXPECT_EQ(MM.setOf(B), Set);
-        BlockUniverse::Loc L = U.locate(B);
-        EXPECT_TRUE(L.valid() && L.Set == Set && L.Slot == Slot &&
-                    L.SetBlocks == Slots.data());
-        Symbolic += MM.isSymbolic(B);
+    // Locate every concrete and symbolic block of the layout; sorted by
+    // (set, block), the universe blocks must hold slots 0, 1, 2, ... in
+    // each set, each naming its block in the set's slot table.
+    struct Located {
+      uint32_t Set;
+      BlockAddr Block;
+      uint32_t Slot;
+      const BlockAddr *SetBlocks;
+    };
+    std::vector<Located> All;
+    auto Add = [&](BlockAddr B) {
+      BlockUniverse::Loc L = U.locate(B);
+      if (L.valid())
+        All.push_back({L.Set, B, L.Slot, L.SetBlocks});
+    };
+    size_t Symbolic = 0;
+    for (BlockAddr B = 0; B != MM.numConcreteBlocks(); ++B)
+      Add(B);
+    for (VarId V = 0; V != CP->P->Vars.size(); ++V)
+      for (uint64_t K = 0; K != MM.numBlocksOf(V); ++K) {
+        size_t Before = All.size();
+        Add(MM.symbolicBlock(V, K));
+        Symbolic += All.size() - Before;
       }
-      Total += Slots.size();
+    std::sort(All.begin(), All.end(), [](const Located &A, const Located &B) {
+      return A.Set != B.Set ? A.Set < B.Set : A.Block < B.Block;
+    });
+    for (size_t I = 0; I != All.size(); ++I) {
+      const Located &E = All[I];
+      uint32_t Want = I && All[I - 1].Set == E.Set ? All[I - 1].Slot + 1 : 0;
+      EXPECT_EQ(E.Slot, Want) << "set " << E.Set << " block " << E.Block;
+      EXPECT_EQ(E.SetBlocks[E.Slot], E.Block);
+      EXPECT_EQ(MM.setOf(E.Block), E.Set);
     }
-    EXPECT_EQ(Total, U.size());
     EXPECT_GT(Symbolic, 0u) << "both programs index arrays by unknowns";
     // Every block the program accesses at a known index is in the
     // universe.
