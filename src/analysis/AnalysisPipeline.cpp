@@ -342,8 +342,7 @@ MustHitReport specai::runMustHitAnalysis(const CompiledProgram &CP,
       // A budget that dies in a callee voids the whole module run: its
       // summary would be built from partial states.
       MustHitReport Aborted;
-      Aborted.MM =
-          std::make_unique<MemoryModel>(*CP.P, Options.Cache, Callees);
+      Aborted.MM = std::make_unique<MemoryModel>(*CP.P, Options.Cache, Callees);
       Aborted.BudgetExceeded = true;
       Aborted.Converged = false;
       return Aborted;
