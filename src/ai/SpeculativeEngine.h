@@ -78,7 +78,8 @@
 /// order EngineOptions::Order names (the analysis pipeline picks reverse
 /// post-order for the baseline and FIFO for speculative runs) with an
 /// on-worklist bitmap; SS/PR slots live in sorted flat vectors (no
-/// per-slot node allocations); with a non-empty plan, window transfers
+/// per-slot node allocations), and a pop copies out only the slot flows
+/// it runs; with a non-empty plan, window transfers
 /// are memoized per (node, in-state-hash) for pure nodes, so re-drains
 /// across colors and re-seeding rounds reuse results; and seeded/rolled-
 /// back states are interned through a StateInterner, which makes the
@@ -370,10 +371,6 @@ public:
   auto end() const { return Data.end(); }
   bool empty() const { return Data.empty(); }
 
-  /// Value-snapshot of the entries, for iteration that stays valid while
-  /// the map is mutated (state copies are copy-on-write refcount bumps).
-  std::vector<Entry> snapshot() const { return Data; }
-
 private:
   std::vector<Entry> Data;
 };
@@ -417,6 +414,23 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     /// SeedSpeculation); only read at seed branches.
     uint32_t SeededDepth = 0;
   };
+  /// The SS and PR flows one pop runs, copied out of the node's slots
+  /// (see DrainWorklist). Reused across pops.
+  struct SpecRun {
+    ColorId Color;
+    State St;
+    uint32_t Depth;
+  };
+  struct PrRun {
+    PrKey Key;
+    State St;
+    uint32_t SeededDepth;
+    /// A clean flow at a pure seed branch: it runs only if SeedIsCurrent
+    /// says its window opened wider since it last seeded.
+    bool Clean;
+  };
+  std::vector<SpecRun> SpecRuns;
+  std::vector<PrRun> PrRuns;
 
   SpecResult<DomainT> R;
   size_t N = G.size();
@@ -755,71 +769,77 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
         NormalSeededDepth[Node] = SeedSpeculation(Node, Out);
       }
 
+      // The SS and PR flows below join into slot maps, and at a node
+      // that is its own successor into the very map they iterate. So
+      // each family first copies the flows it will run (state copies are
+      // refcount increments) into a reusable buffer, clearing every
+      // slot's Dirty bit in the same pass, then runs the buffer in key
+      // order, which no join can disturb. A clean flow at a pure node is
+      // not copied: every join it makes would be a no-op.
+
       // --- Speculative flows, one per live color (Algorithm 3 line 9).
       // These use the speculative transfer: stores are squashed (store
-      // buffer), so only loads touch the abstract cache here. The slot
-      // list is snapshotted (cheap copy-on-write copies) so joins into
-      // this node's own slots — self-edges — cannot invalidate iteration.
-      if (!SS[Node].empty()) {
-        auto Slots = SS[Node].snapshot();
-        for (auto &Entry : SS[Node])
-          Entry.second.Dirty = false;
-        for (const auto &[Color, Slot] : Slots) {
-          if (D.isBottom(Slot.St) || Slot.Depth == 0)
-            continue;
-          if (!Slot.Dirty && SkippableSpec[Node])
-            continue; // Clean pure flow: every join below would no-op.
-          State Out = ApplyTransfer(Node, Slot.St, /*Speculative=*/true);
-          // The rollback may happen right after this instruction: vn_stop.
-          Rollback(Color, Node, Out);
-          // A fence drains the speculative flow: the front end cannot
-          // fetch past it while a branch is unresolved, so the window ends
-          // here (the transfer above was identity — identity-plus-drain)
-          // and only the rollback edge leaves the node. Mirrors
-          // SpeculativeCpu::speculate() stopping at a fence.
-          if (G.inst(Node).Op == Opcode::Fence)
-            continue;
-          // Continue speculating while the window allows. The flow is
-          // confined to the mispredicted side: it stops at the branch's
-          // post-dominator (the paper's Figure 6 draws rollback edges from
-          // the branch body only, and Figure 7's states require it).
-          if (Slot.Depth > 1) {
-            NodeId Ipdom = IpdomOf(Color);
-            for (NodeId Succ : G.successors(Node))
-              if (Succ != Ipdom && !DropsEdge(Node, Succ))
-                JoinSpec(Succ, Color, Out, Slot.Depth - 1);
-          }
+      // buffer), so only loads touch the abstract cache here.
+      for (auto &[Color, Slot] : SS[Node]) {
+        if (!D.isBottom(Slot.St) && Slot.Depth != 0 &&
+            (Slot.Dirty || !SkippableSpec[Node]))
+          SpecRuns.push_back(SpecRun{Color, Slot.St, Slot.Depth});
+        Slot.Dirty = false;
+      }
+      for (const SpecRun &Flow : SpecRuns) {
+        State Out = ApplyTransfer(Node, Flow.St, /*Speculative=*/true);
+        // The rollback may happen right after this instruction: vn_stop.
+        Rollback(Flow.Color, Node, Out);
+        // A fence drains the speculative flow: the front end cannot
+        // fetch past it while a branch is unresolved, so the window ends
+        // here (the transfer above was identity — identity-plus-drain)
+        // and only the rollback edge leaves the node. Mirrors
+        // SpeculativeCpu::speculate() stopping at a fence.
+        if (G.inst(Node).Op == Opcode::Fence)
+          continue;
+        // Continue speculating while the window allows. The flow is
+        // confined to the mispredicted side: it stops at the branch's
+        // post-dominator (the paper's Figure 6 draws rollback edges from
+        // the branch body only, and Figure 7's states require it).
+        if (Flow.Depth > 1) {
+          NodeId Ipdom = IpdomOf(Flow.Color);
+          for (NodeId Succ : G.successors(Node))
+            if (Succ != Ipdom && !DropsEdge(Node, Succ))
+              JoinSpec(Succ, Flow.Color, Out, Flow.Depth - 1);
         }
       }
+      SpecRuns.clear();
 
       // --- Post-rollback flows (architectural; JIT keeps them apart
-      // --- until the branch's post-dominator).
-      if (!PR[Node].empty()) {
-        auto Slots = PR[Node].snapshot();
-        for (auto &Entry : PR[Node])
-          Entry.second.Dirty = false;
-        for (const auto &[Key, Slot] : Slots) {
-          if (D.isBottom(Slot.St))
-            continue;
-          if (!Slot.Dirty && SkippableCommitted[Node] &&
-              SeedIsCurrent(Node, Slot.SeededDepth))
-            continue; // Clean pure flow with nothing new to seed.
-          State Out = ApplyTransfer(Node, Slot.St, /*Speculative=*/false);
-          NodeId Ipdom = IpdomOf(Key.Color);
-          for (NodeId Succ : G.successors(Node)) {
-            if (DropsEdge(Node, Succ))
-              continue;
-            if (Succ == Ipdom)
-              JoinNormal(Succ, Out);
-            else
-              JoinPr(Succ, Key, Out);
-          }
-          // Real execution in a post-rollback context can speculate again.
-          uint32_t Seeded = SeedSpeculation(Node, Out);
-          if (SiteAt[Node] != UINT32_MAX)
-            PR[Node].find(Key)->second.SeededDepth = Seeded;
-        }
+      // --- until the branch's post-dominator). At a seed branch a clean
+      // --- pure flow is copied too: whether it runs depends on the
+      // --- site's window (SeedIsCurrent), read lazily in key order.
+      const bool SeedBranch = SiteAt[Node] != UINT32_MAX;
+      for (auto &[Key, Slot] : PR[Node]) {
+        bool Clean = !Slot.Dirty && SkippableCommitted[Node];
+        if (!D.isBottom(Slot.St) && (!Clean || SeedBranch))
+          PrRuns.push_back(PrRun{Key, Slot.St, Slot.SeededDepth, Clean});
+        Slot.Dirty = false;
       }
+      for (const PrRun &Flow : PrRuns) {
+        if (Flow.Clean && SeedIsCurrent(Node, Flow.SeededDepth))
+          continue; // Clean pure flow with nothing new to seed.
+        State Out = ApplyTransfer(Node, Flow.St, /*Speculative=*/false);
+        NodeId Ipdom = IpdomOf(Flow.Key.Color);
+        for (NodeId Succ : G.successors(Node)) {
+          if (DropsEdge(Node, Succ))
+            continue;
+          if (Succ == Ipdom)
+            JoinNormal(Succ, Out);
+          else
+            JoinPr(Succ, Flow.Key, Out);
+        }
+        // Real execution in a post-rollback context can speculate again.
+        uint32_t Seeded = SeedSpeculation(Node, Out);
+        if (SeedBranch)
+          PR[Node].find(Flow.Key)->second.SeededDepth = Seeded;
+      }
+      PrRuns.clear();
     }
   };
 

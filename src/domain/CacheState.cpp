@@ -275,8 +275,13 @@ void PackedAges::ageByShadow(const PackedAges &May, uint32_t Touched,
   for (uint64_t Y : May.Words)
     for (uint64_t M = laneNonzero(Y, O) & laneGE(BTop, Y, O); M; M &= M - 1)
       ++LeqCnt[(Y >> (std::countr_zero(M) - MsbShift)) & LM];
-  for (uint32_t A = 1; A <= Top; ++A)
-    LeqCnt[A] += LeqCnt[A - 1];
+  // Prefix sum through a register: `LeqCnt[A] += LeqCnt[A - 1]` would
+  // reload each store it just made.
+  uint32_t Sum = 0;
+  for (uint32_t A = 0; A <= Top; ++A) {
+    Sum += LeqCnt[A];
+    LeqCnt[A] = Sum;
+  }
 
   bool AnyEvict = false;
   for (size_t I = 0; I != Words.size(); ++I) {
@@ -288,13 +293,13 @@ void PackedAges::ageByShadow(const PackedAges &May, uint32_t Touched,
     // u's own shadow entry, where it counts toward NYoung(u).
     uint64_t Own = laneNonzero(Y, O) & laneGE(X, Y, O);
     uint64_t Inc = 0;
+    // Branch-free per lane: whether u ages is data, not control flow.
     for (uint64_t M = Cand; M; M &= M - 1) {
       unsigned Msb = static_cast<unsigned>(std::countr_zero(M));
       uint32_t Age = static_cast<uint32_t>((X >> (Msb - MsbShift)) & LM);
-      if (LeqCnt[Age] - ((Own >> Msb) & 1) >= Age) {
-        Inc |= uint64_t(1) << (Msb - MsbShift);
-        AnyEvict |= Age == Assoc;
-      }
+      bool Ages = LeqCnt[Age] - ((Own >> Msb) & 1) >= Age;
+      Inc |= uint64_t(Ages) << (Msb - MsbShift);
+      AnyEvict |= Ages & (Age == Assoc);
     }
     Words[I] = X + Inc; // Ages stay <= Assoc + 1: no lane overflow.
   }
@@ -478,16 +483,16 @@ unsigned mayLanesOf(const MemoryModel &MM) {
 
 CacheAbsState::Payload *CacheAbsState::allocPayload() {
   Payload *PL = RecyclingArena<Payload>::allocateFromActive();
-  PL->RefCount.store(1, std::memory_order_relaxed);
-  PL->Hash.store(0, std::memory_order_relaxed);
+  PL->RefCount = 1;
+  PL->Hash = 0;
   assert(PL->Parts.empty() && "retired payloads hold no partitions");
   return PL;
 }
 
 CacheAbsState::PartNode *CacheAbsState::allocNode() {
   PartNode *N = RecyclingArena<PartNode>::allocateFromActive();
-  N->RefCount.store(1, std::memory_order_relaxed);
-  N->Hash.store(0, std::memory_order_relaxed);
+  N->RefCount = 1;
+  N->Hash = 0;
   return N;
 }
 
@@ -518,36 +523,36 @@ void CacheAbsState::unshareWith(size_t Idx, PartNode *Slot) {
 CacheAbsState::Payload &CacheAbsState::mut() {
   if (!P)
     P = allocPayload();
-  else if (P->RefCount.load(std::memory_order_acquire) > 1)
+  else if (P->RefCount > 1)
     unshareWith(NoPart, nullptr);
   else
-    P->Hash.store(0, std::memory_order_relaxed);
+    P->Hash = 0;
   return *P;
 }
 
 CacheSetPartition &CacheAbsState::mutPart(size_t Idx) {
-  if (P->RefCount.load(std::memory_order_acquire) > 1) {
+  if (P->RefCount > 1) {
     unshareWith(Idx, nullptr);
     return P->Parts[Idx]->Part;
   }
-  P->Hash.store(0, std::memory_order_relaxed);
+  P->Hash = 0;
   PartNode *&Slot = P->Parts[Idx];
-  if (Slot->RefCount.load(std::memory_order_acquire) > 1) {
+  if (Slot->RefCount > 1) {
     PartNode *N = copyNode(*Slot);
     releaseNode(Slot);
     Slot = N;
   } else {
-    Slot->Hash.store(0, std::memory_order_relaxed);
+    Slot->Hash = 0;
   }
   return Slot->Part;
 }
 
 void CacheAbsState::setPart(size_t Idx, PartNode *N) {
-  if (P->RefCount.load(std::memory_order_acquire) > 1) {
+  if (P->RefCount > 1) {
     unshareWith(Idx, N);
     return;
   }
-  P->Hash.store(0, std::memory_order_relaxed);
+  P->Hash = 0;
   releaseNode(P->Parts[Idx]);
   P->Parts[Idx] = N;
 }
@@ -999,7 +1004,7 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
     assert(!P && "bottom states own no payload");
     P = From.P; // Copy-on-write: a refcount bump, not an entry copy.
     if (P)
-      P->RefCount.fetch_add(1, std::memory_order_relaxed);
+      ++P->RefCount;
     if (!UseShadow && P) {
       // Without shadows the join keeps no MAY entries: unshare and clear
       // only the partitions that hold some.
@@ -1089,8 +1094,7 @@ void CacheAbsState::joinPartInto(size_t Idx, PartNode *From,
   }
   const PartNode *Ours = P->Parts[Idx];
   const CacheSetPartition &Mine = Ours->Part, &Theirs = From->Part;
-  if (P->RefCount.load(std::memory_order_acquire) > 1 ||
-      Ours->RefCount.load(std::memory_order_acquire) > 1) {
+  if (P->RefCount > 1 || Ours->RefCount > 1) {
     // Shared: build the joined partition in a fresh node rather than
     // copying ours and merging into the copy.
     PartNode *N = allocNode();
@@ -1191,18 +1195,14 @@ bool CacheAbsState::operator==(const CacheAbsState &RHS) const {
   // an empty state never equals a non-empty one here.
   if (!P || !RHS.P)
     return false;
-  auto HashesDiffer = [](const std::atomic<uint64_t> &A,
-                         const std::atomic<uint64_t> &B) {
-    uint64_t HA = A.load(std::memory_order_relaxed);
-    uint64_t HB = B.load(std::memory_order_relaxed);
-    return HA && HB && HA != HB;
-  };
-  if (HashesDiffer(P->Hash, RHS.P->Hash) ||
+  // Cached hashes (0 = not computed) that differ prove inequality.
+  if ((P->Hash && RHS.P->Hash && P->Hash != RHS.P->Hash) ||
       P->Parts.size() != RHS.P->Parts.size())
     return false;
   for (size_t I = 0, N = P->Parts.size(); I != N; ++I) {
     const PartNode *A = P->Parts[I], *B = RHS.P->Parts[I];
-    if (A != B && (HashesDiffer(A->Hash, B->Hash) || !(A->Part == B->Part)))
+    if (A != B && ((A->Hash && B->Hash && A->Hash != B->Hash) ||
+                   !(A->Part == B->Part)))
       return false;
   }
   return true;
@@ -1249,8 +1249,8 @@ struct HashMixer {
 } // namespace
 
 uint64_t CacheAbsState::nodeHash(const PartNode &N) {
-  if (uint64_t H = N.Hash.load(std::memory_order_relaxed))
-    return H;
+  if (N.Hash)
+    return N.Hash;
   // Canonical windows make equal partitions word-for-word equal.
   HashMixer M;
   M.mix(N.Part.Set);
@@ -1260,9 +1260,8 @@ uint64_t CacheAbsState::nodeHash(const PartNode &N) {
     for (uint64_t W : Ages->words())
       M.mix(W);
   }
-  // Racing readers of a shared node compute and store the same value.
-  N.Hash.store(M.value(), std::memory_order_relaxed);
-  return M.value();
+  N.Hash = M.value();
+  return N.Hash;
 }
 
 uint64_t CacheAbsState::structuralHash() const {
@@ -1270,16 +1269,16 @@ uint64_t CacheAbsState::structuralHash() const {
     return 0xB0770B0770ULL;
   if (!P)
     return 0x9E3779B97F4A7C15ULL; // The empty (entry) state.
-  if (uint64_t H = P->Hash.load(std::memory_order_relaxed))
-    return H;
+  if (P->Hash)
+    return P->Hash;
   // Combine the per-partition hashes; only partitions written since they
   // were last hashed walk their entries.
   HashMixer M;
   M.mix(P->Parts.size());
   for (const PartNode *N : P->Parts)
     M.mix(nodeHash(*N));
-  P->Hash.store(M.value(), std::memory_order_relaxed);
-  return M.value();
+  P->Hash = M.value();
+  return P->Hash;
 }
 
 std::string CacheAbsState::str(const MemoryModel &MM) const {

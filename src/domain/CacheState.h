@@ -70,12 +70,12 @@
 ///    transfer, not O(n^2)).
 ///  - Copy-on-write at two levels. A state is a handle to a *payload*
 ///    holding set-sorted pointers to *partition nodes*, one per cache set;
-///    both carry an intrusive atomic refcount. Copying a state is a
-///    refcount bump. The first mutation of a shared payload (`mut()`)
-///    copies only the node pointers, and each mutator unshares only the
-///    partition of the set it writes (`mutPart()`), so the engines'
-///    ubiquitous `Out = In; transfer(Out)` copies one cache set, and
-///    states derived from one another share every partition neither
+///    both carry an intrusive plain refcount. Copying a state is a
+///    refcount increment. The first mutation of a shared payload
+///    (`mut()`) copies only the node pointers, and each mutator unshares
+///    only the partition of the set it writes (`mutPart()`), so the
+///    engines' ubiquitous `Out = In; transfer(Out)` copies one cache set,
+///    and states derived from one another share every partition neither
 ///    wrote (`sharesStorageWith`, `sharesPartitionWith`).
 ///  - Joins, `leq`, `widenFrom` and `operator==` walk the partitions of
 ///    two states paired by set and skip pairs held in the same node. A
@@ -95,10 +95,13 @@
 ///    negative path and backs the engines' transfer memoization and the
 ///    StateInterner pool.
 ///
-/// Handles are cheap to copy across threads; refcounts and the lazy
-/// hashes are atomic, so concurrent *reads* (including lazy hashing) of
-/// shared payloads and nodes are safe. Mutation still requires exclusive
-/// ownership of the handle, which copy-on-write guarantees.
+/// States are confined to one thread at a time. Refcounts and the lazy
+/// hashes are plain integers, so every handle to one payload, and to the
+/// nodes it shares, must live on a single thread; handing states to
+/// another thread needs a synchronizing hand-off (a thread join or a
+/// future) after which the sender touches none of them. Copying,
+/// destroying or hashing handles to shared storage on two threads at once
+/// is a data race.
 ///
 /// `mustEntries()/mayEntries()` decode the lanes through the universe into
 /// the canonical block-sorted entry order of the pre-packing
@@ -117,7 +120,6 @@
 #include "memory/MemoryModel.h"
 #include "support/RecyclingArena.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -368,24 +370,24 @@ struct CacheSetPartition {
 /// Abstract cache state: MUST ages plus optional MAY (shadow) ages.
 class CacheAbsState {
   /// Copy-on-write node of one cache-set partition. RefCount and the
-  /// lazy hash are atomic so shared nodes tolerate concurrent readers
+  /// lazy hash are plain: a node lives on one thread at a time
   /// (docs/PERFORMANCE.md, "Thread safety").
   struct PartNode {
-    std::atomic<uint32_t> RefCount{1};
+    uint32_t RefCount = 1;
     CacheSetPartition Part;
     /// Lazily computed partition hash; 0 means "not computed yet" (a
     /// computed 0 is stored as 1). Reset by every mutation.
-    mutable std::atomic<uint64_t> Hash{0};
+    mutable uint64_t Hash = 0;
   };
 
   /// Copy-on-write payload: set-sorted pointers to partition nodes, each
   /// holding one reference.
   struct Payload {
-    std::atomic<uint32_t> RefCount{1};
+    uint32_t RefCount = 1;
     std::vector<PartNode *> Parts;
     /// Lazily computed by structuralHash() from the partition hashes; 0
     /// means "not computed yet". Reset by every mutation.
-    mutable std::atomic<uint64_t> Hash{0};
+    mutable uint64_t Hash = 0;
 
     ~Payload() { dropParts(); }
     /// Releases every partition reference and empties Parts, keeping
@@ -456,7 +458,7 @@ public:
   CacheAbsState() = default;
   CacheAbsState(const CacheAbsState &RHS) : Bottom(RHS.Bottom), P(RHS.P) {
     if (P)
-      P->RefCount.fetch_add(1, std::memory_order_relaxed);
+      ++P->RefCount;
   }
   CacheAbsState(CacheAbsState &&RHS) noexcept
       : Bottom(RHS.Bottom), P(RHS.P) {
@@ -465,7 +467,7 @@ public:
   }
   CacheAbsState &operator=(const CacheAbsState &RHS) {
     if (RHS.P)
-      RHS.P->RefCount.fetch_add(1, std::memory_order_relaxed);
+      ++RHS.P->RefCount;
     Payload *Old = P;
     P = RHS.P;
     Bottom = RHS.Bottom;
@@ -608,17 +610,17 @@ public:
 
 private:
   static void release(Payload *PL) {
-    if (PL->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (--PL->RefCount == 0) {
       PL->dropParts();
       RecyclingArena<Payload>::releaseToActive(PL);
     }
   }
   static void releaseNode(PartNode *N) {
-    if (N->RefCount.fetch_sub(1, std::memory_order_acq_rel) == 1)
+    if (--N->RefCount == 0)
       RecyclingArena<PartNode>::releaseToActive(N);
   }
   static PartNode *retain(PartNode *N) {
-    N->RefCount.fetch_add(1, std::memory_order_relaxed);
+    ++N->RefCount;
     return N;
   }
   static constexpr size_t NoPart = static_cast<size_t>(-1);

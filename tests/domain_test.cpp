@@ -19,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <tuple>
+
 using namespace specai;
 
 namespace {
@@ -354,6 +357,52 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CacheLatticeTest,
 //===----------------------------------------------------------------------===//
 // Widening
 //===----------------------------------------------------------------------===//
+
+TEST(CacheStateTest, HandlesMoveBetweenThreads) {
+  // States are confined to one thread at a time (plain refcounts and
+  // hashes); a hand-off through a thread start and join is all they need.
+  // Two states sharing partitions move to a worker, which copies, mutates,
+  // joins, hashes and destroys them there. The payloads come from an
+  // arena on this thread and are released on the worker, which has none.
+  Blocks F(8, CacheConfig::setAssociative(8, 2));
+  auto Build = [&] {
+    CacheAbsState A = CacheAbsState::empty();
+    for (unsigned I = 0; I != 8; ++I)
+      A.accessBlock(F.block(I), *F.MM, /*UseShadow=*/true);
+    CacheAbsState B = A;
+    B.accessBlock(F.block(1), *F.MM, true); // Unshares one set only.
+    return std::pair{A, B};
+  };
+  using Result = std::tuple<std::vector<AgedBlock>, std::vector<AgedBlock>,
+                            uint64_t, uint64_t, bool>;
+  auto Work = [&](CacheAbsState A, CacheAbsState B) {
+    CacheAbsState C = B;
+    C.accessBlock(F.block(6), *F.MM, true);
+    C.joinInto(A, true);
+    return Result{C.mustEntries(), C.mayEntries(), C.structuralHash(),
+                  B.structuralHash(), C == A};
+  };
+  // What the worker must compute, recorded as plain values beforehand.
+  Result Want, Got;
+  {
+    auto [A, B] = Build();
+    Want = Work(A, B);
+  }
+
+  CacheStateArenaScope Arena;
+  auto [A, B] = Build();
+  ASSERT_FALSE(A.sharesStorageWith(B));
+  size_t Shared = 0;
+  for (const CacheSetPartition &Part : A.partitions())
+    Shared += A.sharesPartitionWith(B, Part.Set);
+  ASSERT_EQ(Shared + 1, A.partitions().size());
+  std::thread Worker([&, A = std::move(A), B = std::move(B)]() mutable {
+    CacheAbsState MyA = std::move(A), MyB = std::move(B);
+    Got = Work(MyA, MyB);
+  });
+  Worker.join();
+  EXPECT_EQ(Got, Want);
+}
 
 TEST(CacheStateTest, WideningEvictsGrowingEntries) {
   Blocks F(4, CacheConfig::fullyAssociative(4));

@@ -6,10 +6,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AnalysisPipeline.h"
+#include "fuzz/StateDigest.h"
 #include "reference/IntervalDomain.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace specai;
 
@@ -351,6 +354,77 @@ TEST(EngineTest, NoFoldWithoutConditionLoads) {
   runMustHitAnalysis(*CP, Opts);
   EXPECT_GT(Stats.get("spec.joins.pr"), 0u);
   EXPECT_EQ(Stats.get("spec.joins.fold"), 0u);
+}
+
+TEST(EngineTest, SelfLoopNodeJoinsIntoItsOwnSlots) {
+  // A node that is its own successor joins into the SS and PR slot maps
+  // its pop is iterating. Lowering never emits one (a loop body ends in a
+  // jump back to a separate header), so this retargets the header branch
+  // of `while (k)` at its own block. `k` comes from memory, so the branch
+  // is a site of its own, and it sits on the then-side of the outer site:
+  // it is reached by speculative flows of the outer site and by the
+  // post-rollback flows that return to the then-side.
+  auto Src = compile(R"MC(
+char c[64]; char a[64]; char b[64]; char d[64]; char e[64];
+
+int main() {
+  reg int t; reg int k;
+  if (c[0] != 0) {
+    t = a[0];
+    k = e[0];
+    while (k) { }
+    t = d[0];
+  } else {
+    t = b[0];
+  }
+  return t;
+}
+)MC");
+  ASSERT_TRUE(Src);
+  Program Prog = *Src->P;
+  BlockId Header = InvalidBlock;
+  for (BlockId B = 0; B != Prog.Blocks.size(); ++B)
+    if (Prog.Blocks[B].Name == "while.header")
+      Header = B;
+  ASSERT_NE(Header, InvalidBlock);
+  ASSERT_EQ(Prog.Blocks[Header].Insts.size(), 1u);
+  ASSERT_EQ(Prog.Blocks[Header].Insts[0].Op, Opcode::Br);
+  Prog.Blocks[Header].Insts[0].TrueTarget = Header;
+  auto CP = compileProgram(std::move(Prog));
+  NodeId Loop = CP->G.blockStart(Header);
+  const std::vector<NodeId> &Succs = CP->G.successors(Loop);
+  ASSERT_NE(std::find(Succs.begin(), Succs.end(), Loop), Succs.end());
+  ASSERT_EQ(CP->Plan.siteCount(), 2u);
+
+  // Every state of the self-join case, pinned by digests recorded with
+  // a drain that snapshotted all of a node's slots before running any.
+  struct Case {
+    MergeStrategy Strategy;
+    uint32_t Lines;
+    ReplacementPolicy Policy;
+    uint64_t Digest;
+  };
+  const Case Cases[] = {
+      {MergeStrategy::JustInTime, 4, ReplacementPolicy::Lru, 0x882125a5b43c6c82},
+      {MergeStrategy::NoMerge, 2, ReplacementPolicy::Lru, 0xf115122ed14f6e1a},
+      {MergeStrategy::NoMerge, 4, ReplacementPolicy::Fifo, 0xee459211c6b1f689},
+  };
+  for (const Case &C : Cases) {
+    MustHitOptions Opts;
+    Opts.Cache = CacheConfig::fullyAssociative(C.Lines).withPolicy(C.Policy);
+    Opts.Speculative = true;
+    Opts.Strategy = C.Strategy;
+    Opts.DepthMiss = 8;
+    MustHitReport R = runMustHitAnalysis(*CP, Opts);
+    std::string Label = std::string(mergeStrategyName(C.Strategy)) + "/" +
+                        std::to_string(C.Lines) + "/" +
+                        replacementPolicyName(C.Policy);
+    ASSERT_TRUE(R.Converged) << Label;
+    EXPECT_FALSE(R.States.Speculative[Loop].isBottom()) << Label;
+    EXPECT_FALSE(R.States.PostRollback[Loop].isBottom()) << Label;
+    EXPECT_EQ(digestModuleReport(*CP, R), C.Digest)
+        << Label << " 0x" << std::hex << digestModuleReport(*CP, R);
+  }
 }
 
 TEST(EngineTest, UnreachableCodeStaysBottom) {

@@ -208,9 +208,11 @@ echo "chaos smoke: kill -9 + restart over $SPILL, replay bit-identical"
 # Thread-sanitizer leg (docs/PERFORMANCE.md, "Thread safety"): each
 # analysis is serial, but parallelFor runs whole analyses side by side —
 # batch sweeps, fuzz campaigns, and the daemon's concurrent requests —
-# sharing compiled programs and copy-on-write cache states. The unit
-# suite (service tests included) and fuzz and repair campaigns at
-# --jobs 4 run once more under TSan. Determinism across --jobs is pinned
+# sharing read-only compiled programs. Cache states never cross threads
+# except through a join or a future (their refcounts are plain), so the
+# workers hand back verdicts and scalars only. The unit suite (service
+# tests and the cache-state hand-off test included) and fuzz and repair
+# campaigns at --jobs 4 run once more under TSan. Determinism across --jobs is pinned
 # separately by the campaign and batch tests; this leg pins data-race
 # freedom.
 TSAN_BUILD="$REPO/build-tsan"
@@ -234,19 +236,23 @@ echo "tsan leg: unit suite + --jobs 4 fuzz and repair smokes race-free"
 # and partitions, so a refcount slip fails here as a leak or a
 # use-after-free), the paper-kernel digests (states of hundreds of
 # entries in 16-bit lanes, whose windows a lane-index slip would overrun),
-# and a sanitized daemon serving a --check trace.
+# the engine suite (the fixpoint's slot-map drains, self-loop node
+# included) and the batch suite (analyses on parallelFor workers), and a
+# sanitized daemon serving a --check trace.
 ASAN_BUILD="$REPO/build-asan"
 cmake -B "$ASAN_BUILD" -S "$REPO" -DSPECAI_WERROR=ON \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target service_test \
-  packed_state_test paper_kernel_digest_test state_repr_test specaid \
-  specaid-cli
+  packed_state_test paper_kernel_digest_test state_repr_test engine_test \
+  batch_runner_test specaid specaid-cli
 "$ASAN_BUILD/tests/service_test"
 "$ASAN_BUILD/tests/packed_state_test"
 "$ASAN_BUILD/tests/paper_kernel_digest_test"
 "$ASAN_BUILD/tests/state_repr_test"
+"$ASAN_BUILD/tests/engine_test"
+"$ASAN_BUILD/tests/batch_runner_test"
 SOCK="$ASAN_BUILD/specaid-asan.sock"
 SPILL="$ASAN_BUILD/asan-spill"
 rm -f "$SOCK"
@@ -264,4 +270,4 @@ done
 "$ASAN_BUILD/tools/specaid-cli" --socket "$SOCK" --shutdown
 wait "$SPECAID_PID"
 trap - EXIT
-echo "asan leg: service and state-representation suites and daemon clean"
+echo "asan leg: service, state-representation, engine and batch suites and daemon clean"
