@@ -77,8 +77,26 @@ uint64_t expandLanes(uint64_t H, unsigned LaneBits) {
   return (H - (H >> (LaneBits - 1))) | H;
 }
 
+/// PackedAges::notBelow over one aligned word pair, as lane masks: adds
+/// to \p Ours the lanes present in X and absent from Y or older there,
+/// and to \p Theirs the lanes present in Y and absent from X or older
+/// here. Equal words add nothing.
+inline void notBelowLanes(uint64_t X, uint64_t Y, const LaneOps &O,
+                          uint64_t &Ours, uint64_t &Theirs) {
+  uint64_t NX = laneNonzero(X, O), NY = laneNonzero(Y, O);
+  uint64_t GE = laneGE(X, Y, O);
+  uint64_t LE = (~GE | ~laneNonzero(X ^ Y, O)) & O.High;
+  Ours |= NX & ~(NY & GE);
+  Theirs |= NY & ~(NX & LE);
+}
+
+/// notBelow's two bits from notBelowLanes' masks.
+inline unsigned notBelowBits(uint64_t Ours, uint64_t Theirs) {
+  return (Ours ? 1u : 0u) | (Theirs ? 2u : 0u);
+}
+
 /// Word \p K (absolute) of a window starting at \p Base, 0 outside it.
-uint64_t wordAt(const std::vector<uint64_t> &Words, uint32_t Base, size_t K) {
+uint64_t wordAt(std::span<const uint64_t> Words, uint32_t Base, size_t K) {
   size_t I = K - Base;
   return I < Words.size() ? Words[I] : 0;
 }
@@ -89,8 +107,29 @@ uint64_t wordAt(const std::vector<uint64_t> &Words, uint32_t Base, size_t K) {
 // PackedAges
 //===----------------------------------------------------------------------===//
 
+void PackedAges::LaneWords::grow(size_t N) {
+  size_t NewCap = std::max<size_t>(N, size_t(Cap) * 2);
+  uint64_t *Block = new uint64_t[NewCap];
+  std::copy(begin(), end(), Block);
+  freeHeap();
+  Data = Block;
+  Cap = static_cast<uint32_t>(NewCap);
+}
+
+void PackedAges::LaneWords::eraseFront(size_t N) {
+  std::copy(Data + N, Data + Size, Data);
+  Size -= static_cast<uint32_t>(N);
+}
+
+void PackedAges::LaneWords::insertFrontZeros(size_t N) {
+  size_t Old = Size;
+  resize(Old + N);
+  std::copy_backward(Data, Data + Old, Data + Old + N);
+  std::fill(Data, Data + N, 0);
+}
+
 void PackedAges::const_iterator::seek() {
-  const std::vector<uint64_t> &Words = PA->Words;
+  const LaneWords &Words = PA->Words;
   if (W >= Words.size()) {
     W = Words.size();
     Pending = 0;
@@ -131,7 +170,7 @@ void PackedAges::trim() {
   while (!Words[Hi - 1])
     --Hi;
   if (Lo)
-    Words.erase(Words.begin(), Words.begin() + static_cast<ptrdiff_t>(Lo));
+    Words.eraseFront(Lo);
   Words.resize(Hi - Lo);
   BaseWord += static_cast<uint32_t>(Lo);
 }
@@ -141,15 +180,15 @@ void PackedAges::set(uint32_t Slot, uint16_t Age, unsigned LaneBits) {
   if (empty()) {
     installLaneBits(LaneBits);
     BaseWord = Slot >> lanesPerWordLog();
-    Words.assign(1, 0);
+    Words.resize(1);
   }
   assert(laneBits() == LaneBits && "mixed lane widths in one entry list");
   uint32_t W = Slot >> lanesPerWordLog();
   if (W < BaseWord) {
-    Words.insert(Words.begin(), BaseWord - W, 0);
+    Words.insertFrontZeros(BaseWord - W);
     BaseWord = W;
   } else if (W - BaseWord >= Words.size()) {
-    Words.resize(W - BaseWord + 1, 0);
+    Words.resize(W - BaseWord + 1);
   }
   uint64_t &Word = Words[W - BaseWord];
   unsigned Sh = shiftOf(Slot);
@@ -289,7 +328,7 @@ void PackedAges::ageByShadow(const PackedAges &May, uint32_t Touched,
     if (!Cand)
       continue;
     uint64_t X = Words[I];
-    uint64_t Y = wordAt(May.Words, May.BaseWord, BaseWord + I);
+    uint64_t Y = wordAt(May.words(), May.BaseWord, BaseWord + I);
     // u's own shadow entry, where it counts toward NYoung(u).
     uint64_t Own = laneNonzero(Y, O) & laneGE(X, Y, O);
     uint64_t Inc = 0;
@@ -313,7 +352,8 @@ bool PackedAges::grewFrom(const PackedAges &Prev) const {
   assert(LaneLog == Prev.LaneLog);
   const LaneOps &O = opsFor(laneBits());
   for (size_t I = 0; I != Words.size(); ++I) {
-    uint64_t X = Words[I], Y = wordAt(Prev.Words, Prev.BaseWord, BaseWord + I);
+    uint64_t X = Words[I];
+    uint64_t Y = wordAt(Prev.words(), Prev.BaseWord, BaseWord + I);
     if (laneNonzero(Y, O) & ~laneGE(Y, X, O)) // Y present and X > Y.
       return true;
   }
@@ -325,7 +365,7 @@ void PackedAges::removeGrownFrom(const PackedAges &Prev) {
     return;
   const LaneOps &O = opsFor(laneBits());
   for (size_t I = 0; I != Words.size(); ++I) {
-    uint64_t Y = wordAt(Prev.Words, Prev.BaseWord, BaseWord + I);
+    uint64_t Y = wordAt(Prev.words(), Prev.BaseWord, BaseWord + I);
     uint64_t Grown = laneNonzero(Y, O) & ~laneGE(Y, Words[I], O);
     Words[I] &= ~expandLanes(Grown, laneBits());
   }
@@ -417,33 +457,26 @@ unsigned PackedAges::notBelow(const PackedAges &RHS) const {
                   (RHS.BaseWord < BaseWord || RHSEnd > End ? 2 : 0);
   const LaneOps &O = opsFor(laneBits());
   size_t Lo = std::max(BaseWord, RHS.BaseWord), Hi = std::min(End, RHSEnd);
-  for (size_t K = Lo; K < Hi && Bits != 3; ++K) {
-    uint64_t X = Words[K - BaseWord], Y = RHS.Words[K - RHS.BaseWord];
-    if (X == Y)
+  const uint64_t *X = Words.data() + (Lo - BaseWord);
+  const uint64_t *Y = RHS.Words.data() + (Lo - RHS.BaseWord);
+  size_t N = Hi > Lo ? Hi - Lo : 0, K = 0;
+  uint64_t Ours = 0, Theirs = 0;
+  // Four words at a time: runs where the lists agree are skipped, the
+  // rest is tested branch-free, and the walk stops once both bits are
+  // known.
+  for (; K + 4 <= N; K += 4) {
+    if (Bits == 3)
+      return Bits;
+    if (!((X[K] ^ Y[K]) | (X[K + 1] ^ Y[K + 1]) | (X[K + 2] ^ Y[K + 2]) |
+          (X[K + 3] ^ Y[K + 3])))
       continue;
-    uint64_t NX = laneNonzero(X, O), NY = laneNonzero(Y, O);
-    uint64_t GE = laneGE(X, Y, O);
-    uint64_t LE = (~GE | ~laneNonzero(X ^ Y, O)) & O.High;
-    if (NX & ~(NY & GE))
-      Bits |= 1; // One of ours is missing there or older there.
-    if (NY & ~(NX & LE))
-      Bits |= 2; // One of theirs is missing here or older here.
+    for (size_t I = K; I != K + 4; ++I)
+      notBelowLanes(X[I], Y[I], O, Ours, Theirs);
+    Bits |= notBelowBits(Ours, Theirs);
   }
-  return Bits;
-}
-
-unsigned PackedAges::mustJoinOrder(const PackedAges &From) const {
-  // The lane max keeps ours iff every entry of ours is in From at an age
-  // no older, and yields From's in the mirror case.
-  unsigned Bits = notBelow(From);
-  return (Bits & 1 ? 0 : JoinKeepsThis) | (Bits & 2 ? 0 : JoinYieldsFrom);
-}
-
-unsigned PackedAges::mayJoinOrder(const PackedAges &From) const {
-  // The union keeps ours iff every entry of From is here at an age no
-  // older: the mirror image of the MUST case.
-  unsigned Bits = notBelow(From);
-  return (Bits & 2 ? 0 : JoinKeepsThis) | (Bits & 1 ? 0 : JoinYieldsFrom);
+  for (; K != N; ++K) // The last N % 4 words.
+    notBelowLanes(X[K], Y[K], O, Ours, Theirs);
+  return Bits | notBelowBits(Ours, Theirs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -451,15 +484,6 @@ unsigned PackedAges::mayJoinOrder(const PackedAges &From) const {
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// First node of a set-sorted partition-pointer vector whose set is not
-/// below \p Set.
-template <typename NodePtrVec>
-auto lowerBoundSet(NodePtrVec &Parts, uint32_t Set) {
-  return std::lower_bound(
-      Parts.begin(), Parts.end(), Set,
-      [](const auto *N, uint32_t S) { return N->Part.Set < S; });
-}
 
 uint64_t splitmix64(uint64_t X) {
   X += 0x9E3779B97F4A7C15ULL;
@@ -481,11 +505,74 @@ unsigned mayLanesOf(const MemoryModel &MM) {
 
 } // namespace
 
+size_t CacheAbsState::Payload::lowerBound(uint32_t Set) const {
+  if (Sets.empty())
+    return Set <= FirstSet ? 0 : std::min<size_t>(Set - FirstSet, Parts.size());
+  return static_cast<size_t>(std::lower_bound(Sets.begin(), Sets.end(), Set) -
+                             Sets.begin());
+}
+
+void CacheAbsState::Payload::insertPart(size_t Pos, uint32_t Set,
+                                        PartNode *N) {
+  Parts.insert(Parts.begin() + static_cast<ptrdiff_t>(Pos), N);
+  if (Sets.empty()) {
+    size_t Old = Parts.size() - 1;
+    if (Old == 0 || (Pos == 0 && Set + 1 == FirstSet)) {
+      FirstSet = Set;
+      return;
+    }
+    if (Pos == Old && Set == FirstSet + Old)
+      return;
+    // The run of consecutive sets breaks: store the ids from here on.
+    Sets.resize(Old);
+    for (size_t I = 0; I != Old; ++I)
+      Sets[I] = FirstSet + static_cast<uint32_t>(I);
+  }
+  Sets.insert(Sets.begin() + static_cast<ptrdiff_t>(Pos), Set);
+  dropConsecutiveSets();
+}
+
+void CacheAbsState::Payload::dropEmptyParts() {
+  auto IsEmpty = [](const PartNode *N) {
+    return N->Part.Must.empty() && N->Part.May.empty();
+  };
+  auto First = std::find_if(Parts.begin(), Parts.end(), IsEmpty);
+  if (First == Parts.end())
+    return;
+  if (Sets.empty()) {
+    Sets.resize(Parts.size());
+    for (size_t I = 0; I != Sets.size(); ++I)
+      Sets[I] = FirstSet + static_cast<uint32_t>(I);
+  }
+  size_t Kept = static_cast<size_t>(First - Parts.begin());
+  for (size_t I = Kept; I != Parts.size(); ++I) {
+    if (IsEmpty(Parts[I])) {
+      releaseNode(Parts[I]);
+      continue;
+    }
+    Sets[Kept] = Sets[I];
+    Parts[Kept++] = Parts[I];
+  }
+  Parts.resize(Kept);
+  Sets.resize(Kept);
+  dropConsecutiveSets();
+}
+
+void CacheAbsState::Payload::dropConsecutiveSets() {
+  // Set ids ascend strictly, so they are consecutive iff the last is the
+  // first plus the count minus one.
+  if (!Sets.empty() && Sets.back() - Sets.front() == Sets.size() - 1) {
+    FirstSet = Sets.front();
+    Sets.clear();
+  }
+}
+
 CacheAbsState::Payload *CacheAbsState::allocPayload() {
   Payload *PL = RecyclingArena<Payload>::allocateFromActive();
   PL->RefCount = 1;
   PL->Hash = 0;
-  assert(PL->Parts.empty() && "retired payloads hold no partitions");
+  assert(PL->Parts.empty() && PL->Sets.empty() &&
+         "retired payloads hold no partitions");
   return PL;
 }
 
@@ -510,7 +597,10 @@ void CacheAbsState::unshareWith(size_t Idx, PartNode *Slot) {
   // unshares only the partitions it writes. Slot Idx is filled before the
   // old payload is released, so its old node is still alive to copy.
   Payload *N = allocPayload();
+  N->FirstSet = P->FirstSet;
   N->Parts = P->Parts;
+  if (!P->Sets.empty())
+    N->Sets = P->Sets;
   for (size_t I = 0; I != N->Parts.size(); ++I)
     if (I != Idx)
       retain(N->Parts[I]);
@@ -561,9 +651,9 @@ CacheSetPartition &CacheAbsState::ensurePart(const BlockUniverse::Loc &L,
                                              const BlockUniverse &U) {
   assert(L.valid() && "block outside the model's universe");
   if (P) {
-    auto It = lowerBoundSet(P->Parts, L.Set);
-    if (It != P->Parts.end() && (*It)->Part.Set == L.Set)
-      return mutPart(static_cast<size_t>(It - P->Parts.begin()));
+    size_t Pos = P->lowerBound(L.Set);
+    if (Pos != P->Parts.size() && P->setAt(Pos) == L.Set)
+      return mutPart(Pos);
   }
   Payload &PL = mut();
   PartNode *N = allocNode();
@@ -572,7 +662,7 @@ CacheSetPartition &CacheAbsState::ensurePart(const BlockUniverse::Loc &L,
   N->Part.Blocks = L.SetBlocks;
   N->Part.Must.clear();
   N->Part.May.clear();
-  PL.Parts.insert(lowerBoundSet(PL.Parts, L.Set), N);
+  PL.insertPart(PL.lowerBound(L.Set), L.Set, N);
   return N->Part;
 }
 
@@ -582,16 +672,8 @@ void CacheAbsState::normalize() {
   // A shared payload is never mutated here: partitions only need scrubbing
   // after a mutator, which already unshared the payload (an empty
   // partition is always one a mutator just wrote, so it is unique too).
-  std::vector<PartNode *> &Parts = P->Parts;
-  size_t Kept = 0;
-  for (PartNode *N : Parts) {
-    if (N->Part.Must.empty() && N->Part.May.empty())
-      releaseNode(N);
-    else
-      Parts[Kept++] = N;
-  }
-  Parts.resize(Kept);
-  if (Parts.empty()) {
+  P->dropEmptyParts();
+  if (P->Parts.empty()) {
     release(P);
     P = nullptr;
   }
@@ -600,8 +682,9 @@ void CacheAbsState::normalize() {
 const CacheAbsState::PartNode *CacheAbsState::findNode(uint32_t Set) const {
   if (!P)
     return nullptr;
-  auto It = lowerBoundSet(P->Parts, Set);
-  return It != P->Parts.end() && (*It)->Part.Set == Set ? *It : nullptr;
+  size_t Pos = P->lowerBound(Set);
+  return Pos != P->Parts.size() && P->setAt(Pos) == Set ? P->Parts[Pos]
+                                                         : nullptr;
 }
 
 const CacheSetPartition *CacheAbsState::findPart(uint32_t Set) const {
@@ -974,25 +1057,51 @@ void CacheAbsState::applyCallEffect(const std::vector<uint32_t> &SetPressure,
 
 namespace {
 
+/// Result bits of partJoinOrder.
+constexpr unsigned JoinKeepsThis = 1;  ///< Into ⊔ From == Into.
+constexpr unsigned JoinYieldsFrom = 2; ///< Into ⊔ From == From.
+
+/// PackedAges::notBelow, with the case of two inline windows at one base
+/// inline (every set of the 8-way stress geometry, for one): the order
+/// tests are the join walks' inner loop.
+inline unsigned orderBits(const PackedAges &A, const PackedAges &B) {
+  std::span<const uint64_t> X = A.words(), Y = B.words();
+  if (X.size() != Y.size() || X.size() > 2 || X.empty() ||
+      A.baseWord() != B.baseWord())
+    return A.notBelow(B);
+  const LaneOps &O = opsFor(A.laneBits());
+  uint64_t Ours = 0, Theirs = 0;
+  notBelowLanes(X[0], Y[0], O, Ours, Theirs);
+  if (X.size() == 2 && !(Ours && Theirs))
+    notBelowLanes(X[1], Y[1], O, Ours, Theirs);
+  return notBelowBits(Ours, Theirs);
+}
+
 /// Where `Into ⊔ From` lands for two partitions of one set, as a
-/// PackedAges::JoinKeepsThis / JoinYieldsFrom mask over both sides.
-/// Without shadows the join leaves Into's MAY entries alone, so it
+/// JoinKeepsThis / JoinYieldsFrom mask over both sides. The lane max of
+/// MUST keeps ours iff every entry of ours is in From at an age no older,
+/// and yields From's in the mirror case; the MAY union the other way
+/// round. Without shadows the join leaves Into's MAY entries alone, so it
 /// yields From only when those already equal From's.
 unsigned partJoinOrder(const CacheSetPartition &Into,
                        const CacheSetPartition &From, bool UseShadow) {
-  unsigned Must = Into.Must.mustJoinOrder(From.Must);
-  if (!Must)
+  unsigned MustBits = orderBits(Into.Must, From.Must);
+  unsigned Order = (MustBits & 1 ? 0 : JoinKeepsThis) |
+                   (MustBits & 2 ? 0 : JoinYieldsFrom);
+  if (!Order)
     return 0; // Changes ours and is not theirs, whatever MAY does.
-  if (UseShadow)
-    return Must & Into.May.mayJoinOrder(From.May);
-  return Must & (PackedAges::JoinKeepsThis |
-                 (Into.May == From.May ? PackedAges::JoinYieldsFrom : 0));
+  if (!UseShadow)
+    return Order &
+           (JoinKeepsThis | (Into.May == From.May ? JoinYieldsFrom : 0));
+  unsigned MayBits = orderBits(Into.May, From.May);
+  return Order & ((MayBits & 2 ? 0 : JoinKeepsThis) |
+                  (MayBits & 1 ? 0 : JoinYieldsFrom));
 }
 
 } // namespace
 
-const std::vector<CacheAbsState::PartNode *> &CacheAbsState::noNodes() {
-  static const std::vector<PartNode *> None;
+const CacheAbsState::Payload &CacheAbsState::noPayload() {
+  static const Payload None;
   return None;
 }
 
@@ -1020,99 +1129,174 @@ bool CacheAbsState::joinInto(const CacheAbsState &From, bool UseShadow) {
   }
   if (P == From.P)
     return false; // Shared storage: identical states, join is a no-op.
+  return joinDistinct(From, UseShadow);
+}
 
-  // One merge walk by set. The payload is unshared on the first partition
-  // the join changes, and then only the changed partitions are; a join
-  // that changes nothing copies nothing. Unsharing copies the node
-  // pointers in order, so the walk's indices stay valid across it.
-  const std::vector<PartNode *> &Src = From.nodes();
-  bool Changed = false, EmptiedSome = false;
-  auto WroteEmpty = [&](size_t Idx) {
-    const CacheSetPartition &Part = nodes()[Idx]->Part;
-    return Part.Must.empty() && Part.May.empty();
+bool CacheAbsState::joinDistinct(const CacheAbsState &From, bool UseShadow) {
+  // Read-only pass: one merge walk by set id, recording the partitions
+  // the join writes. Adoptable stays true while the result can still be
+  // From itself: the same sets, and every pair in different nodes yields
+  // From's partition.
+  const Payload &Dst = payload(), &Src = From.payload();
+  size_t NI = Dst.Parts.size(), NJ = Src.Parts.size();
+  constexpr size_t StackSteps = 128;
+  JoinStep StackBuf[StackSteps];
+  std::vector<JoinStep> HeapBuf;
+  JoinStep *Steps = StackBuf;
+  if (NI + NJ > StackSteps) {
+    HeapBuf.resize(NI + NJ);
+    Steps = HeapBuf.data();
+  }
+  size_t NSteps = 0;
+  bool Adoptable = NI == NJ;
+  auto Step = [&](size_t I, size_t J, JoinStep::Kind K) {
+    Steps[NSteps++] = {static_cast<uint32_t>(I), static_cast<uint32_t>(J), K};
+  };
+  // Our set only: the MUST intersection is empty there; MAY keeps our
+  // entries (untouched when shadows are off).
+  auto OursOnly = [&](size_t I, size_t J) {
+    Adoptable = false;
+    if (!Dst.Parts[I]->Part.Must.empty())
+      Step(I, J, JoinStep::ClearMust);
+  };
+  // Their set only: nothing joins MUST; the MAY union adopts theirs.
+  auto TheirsOnly = [&](size_t I, size_t J) {
+    Adoptable = false;
+    if (UseShadow && !Src.Parts[J]->Part.May.empty())
+      Step(I, J, JoinStep::Insert);
   };
   size_t I = 0, J = 0;
-  while (I != nodes().size() || J != Src.size()) {
-    const std::vector<PartNode *> &Dst = nodes();
-    if (J == Src.size() ||
-        (I != Dst.size() && Dst[I]->Part.Set < Src[J]->Part.Set)) {
-      // Our set only: the MUST intersection is empty there; MAY keeps our
-      // entries (untouched when shadows are off).
-      if (!Dst[I]->Part.Must.empty()) {
-        mutPart(I).Must.clear();
-        Changed = true;
-        EmptiedSome |= WroteEmpty(I);
-      }
-      ++I;
-    } else if (I == Dst.size() || Dst[I]->Part.Set > Src[J]->Part.Set) {
-      // Their set only: nothing joins MUST; the MAY union adopts theirs.
-      const CacheSetPartition &Theirs = Src[J]->Part;
-      if (UseShadow && !Theirs.May.empty()) {
-        PartNode *N;
-        if (Theirs.Must.empty()) {
-          N = retain(Src[J]); // The joined partition is exactly theirs.
-        } else {
-          N = allocNode();
-          N->Part.Set = Theirs.Set;
-          N->Part.U = Theirs.U;
-          N->Part.Blocks = Theirs.Blocks;
-          N->Part.Must.clear();
-          N->Part.May = Theirs.May;
-        }
-        Payload &PL = mut();
-        PL.Parts.insert(PL.Parts.begin() + static_cast<ptrdiff_t>(I), N);
-        Changed = true;
-        ++I;
-      }
-      ++J;
-    } else {
-      if (Dst[I] != Src[J]) {
-        unsigned Order = partJoinOrder(Dst[I]->Part, Src[J]->Part, UseShadow);
-        if (!(Order & PackedAges::JoinKeepsThis)) {
-          joinPartInto(I, Src[J], Order & PackedAges::JoinYieldsFrom,
-                       UseShadow);
-          Changed = true;
-          EmptiedSome |= WroteEmpty(I);
-        }
-      }
+  while (I != NI && J != NJ) {
+    const PartNode *A = Dst.Parts[I], *B = Src.Parts[J];
+    if (A == B) {
+      // One node holds one set's partition, equal to itself.
       ++I;
       ++J;
+      continue;
     }
+    uint32_t SetA = Dst.setAt(I), SetB = Src.setAt(J);
+    if (SetA == SetB) {
+      unsigned Order = partJoinOrder(A->Part, B->Part, UseShadow);
+      bool Yields = Order & JoinYieldsFrom;
+      Adoptable &= Yields;
+      if (!(Order & JoinKeepsThis))
+        Step(I, J, Yields ? JoinStep::Adopt : JoinStep::Join);
+      ++I;
+      ++J;
+    } else if (SetA < SetB) {
+      OursOnly(I++, J);
+    } else {
+      TheirsOnly(I, J++);
+    }
+  }
+  for (; I != NI; ++I)
+    OursOnly(I, J);
+  for (; J != NJ; ++J)
+    TheirsOnly(I, J);
+  if (NSteps == 0)
+    return false;
+  if (Adoptable) {
+    // The join is From: share its payload (and its cached hash) rather
+    // than rebuild an equal one pointer by pointer.
+    ++From.P->RefCount;
+    release(P);
+    P = From.P;
+    return true;
+  }
+  applyJoinSteps(Steps, NSteps, Src, UseShadow);
+  return true;
+}
+
+CacheAbsState::PartNode *CacheAbsState::joinedNode(JoinStep::Kind K,
+                                                   const PartNode &Ours,
+                                                   PartNode *Theirs,
+                                                   bool UseShadow) {
+  if (K == JoinStep::Adopt)
+    return retain(Theirs); // Their node instead of an equal copy.
+  // Build the joined partition in a fresh node rather than copying ours
+  // and joining into the copy.
+  const CacheSetPartition &Mine = Ours.Part;
+  PartNode *N = allocNode();
+  N->Part.Set = Mine.Set;
+  N->Part.U = Mine.U;
+  N->Part.Blocks = Mine.Blocks;
+  if (K == JoinStep::ClearMust)
+    N->Part.Must.clear();
+  else
+    N->Part.Must.assignMustJoin(Mine.Must, Theirs->Part.Must);
+  if (K == JoinStep::Join && UseShadow)
+    N->Part.May.assignMayJoin(Mine.May, Theirs->Part.May);
+  else
+    N->Part.May = Mine.May;
+  return N;
+}
+
+void CacheAbsState::applyJoinSteps(const JoinStep *Steps, size_t NSteps,
+                                   const Payload &Src, bool UseShadow) {
+  // ClearMust steps may sit past their last partition.
+  auto TheirNode = [&](const JoinStep &S) {
+    return S.K == JoinStep::ClearMust ? nullptr : Src.Parts[S.J];
+  };
+  auto Emptied = [](const PartNode *N) {
+    return N->Part.Must.empty() && N->Part.May.empty();
+  };
+  bool EmptiedSome = false;
+  size_t K = 0;
+  if (P && P->RefCount > 1 && Steps[0].K != JoinStep::Insert) {
+    // Unshare with the first write folded in, so the copy never retains
+    // the node that write replaces.
+    const JoinStep &S = Steps[0];
+    PartNode *N = joinedNode(S.K, *P->Parts[S.I], TheirNode(S), UseShadow);
+    EmptiedSome = Emptied(N);
+    unshareWith(S.I, N);
+    K = 1;
+  }
+  // Unshare once (the empty state gets a payload for the inserts), then
+  // replace or rewrite only the stepped partitions. A node is rewritten
+  // in place only when no other payload holds it.
+  Payload &PL = mut();
+  size_t Inserted = 0; // Steps index ours before the inserts ahead of them.
+  for (; K != NSteps; ++K) {
+    const JoinStep &S = Steps[K];
+    PartNode *Theirs = TheirNode(S);
+    size_t Idx = S.I + Inserted;
+    if (S.K == JoinStep::Insert) {
+      const CacheSetPartition &TheirPart = Theirs->Part;
+      PartNode *N;
+      if (TheirPart.Must.empty()) {
+        N = retain(Theirs); // The joined partition is exactly theirs.
+      } else {
+        N = allocNode();
+        N->Part.Set = TheirPart.Set;
+        N->Part.U = TheirPart.U;
+        N->Part.Blocks = TheirPart.Blocks;
+        N->Part.Must.clear();
+        N->Part.May = TheirPart.May;
+      }
+      PL.insertPart(Idx, Src.setAt(S.J), N);
+      ++Inserted;
+      continue;
+    }
+    PartNode *&Ours = PL.Parts[Idx];
+    if (S.K == JoinStep::Adopt || Ours->RefCount > 1) {
+      PartNode *N = joinedNode(S.K, *Ours, Theirs, UseShadow);
+      releaseNode(Ours);
+      Ours = N;
+    } else {
+      Ours->Hash = 0;
+      CacheSetPartition &Part = Ours->Part;
+      if (S.K == JoinStep::ClearMust) {
+        Part.Must.clear();
+      } else {
+        Part.Must.assignMustJoin(Part.Must, Theirs->Part.Must);
+        if (UseShadow)
+          Part.May.assignMayJoin(Part.May, Theirs->Part.May);
+      }
+    }
+    EmptiedSome |= Emptied(Ours);
   }
   if (EmptiedSome)
     normalize();
-  return Changed;
-}
-
-void CacheAbsState::joinPartInto(size_t Idx, PartNode *From,
-                                 bool YieldsFrom, bool UseShadow) {
-  if (YieldsFrom) {
-    // Adopt their node instead of building an equal copy, so both states
-    // share it from here on.
-    setPart(Idx, retain(From));
-    return;
-  }
-  const PartNode *Ours = P->Parts[Idx];
-  const CacheSetPartition &Mine = Ours->Part, &Theirs = From->Part;
-  if (P->RefCount > 1 || Ours->RefCount > 1) {
-    // Shared: build the joined partition in a fresh node rather than
-    // copying ours and merging into the copy.
-    PartNode *N = allocNode();
-    N->Part.Set = Mine.Set;
-    N->Part.U = Mine.U;
-    N->Part.Blocks = Mine.Blocks;
-    N->Part.Must.assignMustJoin(Mine.Must, Theirs.Must);
-    if (UseShadow)
-      N->Part.May.assignMayJoin(Mine.May, Theirs.May);
-    else
-      N->Part.May = Mine.May;
-    setPart(Idx, N);
-    return;
-  }
-  CacheSetPartition &Part = mutPart(Idx);
-  Part.Must.assignMustJoin(Part.Must, Theirs.Must);
-  if (UseShadow)
-    Part.May.assignMayJoin(Part.May, Theirs.May);
 }
 
 bool CacheAbsState::leq(const CacheAbsState &RHS) const {
@@ -1126,25 +1310,32 @@ bool CacheAbsState::leq(const CacheAbsState &RHS) const {
   // MUST ages are upper bounds joined by max over the intersection, MAY
   // ages lower bounds joined by min over the union, and a block a side
   // does not track sits at Assoc + 1 there.
-  const std::vector<PartNode *> &L = nodes(), &R = RHS.nodes();
+  const Payload &L = payload(), &R = RHS.payload();
+  size_t NI = L.Parts.size(), NJ = R.Parts.size();
   size_t I = 0, J = 0;
-  while (I != L.size() || J != R.size()) {
-    if (J == R.size() || (I != L.size() && L[I]->Part.Set < R[J]->Part.Set)) {
+  while (I != NI || J != NJ) {
+    if (I != NI && J != NJ && L.Parts[I] == R.Parts[J]) {
+      ++I; // One node: one set, and equal.
+      ++J;
+      continue;
+    }
+    uint32_t SetL = I != NI ? L.setAt(I) : 0, SetR = J != NJ ? R.setAt(J) : 0;
+    if (J == NJ || (I != NI && SetL < SetR)) {
       // RHS tracks nothing in this set: any MAY entry of ours undercuts
       // its Assoc + 1.
-      if (!L[I]->Part.May.empty())
+      if (!L.Parts[I]->Part.May.empty())
         return false;
       ++I;
-    } else if (I == L.size() || L[I]->Part.Set > R[J]->Part.Set) {
+    } else if (I == NI || SetL > SetR) {
       // We track nothing in this set: any MUST entry of RHS is tighter
       // than our Assoc + 1.
-      if (!R[J]->Part.Must.empty())
+      if (!R.Parts[J]->Part.Must.empty())
         return false;
       ++J;
     } else {
-      if (L[I] != R[J] &&
-          !(partJoinOrder(R[J]->Part, L[I]->Part, /*UseShadow=*/true) &
-            PackedAges::JoinKeepsThis))
+      if (!(partJoinOrder(R.Parts[J]->Part, L.Parts[I]->Part,
+                          /*UseShadow=*/true) &
+            JoinKeepsThis))
         return false;
       ++I;
       ++J;
@@ -1159,21 +1350,21 @@ void CacheAbsState::widenFrom(const CacheAbsState &Prev) {
   // Evict MUST entries whose age grew since the previous iterate. Only
   // partitions with such an entry are unshared, so the stable case never
   // clones anything.
-  const std::vector<PartNode *> &PrevParts = Prev.nodes();
+  const Payload &PrevPL = Prev.payload();
   bool Changed = false;
   size_t J = 0;
   for (size_t I = 0; I != nodes().size(); ++I) {
-    // Re-read through nodes(): unsharing the payload below replaces P.
-    const PartNode *Ours = nodes()[I];
-    uint32_t Set = Ours->Part.Set;
-    while (J != PrevParts.size() && PrevParts[J]->Part.Set < Set)
+    // Re-read through P: unsharing the payload below replaces it.
+    const PartNode *Ours = P->Parts[I];
+    uint32_t Set = P->setAt(I);
+    while (J != PrevPL.Parts.size() && PrevPL.setAt(J) < Set)
       ++J;
     // Prev tracks nothing in this set (every age Assoc+1, so nothing
     // grew), or holds the very same partition.
-    if (J == PrevParts.size() || PrevParts[J]->Part.Set != Set ||
-        PrevParts[J] == Ours)
+    if (J == PrevPL.Parts.size() || PrevPL.setAt(J) != Set ||
+        PrevPL.Parts[J] == Ours)
       continue;
-    const PackedAges &PrevMust = PrevParts[J]->Part.Must;
+    const PackedAges &PrevMust = PrevPL.Parts[J]->Part.Must;
     if (Ours->Part.Must.grewFrom(PrevMust)) {
       mutPart(I).Must.removeGrownFrom(PrevMust);
       Changed = true;
@@ -1201,8 +1392,11 @@ bool CacheAbsState::operator==(const CacheAbsState &RHS) const {
     return false;
   for (size_t I = 0, N = P->Parts.size(); I != N; ++I) {
     const PartNode *A = P->Parts[I], *B = RHS.P->Parts[I];
-    if (A != B && ((A->Hash && B->Hash && A->Hash != B->Hash) ||
-                   !(A->Part == B->Part)))
+    if (A == B)
+      continue;
+    if (P->setAt(I) != RHS.P->setAt(I) ||
+        (A->Hash && B->Hash && A->Hash != B->Hash) ||
+        !(A->Part.Must == B->Part.Must && A->Part.May == B->Part.May))
       return false;
   }
   return true;

@@ -61,15 +61,18 @@
 ///    (nibble / byte / 16-bit, chosen from the policy's `mustAgeCap()`),
 ///    zero meaning absent (real ages are >= 1), over a word-aligned
 ///    *window* from the lowest present slot to the highest, trimmed in
-///    canonical form. Two lists of one set line up word for word, so
-///    aging a set is a masked SWAR add, joins are per-lane max/min under
+///    canonical form. Windows of up to two words live inline in the list,
+///    and so in the partition node's own cache lines; wider ones go to
+///    the heap. Two lists of one set line up word for word, so aging a
+///    set is a masked SWAR add, joins are per-lane max/min under
 ///    zero-lane masks, containment is a subtract-and-test — 16/8/4
 ///    entries per instruction — and point reads and writes are O(1) lane
 ///    accesses. The Appendix B NYoung rule runs off a MAY-age histogram
 ///    read only below the touched block's old age (O(n + ages read) per
 ///    transfer, not O(n^2)).
 ///  - Copy-on-write at two levels. A state is a handle to a *payload*
-///    holding set-sorted pointers to *partition nodes*, one per cache set;
+///    holding set-sorted pointers to *partition nodes*, one per cache set,
+///    and their set ids (stored only when the sets are not consecutive);
 ///    both carry an intrusive plain refcount. Copying a state is a
 ///    refcount increment. The first mutation of a shared payload
 ///    (`mut()`) copies only the node pointers, and each mutator unshares
@@ -78,10 +81,15 @@
 ///    and states derived from one another share every partition neither
 ///    wrote (`sharesStorageWith`, `sharesPartitionWith`).
 ///  - Joins, `leq`, `widenFrom` and `operator==` walk the partitions of
-///    two states paired by set and skip pairs held in the same node. A
-///    join whose result for a set equals the source's partition adopts
-///    the source's node instead of building an equal copy, so sharing
-///    survives joins; a join that changes nothing copies nothing.
+///    two states paired by the set ids in the payloads, skip pairs held in
+///    the same node, and load nodes only for pairs held in different ones.
+///    A join first order-tests those pairs read-only: when nothing
+///    changes it writes nothing; when the result is the source state
+///    itself it shares the source's whole payload (one refcount bump,
+///    cached hash included); otherwise it unshares once and writes only
+///    the changed partitions, adopting the source's node wherever the
+///    result for a set is the source's partition. So sharing survives
+///    joins.
 ///  - Payloads and nodes are recycled through a per-analysis arena
 ///    (CacheAbsState::ArenaScope over support/RecyclingArena.h): retiring
 ///    a node hands its entry buffers to the next clone instead of the
@@ -120,10 +128,12 @@
 #include "memory/MemoryModel.h"
 #include "support/RecyclingArena.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -157,6 +167,9 @@ struct SlotAge {
 /// Lists of one set always share slot numbering, so two lists line up word
 /// for word: joins, order tests and widening run word-wise SWAR with
 /// zero-lane masks, and point reads and writes are O(1) lane accesses.
+///
+/// A window of up to two words lives inline, in the list itself (and so
+/// in its partition node's own cache lines); wider windows go to the heap.
 class PackedAges {
 public:
   static constexpr uint32_t NoSlot = ~uint32_t(0);
@@ -177,7 +190,9 @@ public:
   /// The window's first word, as an index into the slot space's words.
   uint32_t baseWord() const { return BaseWord; }
   /// The window's lane words; for hashing and the harness's layout checks.
-  const std::vector<uint64_t> &words() const { return Words; }
+  std::span<const uint64_t> words() const {
+    return {Words.data(), Words.size()};
+  }
 
   /// Iteration over the present lanes, yielding SlotAge by value in
   /// increasing slot order.
@@ -266,19 +281,114 @@ public:
   void assignMustJoin(const PackedAges &A, const PackedAges &B);
   /// this = MAY join of A and B: key union, lane min. \p A may be this.
   void assignMayJoin(const PackedAges &A, const PackedAges &B);
-  /// Result bits of mustJoinOrder/mayJoinOrder.
-  static constexpr unsigned JoinKeepsThis = 1;  ///< this ⊔ From == this.
-  static constexpr unsigned JoinYieldsFrom = 2; ///< this ⊔ From == From.
-  /// Where a MUST join (intersection, lane max) of this and From lands,
-  /// in one pass: JoinKeepsThis iff From ⊑ this, JoinYieldsFrom iff
-  /// this ⊑ From.
-  unsigned mustJoinOrder(const PackedAges &From) const;
-  /// The same for a MAY join (union, lane min).
-  unsigned mayJoinOrder(const PackedAges &From) const;
+  /// The order test behind joins and `leq`, in one pass. Two bits: 1 when
+  /// some lane present in this list is absent from \p RHS or older there,
+  /// 2 when some lane present in RHS is absent here or older here. So a
+  /// MUST join (intersection, lane max) keeps this list iff bit 1 is
+  /// clear and yields RHS iff bit 2 is clear; a MAY join (union, lane
+  /// min) the other way round.
+  unsigned notBelow(const PackedAges &RHS) const;
 
   bool operator==(const PackedAges &RHS) const = default;
 
 private:
+  /// The window's words: a small-buffer array with two words inline and
+  /// the heap beyond. `data()` is a plain pointer load — it points at the
+  /// inline buffer or the heap block, so no access branches on where the
+  /// words live. A heap block, once allocated, is kept for later windows
+  /// (recycled partition nodes reuse it), and only grows.
+  class LaneWords {
+  public:
+    static constexpr uint32_t InlineWords = 2;
+
+    LaneWords() = default;
+    LaneWords(const LaneWords &RHS) { assign(RHS); }
+    LaneWords(LaneWords &&RHS) noexcept { steal(RHS); }
+    LaneWords &operator=(const LaneWords &RHS) {
+      if (this != &RHS)
+        assign(RHS);
+      return *this;
+    }
+    LaneWords &operator=(LaneWords &&RHS) noexcept {
+      if (this == &RHS)
+        return *this;
+      if (RHS.Data == RHS.Inline) {
+        assign(RHS); // Fits: every buffer holds the inline words' count.
+      } else {
+        freeHeap();
+        steal(RHS);
+      }
+      return *this;
+    }
+    ~LaneWords() { freeHeap(); }
+
+    const uint64_t *data() const { return Data; }
+    size_t size() const { return Size; }
+    bool empty() const { return Size == 0; }
+    uint64_t &operator[](size_t I) { return Data[I]; }
+    uint64_t operator[](size_t I) const { return Data[I]; }
+    uint64_t *begin() { return Data; }
+    uint64_t *end() { return Data + Size; }
+    const uint64_t *begin() const { return Data; }
+    const uint64_t *end() const { return Data + Size; }
+
+    /// Empties the array; the buffer stays.
+    void clear() { Size = 0; }
+    /// Resizes to \p N words, zero-filling the new ones.
+    void resize(size_t N) {
+      if (N > Cap)
+        grow(N);
+      for (size_t I = Size; I < N; ++I)
+        Data[I] = 0;
+      Size = static_cast<uint32_t>(N);
+    }
+    /// Drops the first \p N words.
+    void eraseFront(size_t N);
+    /// Inserts \p N zero words at the front.
+    void insertFrontZeros(size_t N);
+
+    bool operator==(const LaneWords &RHS) const {
+      return Size == RHS.Size && std::equal(begin(), end(), RHS.begin());
+    }
+
+  private:
+    /// Moves the words to a heap block of at least \p N words.
+    void grow(size_t N);
+    void assign(const LaneWords &RHS) {
+      Size = 0; // Nothing to carry over when growing.
+      if (RHS.Size > Cap)
+        grow(RHS.Size);
+      std::copy(RHS.begin(), RHS.end(), Data);
+      Size = RHS.Size;
+    }
+    /// Takes \p RHS's words, its heap block when it has one; RHS is left
+    /// empty on its inline buffer. Only for a receiver holding no heap
+    /// block.
+    void steal(LaneWords &RHS) {
+      Size = RHS.Size;
+      if (RHS.Data == RHS.Inline) {
+        Data = Inline;
+        Cap = InlineWords;
+        std::copy(RHS.Inline, RHS.Inline + InlineWords, Inline);
+      } else {
+        Data = RHS.Data;
+        Cap = RHS.Cap;
+        RHS.Data = RHS.Inline;
+        RHS.Cap = InlineWords;
+      }
+      RHS.Size = 0;
+    }
+    void freeHeap() {
+      if (Data != Inline)
+        delete[] Data;
+    }
+
+    uint64_t *Data = Inline;
+    uint32_t Size = 0;
+    uint32_t Cap = InlineWords;
+    uint64_t Inline[InlineWords] = {};
+  };
+
   unsigned lanesPerWordLog() const { return 6u - LaneLog; }
   unsigned shiftOf(uint32_t Slot) const {
     return static_cast<unsigned>(
@@ -289,13 +399,9 @@ private:
   /// Drops zero words at both ends of the window; clears when none is
   /// left (canonical form).
   void trim();
-  /// Two bits: 1 when some lane present in this list is absent from
-  /// \p RHS or older there, 2 when some lane present in RHS is absent here
-  /// or older here.
-  unsigned notBelow(const PackedAges &RHS) const;
 
   /// Lane words of the window; word i holds slots of word BaseWord + i.
-  std::vector<uint64_t> Words;
+  LaneWords Words;
   uint32_t BaseWord = 0;
   /// log2(lane bits): 2/3/4 for nibble/byte/u16 lanes; 0 when empty.
   uint8_t LaneLog = 0;
@@ -381,21 +487,44 @@ class CacheAbsState {
   };
 
   /// Copy-on-write payload: set-sorted pointers to partition nodes, each
-  /// holding one reference.
+  /// holding one reference, and the partitions' set ids, so that walks
+  /// pair two states' partitions by set without loading the nodes.
   struct Payload {
     uint32_t RefCount = 1;
+    /// Set of Parts[0] while the sets are consecutive.
+    uint32_t FirstSet = 0;
     std::vector<PartNode *> Parts;
+    /// Set ids of Parts, stored exactly when they are not consecutive;
+    /// when empty, Parts[I] holds set FirstSet + I. States usually hold
+    /// every set of the cache, so most payloads store no ids.
+    std::vector<uint32_t> Sets;
     /// Lazily computed by structuralHash() from the partition hashes; 0
     /// means "not computed yet". Reset by every mutation.
     mutable uint64_t Hash = 0;
 
     ~Payload() { dropParts(); }
+
+    uint32_t setAt(size_t I) const {
+      return Sets.empty() ? FirstSet + static_cast<uint32_t>(I) : Sets[I];
+    }
+    /// Index of the first partition whose set is not below \p Set: O(1)
+    /// while the sets are consecutive.
+    size_t lowerBound(uint32_t Set) const;
+    /// Inserts \p N, holding set \p Set, at index \p Pos of the set order;
+    /// the payload takes the node's reference.
+    void insertPart(size_t Pos, uint32_t Set, PartNode *N);
+    /// Releases and removes every partition with no entries.
+    void dropEmptyParts();
+    /// Empties Sets when the ids are consecutive, so that Sets is empty
+    /// exactly when they are.
+    void dropConsecutiveSets();
     /// Releases every partition reference and empties Parts, keeping
-    /// the vector's capacity for the next user of a recycled payload.
+    /// the vectors' capacity for the next user of a recycled payload.
     void dropParts() {
       for (PartNode *N : Parts)
         releaseNode(N);
       Parts.clear();
+      Sets.clear();
     }
   };
 
@@ -554,9 +683,15 @@ public:
                        const MemoryModel &MM, bool UseShadow,
                        bool InsertExitMust, bool ApplyPressure);
 
-  /// this = this ⊔ \p From. Returns true iff this changed. Shared-storage
-  /// and hash-equal states short-circuit to "no change" without touching
-  /// any entry.
+  /// this = this ⊔ \p From. Returns true iff this changed. Shared
+  /// storage is "no change" without a walk. Otherwise one read-only pass
+  /// pairs the partitions by set and order-tests only the pairs held in
+  /// different nodes. When nothing changes, nothing is written. When the
+  /// result is \p From itself (the same sets, and every differing pair
+  /// yields From's partition), this releases its payload and shares
+  /// From's, cached hash included. Otherwise it unshares once and writes
+  /// only the changed partitions, adopting From's node where the pair
+  /// yields it. (Equal hashes cannot prove ⊑, so no hash test is made.)
   bool joinInto(const CacheAbsState &From, bool UseShadow);
 
   /// Partial-order check: true iff this ⊑ RHS (RHS is at least as
@@ -661,20 +796,42 @@ private:
   /// Ages by one every MUST entry in the partitions of \p Sets (sorted),
   /// evicting past \p Cap — an access that may miss in any of those sets.
   void ageSets(const std::vector<uint32_t> &Sets, uint32_t Cap);
-  /// Joins \p From into partition \p Idx, both of one set, when the
-  /// join changes ours; adopts \p From's node when the result is
-  /// \p From's partition (\p YieldsFrom).
-  void joinPartInto(size_t Idx, PartNode *From, bool YieldsFrom,
-                    bool UseShadow);
+  /// One partition-level write of a join, found by joinInto's read-only
+  /// pass: our partition \p I and their partition \p J.
+  struct JoinStep {
+    enum Kind : uint8_t {
+      ClearMust, ///< Our set only: the MUST intersection is empty.
+      Insert,    ///< Their set only: insert their MAY side before ours I.
+      Adopt,     ///< A pair whose join is their partition: share it.
+      Join,      ///< A pair whose join is neither side: build it.
+    };
+    uint32_t I, J;
+    Kind K;
+  };
+  /// joinInto for two non-bottom states in distinct payloads: the walk,
+  /// kept apart so that the shortcuts before it stay cheap.
+  bool joinDistinct(const CacheAbsState &From, bool UseShadow);
+  /// A node holding step \p K's result for our node \p Ours and their
+  /// node \p Theirs (null for ClearMust): theirs, retained, for Adopt,
+  /// else a fresh node.
+  static PartNode *joinedNode(JoinStep::Kind K, const PartNode &Ours,
+                              PartNode *Theirs, bool UseShadow);
+  /// Applies \p Steps (in walk order) to this non-bottom state, against
+  /// the partitions of \p From's payload \p Src: unshares the payload
+  /// once, folding in the first write, then writes only the stepped
+  /// partitions.
+  void applyJoinSteps(const JoinStep *Steps, size_t NSteps,
+                      const Payload &Src, bool UseShadow);
   /// Drops empty partitions; releases the payload when nothing is left so
   /// the empty state has a unique representation.
   void normalize();
 
+  /// The payload the walks read: an empty one for the empty and bottom
+  /// states.
+  const Payload &payload() const { return P ? *P : noPayload(); }
+  static const Payload &noPayload();
   /// The partition nodes (empty for the empty and bottom states).
-  const std::vector<PartNode *> &nodes() const {
-    return P ? P->Parts : noNodes();
-  }
-  static const std::vector<PartNode *> &noNodes();
+  const std::vector<PartNode *> &nodes() const { return payload().Parts; }
   /// Partition of \p Set, or nullptr.
   const CacheSetPartition *findPart(uint32_t Set) const;
   /// Node of \p Set's partition, or nullptr.

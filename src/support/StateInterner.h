@@ -14,19 +14,28 @@
 /// the domain's shared-storage O(1) no-change fast path instead of walking
 /// entries, and duplicate payload memory collapses.
 ///
-/// Requirements on StateT: cheap copies that alias storage (copy-on-write
-/// handles), `uint64_t structuralHash() const`, and structural
-/// `operator==`. Methods instantiate lazily, so declaring an interner for
-/// a state type without these hooks is harmless as long as intern() is
-/// never called (the engine gates on the domain's capability).
+/// The pool is one open-addressing table of (hash, state) slots keyed by
+/// the state's cached structural hash, probed linearly: a lookup reads
+/// consecutive slots of one array, comparing hashes first and states only
+/// on a hash match. Pooled states are pairwise distinct, and the first
+/// state interned for a structure stays its representative.
+///
+/// Requirements on StateT: default construction (empty slots hold one),
+/// cheap copies that alias storage (copy-on-write handles),
+/// `uint64_t structuralHash() const`, and structural `operator==`.
+/// Methods instantiate lazily, so declaring an interner for a state type
+/// without these hooks is harmless as long as intern() is never called
+/// (the engine gates on the domain's capability).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPECAI_SUPPORT_STATEINTERNER_H
 #define SPECAI_SUPPORT_STATEINTERNER_H
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace specai {
@@ -35,23 +44,35 @@ namespace specai {
 /// analysis run.
 template <typename StateT> class StateInterner {
 public:
+  /// Slots of a fresh table: most analyses pool tens to about 1,500
+  /// states, so the table starts small and doubles past half full.
+  static constexpr size_t InitialSlots = 64;
+  static_assert(std::has_single_bit(InitialSlots));
+
   /// Returns the canonical value equal to \p S. The returned handle
   /// aliases the pooled representative's storage, so later copies and
   /// equality checks against other interned values are O(1).
   StateT intern(const StateT &S) {
     uint64_t H = S.structuralHash();
-    std::vector<StateT> &Bucket = Pool[H];
-    for (const StateT &Canon : Bucket)
-      if (Canon == S) {
+    H += H == 0; // A zero hash marks an empty slot.
+    if (Slots.empty())
+      Slots.resize(InitialSlots);
+    size_t Mask = Slots.size() - 1;
+    size_t I = home(H);
+    for (; Slots[I].Hash; I = (I + 1) & Mask)
+      if (Slots[I].Hash == H && Slots[I].State == S) {
         ++HitCount;
-        return Canon;
+        return Slots[I].State;
       }
     ++MissCount;
     if (States >= MaxStates)
       return S; // Pool is full: hand the input back un-pooled.
     ++States;
-    Bucket.push_back(S);
-    return Bucket.back();
+    Slots[I].Hash = H;
+    Slots[I].State = S;
+    if (2 * States > Slots.size())
+      grow();
+    return S; // S aliases the new representative's storage.
   }
 
   /// Times intern() found an existing representative.
@@ -66,7 +87,38 @@ private:
   /// fixpoints, which stabilize on a few states per (node, color).
   static constexpr uint64_t MaxStates = 1 << 20;
 
-  std::unordered_map<uint64_t, std::vector<StateT>> Pool;
+  struct Slot {
+    uint64_t Hash = 0; ///< 0: empty.
+    StateT State;
+  };
+
+  /// The first slot probed for \p H: Fibonacci hashing takes the table
+  /// index from the product's top bits, so any hash bits spread.
+  size_t home(uint64_t H) const {
+    return static_cast<size_t>((H * 0x9E3779B97F4A7C15ULL) >> Shift);
+  }
+
+  /// Doubles the table and re-places every pooled state; pooled states
+  /// are distinct, so no equality test is needed.
+  void grow() {
+    std::vector<Slot> Old(Slots.size() * 2);
+    Old.swap(Slots);
+    --Shift;
+    size_t Mask = Slots.size() - 1;
+    for (Slot &E : Old) {
+      if (!E.Hash)
+        continue;
+      size_t I = home(E.Hash);
+      while (Slots[I].Hash)
+        I = (I + 1) & Mask;
+      Slots[I].Hash = E.Hash;
+      Slots[I].State = std::move(E.State);
+    }
+  }
+
+  std::vector<Slot> Slots;
+  /// 64 - log2(Slots.size()) once the table exists.
+  unsigned Shift = 64 - std::countr_zero(InitialSlots);
   uint64_t HitCount = 0;
   uint64_t MissCount = 0;
   uint64_t States = 0;

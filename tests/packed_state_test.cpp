@@ -153,7 +153,7 @@ struct DiffHarness {
     // Canonical windows: trimmed to nonzero end words, or fully reset.
     for (const CacheSetPartition &Part : S.partitions())
       for (const PackedAges *Ages : {&Part.Must, &Part.May}) {
-        const std::vector<uint64_t> &W = Ages->words();
+        std::span<const uint64_t> W = Ages->words();
         bool Canonical = W.empty() ? Ages->baseWord() == 0 &&
                                          Ages->laneBits() == 0
                                    : W.front() != 0 && W.back() != 0;
@@ -613,6 +613,177 @@ TEST(PackedStateWindows, GrowAndShrinkAtBothEnds) {
   EXPECT_EQ(Window(U, false).first, 0u);
   EXPECT_GT(Window(U, false).first + Window(U, false).second, 96u);
   ASSERT_TRUE(H.agree(U, Ru));
+}
+
+/// Two words of a lane window live inline in the list, more on the heap.
+/// Scripted: a window of one word grows below its base to three (inline to
+/// heap) and widening trims it at both ends back to one; then random
+/// differential scripts over a universe six words wide, where windows
+/// keep crossing the boundary both ways, with the reference in lock-step.
+TEST(PackedStateWindows, CrossTheInlineHeapBoundary) {
+  // 8 lines, nibble lanes: 16 slots per word. 48 concrete lines (slots
+  // 0-47, words 0-2) and their symbolic instances above.
+  DiffHarness H(CacheConfig::fullyAssociative(8, 8), /*UseShadow=*/true, 4);
+  const MemoryModel &MM = *H.MM;
+  auto WordOf = [&](BlockAddr B) { return MM.universe().locate(B).Slot / 16; };
+  BlockAddr Low = MM.blockOf(0, 0), High = MM.blockOf(5, 11);
+  BlockAddr Mid = MM.blockOf(2, 4);
+  ASSERT_EQ(WordOf(Low), 0u);
+  ASSERT_EQ(WordOf(Mid), 1u);
+  ASSERT_EQ(WordOf(High), 2u);
+  using Win = std::pair<uint32_t, size_t>;
+  auto Window = [](const CacheAbsState &S, bool May) {
+    const CacheSetPartition &Part = *S.partitions().begin();
+    const PackedAges &A = May ? Part.May : Part.Must;
+    return Win(A.baseWord(), A.words().size());
+  };
+  auto Access = [&](CacheAbsState &S, RefCacheState &R, BlockAddr B) {
+    S.accessBlock(B, MM, true);
+    R.accessBlock(B, MM, true);
+  };
+
+  CacheAbsState S = CacheAbsState::empty();
+  RefCacheState R = RefCacheState::empty();
+  Access(S, R, High);
+  EXPECT_EQ(Window(S, false), Win(2, 1));
+  Access(S, R, Low); // Grows below the base: one word to three.
+  EXPECT_EQ(Window(S, false), Win(0, 3));
+  EXPECT_EQ(Window(S, true), Win(0, 3));
+  ASSERT_TRUE(H.agree(S, R));
+
+  // Mid ages both old entries, so widening evicts them: three words back
+  // to one, trimmed at both ends.
+  CacheAbsState W = S;
+  RefCacheState Rw = R;
+  Access(W, Rw, Mid);
+  W.widenFrom(S);
+  Rw.widenFrom(R, 8);
+  EXPECT_EQ(Window(W, false), Win(1, 1));
+  EXPECT_EQ(Window(W, true), Win(0, 3));
+  ASSERT_TRUE(H.agree(W, Rw));
+
+  // The MUST intersection of a three-word and a one-word window is one
+  // word; the MAY union is three.
+  CacheAbsState J = CacheAbsState::empty();
+  RefCacheState Rj = RefCacheState::empty();
+  Access(J, Rj, Mid);
+  CacheAbsState K = S;
+  RefCacheState Rk = R;
+  Access(K, Rk, Mid);
+  J.joinInto(K, true);
+  Rj.joinInto(Rk, true);
+  EXPECT_EQ(Window(J, false), Win(1, 1));
+  EXPECT_EQ(Window(J, true), Win(0, 3));
+  ASSERT_TRUE(H.agree(J, Rj));
+
+  // Random scripts: count MUST windows that cross from at most two words
+  // to more, and back, between consecutive ops of one register (MAY
+  // windows mostly grow).
+  size_t Up = 0, Down = 0;
+  auto Widest = [](const CacheAbsState &St) {
+    size_t Max = 0;
+    for (const CacheSetPartition &Part : St.partitions())
+      Max = std::max(Max, Part.Must.words().size());
+    return Max;
+  };
+  Rng Seeds(0x1A11E);
+  for (unsigned Script = 0; Script != 200; ++Script) {
+    Rng Rn(Seeds.next());
+    CacheAbsState St[2] = {CacheAbsState::empty(), CacheAbsState::empty()};
+    RefCacheState Rf[2] = {RefCacheState::empty(), RefCacheState::empty()};
+    std::vector<Op> Ops;
+    for (unsigned I = 0; I != 16; ++I) {
+      Ops.push_back(H.randomOp(Rn));
+      size_t Before[2] = {Widest(St[0]), Widest(St[1])};
+      H.apply(Ops.back(), St, Rf);
+      for (unsigned Reg = 0; Reg != 2; ++Reg) {
+        std::string Why;
+        ASSERT_TRUE(H.agree(St[Reg], Rf[Reg], &Why))
+            << Why << " at op " << I << "\n"
+            << renderScript(Ops);
+        size_t After = Widest(St[Reg]);
+        Up += Before[Reg] <= 2 && After > 2;
+        Down += Before[Reg] > 2 && After <= 2 && After > 0;
+      }
+    }
+  }
+  EXPECT_GT(Up, 0u);
+  EXPECT_GT(Down, 0u);
+}
+
+/// Copy, assignment and move between inline and heap lane lists, and onto
+/// recycled arena nodes whose buffers come from the other kind.
+TEST(PackedStateWindows, CopiesAndMovesBetweenInlineAndHeapLists) {
+  auto Fill = [](std::initializer_list<uint32_t> Slots) {
+    PackedAges A;
+    uint16_t Age = 1;
+    for (uint32_t Slot : Slots)
+      A.set(Slot, Age++, 4);
+    return A;
+  };
+  auto Same = [](const PackedAges &A, const PackedAges &B) {
+    return A == B && std::equal(A.words().begin(), A.words().end(),
+                                B.words().begin(), B.words().end()) &&
+           A.baseWord() == B.baseWord();
+  };
+  const PackedAges Small = Fill({3, 20});        // Words 0-1: inline.
+  const PackedAges Wide = Fill({5, 40, 70, 99}); // Words 0-6: heap.
+  ASSERT_EQ(Small.words().size(), 2u);
+  ASSERT_EQ(Wide.words().size(), 7u);
+
+  for (const PackedAges *From : {&Small, &Wide}) {
+    PackedAges Copy(*From);
+    EXPECT_TRUE(Same(Copy, *From));
+    for (const PackedAges *Onto : {&Small, &Wide}) {
+      PackedAges Assigned = *Onto;
+      Assigned = *From;
+      EXPECT_TRUE(Same(Assigned, *From));
+      PackedAges Moved = *Onto;
+      PackedAges Source = *From;
+      Moved = std::move(Source);
+      EXPECT_TRUE(Same(Moved, *From));
+      Source = *Onto; // A moved-from list stays usable.
+      EXPECT_TRUE(Same(Source, *Onto));
+    }
+    PackedAges Source = *From;
+    PackedAges Constructed(std::move(Source));
+    EXPECT_TRUE(Same(Constructed, *From));
+    // Writes through a copy leave the original alone.
+    Copy.set(1, 9, 4);
+    EXPECT_FALSE(Same(Copy, *From));
+  }
+  PackedAges Self = Wide;
+  Self = *&Self;
+  EXPECT_TRUE(Same(Self, Wide));
+
+  // States over one universe under one arena, so that partition nodes
+  // retired by one kind of window are recycled into the other: clones of
+  // a three-word state land on nodes that held one-word windows, and the
+  // reverse.
+  DiffHarness H(CacheConfig::fullyAssociative(8, 8), /*UseShadow=*/true, 4);
+  const MemoryModel &MM = *H.MM;
+  CacheStateArenaScope Arena;
+  BlockAddr Low = MM.blockOf(0, 0), High = MM.blockOf(5, 11);
+  BlockAddr Mid = MM.blockOf(2, 4);
+  for (unsigned Round = 0; Round != 4; ++Round) {
+    // Inline first, so that the first wide round reuses inline nodes.
+    std::vector<BlockAddr> Trace = Round % 2 ? std::vector<BlockAddr>{Low, High}
+                                             : std::vector<BlockAddr>{Mid};
+    CacheAbsState S = CacheAbsState::empty();
+    RefCacheState R = RefCacheState::empty();
+    for (BlockAddr B : Trace) {
+      S.accessBlock(B, MM, true);
+      R.accessBlock(B, MM, true);
+    }
+    for (int Clone = 0; Clone != 3; ++Clone) {
+      CacheAbsState C = S; // Copy-on-write: the access clones the node.
+      RefCacheState Rc = R;
+      C.accessBlock(Trace.front(), MM, true);
+      Rc.accessBlock(Trace.front(), MM, true);
+      ASSERT_TRUE(H.agree(C, Rc)) << "round " << Round;
+      ASSERT_TRUE(H.agree(S, R)) << "round " << Round;
+    }
+  }
 }
 
 /// Slot order within a set is increasing BlockAddr order — what makes a

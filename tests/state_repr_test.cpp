@@ -257,14 +257,42 @@ TEST(PartitionCowTest, JoinAdoptsTheSourcePartitionItEquals) {
   ASSERT_TRUE(Joined.joinInto(B, true));
   ASSERT_FALSE(Joined.sharesPartitionWith(A, Set));
 
-  // So A ⊔ Joined equals Joined's partition there: the join must adopt
-  // that node rather than build an equal copy, and keep the rest shared.
+  // So A ⊔ Joined equals Joined's partition there, and Joined itself
+  // everywhere: the join must adopt Joined's whole payload rather than
+  // build an equal copy pointer by pointer.
   CacheAbsState Into = A;
   EXPECT_TRUE(Into.joinInto(Joined, true));
   EXPECT_EQ(Into, Joined);
   EXPECT_TRUE(Into.sharesPartitionWith(Joined, Set));
   EXPECT_EQ(sharedPartitions(Into, Joined), Into.partitions().size());
-  EXPECT_FALSE(Into.sharesStorageWith(Joined));
+  EXPECT_TRUE(Into.sharesStorageWith(Joined));
+}
+
+TEST(PartitionCowTest, JoinThatKeepsOursLeavesOurPayloadUntouched) {
+  // Into covers both sources: it equals From with no node shared, and is
+  // above Moved in the two sets Moved accessed. Each join must order-test
+  // those pairs and then change nothing.
+  Blocks F(64, stressGeometry());
+  CacheAbsState From = fillAll(F, 64);
+  CacheAbsState Into = fillAll(F, 64); // Equal, but no node shared.
+  BlockAddr X = F.block(7, 0), Y = F.block(40, 64);
+  ASSERT_NE(F.MM->setOf(X), F.MM->setOf(Y));
+  CacheAbsState Moved = Into;
+  Moved.accessBlock(X, *F.MM, true);
+  Moved.accessBlock(Y, *F.MM, true);
+  ASSERT_TRUE(Into.joinInto(Moved, true)); // Into ⊒ Moved now.
+  ASSERT_EQ(sharedPartitions(Into, From), 0u);
+  uint64_t Hash = Into.structuralHash();
+  CacheAbsState Alias = Into;
+
+  for (const CacheAbsState *Src : {&From, &Moved}) {
+    EXPECT_FALSE(Into.joinInto(*Src, true));
+    EXPECT_TRUE(Into.sharesStorageWith(Alias))
+        << "a join that changes nothing must not unshare";
+    EXPECT_FALSE(Into.sharesStorageWith(*Src));
+    EXPECT_EQ(sharedPartitions(Into, Alias), Into.partitions().size());
+    EXPECT_EQ(Into.structuralHash(), Hash);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -359,6 +387,52 @@ TEST(StateInternerTest, InterningCanonicalizesEqualStates) {
   C.accessBlock(F.block(2), *F.MM, true);
   Pool.intern(C);
   EXPECT_EQ(Pool.size(), 2u);
+}
+
+namespace {
+
+/// A state whose structural hash the test picks, so that lookups collide
+/// at will. Equality is by Value; Serial tells equal copies apart.
+struct CollidingState {
+  uint64_t Hash = 0;
+  int Value = 0;
+  int Serial = 0;
+
+  uint64_t structuralHash() const { return Hash; }
+  bool operator==(const CollidingState &RHS) const {
+    return Value == RHS.Value;
+  }
+};
+
+} // namespace
+
+TEST(StateInternerTest, GrowsPastItsInitialTableWithCollidingHashes) {
+  // Eight times the initial table's slots, over four hashes (one of them
+  // 0, the empty-slot marker), so every lookup walks a long collision run
+  // and the table doubles several times.
+  using Pool = StateInterner<CollidingState>;
+  const int N = 8 * static_cast<int>(Pool::InitialSlots);
+  auto HashOf = [](int V) { return uint64_t(V % 4) * 0x9E3779B97F4A7C15ULL; };
+  Pool P;
+  for (int V = 0; V != N; ++V)
+    EXPECT_EQ(P.intern({HashOf(V), V, V}).Serial, V)
+        << "a new structure is its own representative";
+  EXPECT_EQ(P.size(), uint64_t(N));
+  EXPECT_EQ(P.misses(), uint64_t(N));
+  EXPECT_EQ(P.hits(), 0u);
+
+  // Equal copies, interned in reverse, resolve to the first copy pooled.
+  for (int V = N; V-- != 0;)
+    EXPECT_EQ(P.intern({HashOf(V), V, N + V}).Serial, V) << "value " << V;
+  EXPECT_EQ(P.size(), uint64_t(N));
+  EXPECT_EQ(P.misses(), uint64_t(N));
+  EXPECT_EQ(P.hits(), uint64_t(N));
+
+  // A new value under a colliding hash is a miss, and pooled.
+  EXPECT_EQ(P.intern({HashOf(1), N, -1}).Serial, -1);
+  EXPECT_EQ(P.intern({HashOf(1), N, -2}).Serial, -1);
+  EXPECT_EQ(P.size(), uint64_t(N) + 1);
+  EXPECT_EQ(P.hits(), uint64_t(N) + 1);
 }
 
 //===----------------------------------------------------------------------===//

@@ -43,7 +43,8 @@ fi
 
 cmake -B "$BUILD" -S "$REPO" -DSPECAI_WERROR=ON
 cmake --build "$BUILD" -j "$JOBS"
-ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
+# The `stress` label runs next to the stress smokes below.
+ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" -LE stress
 
 # Bounded differential-fuzzing smoke: a fixed-seed campaign (~30 s) that
 # fails on any containment violation of the speculative analysis. The
@@ -103,8 +104,12 @@ cat "$BUILD/fuzz_lowering_smoke.json"
 # Stress smokes (tools/stress_smoke.sh): perfbench/stress.mc at 8-way,
 # under --lowering summarize, as the --no-spec baseline, under no-merge
 # and fully associative at 64 lines, plus the wide streaming fixture, each
-# with its verdict digest pinned.
+# with its verdict digest pinned. Then the stress pins
+# (tests/stress_pin_test.cpp): the full state digest and every engine
+# counter of stress.mc at 8-way, no-merge and fully associative, which the
+# count-only verdict digests cannot see.
 "$REPO/tools/stress_smoke.sh" "$BUILD" "$REPO"
+ctest --test-dir "$BUILD" -L stress --output-on-failure
 
 # Fixed-coverage perf smoke: the 50-program campaign behind
 # BENCH_fuzz.json, with timing JSON written next to the build
@@ -236,21 +241,25 @@ echo "tsan leg: unit suite + --jobs 4 fuzz and repair smokes race-free"
 # and partitions, so a refcount slip fails here as a leak or a
 # use-after-free), the paper-kernel digests (states of hundreds of
 # entries in 16-bit lanes, whose windows a lane-index slip would overrun),
-# the engine suite (the fixpoint's slot-map drains, self-loop node
-# included) and the batch suite (analyses on parallelFor workers), and a
-# sanitized daemon serving a --check trace.
+# the two domain suites (their lane-width sweeps move windows across the
+# two inline words of a lane list and onto the heap), the engine suite
+# (the fixpoint's slot-map drains, self-loop node included) and the batch
+# suite (analyses on parallelFor workers), and a sanitized daemon serving
+# a --check trace.
 ASAN_BUILD="$REPO/build-asan"
 cmake -B "$ASAN_BUILD" -S "$REPO" -DSPECAI_WERROR=ON \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target service_test \
-  packed_state_test paper_kernel_digest_test state_repr_test engine_test \
-  batch_runner_test specaid specaid-cli
+  packed_state_test paper_kernel_digest_test state_repr_test domain_test \
+  policy_domain_test engine_test batch_runner_test specaid specaid-cli
 "$ASAN_BUILD/tests/service_test"
 "$ASAN_BUILD/tests/packed_state_test"
 "$ASAN_BUILD/tests/paper_kernel_digest_test"
 "$ASAN_BUILD/tests/state_repr_test"
+"$ASAN_BUILD/tests/domain_test"
+"$ASAN_BUILD/tests/policy_domain_test"
 "$ASAN_BUILD/tests/engine_test"
 "$ASAN_BUILD/tests/batch_runner_test"
 SOCK="$ASAN_BUILD/specaid-asan.sock"
@@ -270,4 +279,4 @@ done
 "$ASAN_BUILD/tools/specaid-cli" --socket "$SOCK" --shutdown
 wait "$SPECAID_PID"
 trap - EXIT
-echo "asan leg: service, state-representation, engine and batch suites and daemon clean"
+echo "asan leg: service, state-representation, domain, engine and batch suites and daemon clean"
