@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// google-benchmark microbenchmarks of the abstract-domain primitives
-/// (transfer, join, widen, copy, hash, interning) across state sizes and
+/// (transfer, join, widen, copy, hash) across state sizes and
 /// cache geometries, plus end-to-end engine throughput on quantl — the
 /// knobs §6's optimizations trade against. The join/transfer benches run
 /// both fully associative (one partition) and 8-way set-associative
@@ -238,20 +238,6 @@ void BM_StructuralHash(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_StructuralHash)->Arg(16)->Arg(128)->Arg(512);
-
-void BM_Intern(benchmark::State &State) {
-  // Steady-state interning: equal states resolve to the pooled payload
-  // via one cached-hash lookup plus a shared-storage equality check.
-  DomainFixture F(static_cast<uint32_t>(State.range(0)));
-  StateInterner<CacheAbsState> Pool;
-  CacheAbsState A = F.fullState(true);
-  CacheAbsState Canon = Pool.intern(A);
-  benchmark::DoNotOptimize(Canon);
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Pool.intern(A));
-  State.SetItemsProcessed(State.iterations());
-}
-BENCHMARK(BM_Intern)->Arg(16)->Arg(512);
 
 void BM_QuantlAnalysis(benchmark::State &State) {
   DiagnosticEngine Diags;

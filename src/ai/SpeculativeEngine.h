@@ -79,20 +79,18 @@
 /// post-order for the baseline and FIFO for speculative runs) with an
 /// on-worklist bitmap; SS/PR slots live in sorted flat vectors (no
 /// per-slot node allocations), and a pop copies out only the slot flows
-/// it runs; with a non-empty plan, window transfers
-/// are memoized per (node, in-state-hash) for pure nodes, so re-drains
-/// across colors and re-seeding rounds reuse results; and seeded/rolled-
-/// back states are interned through a StateInterner, which makes the
-/// repeated slot joins hit the domain's shared-storage fast path. All of
-/// it is gated on the optional domain hooks and changes no result:
-/// identity and pure transfers are replayed bit-identically, and stateful
-/// (symbolic-instance) transfers are never memoized. A pop skips the
-/// flows at a pure node whose input did not change since they last ran;
-/// at a seed branch only while the site's window is no deeper than the
-/// one the flow last seeded, so every skip is a no-op. Independent of the
-/// hooks, PR slots are folded into PostRollback while iterating only at
-/// the condition loads the §6.2 bound reads, and each site's bound is
-/// cached until a state it reads changes.
+/// it runs; and with a non-empty plan, window transfers are memoized per
+/// (node, in-state-hash) for pure nodes, so re-drains across colors and
+/// re-seeding rounds reuse results. All of it is gated on the optional
+/// domain hooks and changes no result: identity and pure transfers are
+/// replayed bit-identically, and stateful (symbolic-instance) transfers
+/// are never memoized. A pop skips the flows at a pure node whose input
+/// did not change since they last ran; at a seed branch only while the
+/// site's window is no deeper than the one the flow last seeded, so every
+/// skip is a no-op. Independent of the hooks, PR slots are folded into
+/// PostRollback while iterating only at the condition loads the §6.2
+/// bound reads, and each site's bound is cached until a state it reads
+/// changes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,7 +102,6 @@
 #include "cfg/LoopInfo.h"
 #include "support/ExecBudget.h"
 #include "support/Fault.h"
-#include "support/StateInterner.h"
 
 #include <algorithm>
 #include <concepts>
@@ -214,8 +211,6 @@ struct EngineCounters {
   uint64_t PrJoins = 0;
   uint64_t FoldJoins = 0;
   uint64_t BoundJoins = 0;
-  uint64_t InternerHits = 0;
-  uint64_t InternerStates = 0;
 };
 
 /// Work queue over CFG nodes with an on-worklist bitmap: a node is never
@@ -500,17 +495,6 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   }
   EngineCounters &Count = R.Counters;
 
-  // Hash-consing pool behind the SS/PR slot seeds: both colors of a site
-  // and every re-drain seed from the same branch output share one payload,
-  // so the slot joins below short-circuit on shared storage.
-  StateInterner<State> Interner;
-  auto Canon = [&](const State &S) -> State {
-    if constexpr (HasMemoHooks)
-      return Interner.intern(S);
-    else
-      return S;
-  };
-
   /// Out-state of \p Node given input \p In. Identity transfers alias the
   /// input (copy-on-write), pure transfers go through the memo, and
   /// stateful transfers always recompute (they consume a fresh symbolic
@@ -705,14 +689,13 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
     // budget only generates work the drain loop will abandon anyway.
     if (Options.Budget && Options.Budget->exhausted())
       return 0;
-    State CanonOut = Canon(Out);
     uint32_t Site = SiteAt[Node];
     uint32_t Depth = SiteDepth(Site);
     if (Depth == 0)
       return 0; // b_hit == 0 disables speculation entirely (§6.2).
     MaxSeeded[Site] = std::max(MaxSeeded[Site], Depth);
     for (ColorId C : SeedColors[Node])
-      JoinSpec(Plan.wrongEntry(C), C, CanonOut, Depth);
+      JoinSpec(Plan.wrongEntry(C), C, Out, Depth);
     return Depth;
   };
 
@@ -734,11 +717,11 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
       JoinNormal(Target, Out);
       return;
     case MergeStrategy::JustInTime:
-      JoinPr(Target, PrKey{C, InvalidNode}, Canon(Out));
+      JoinPr(Target, PrKey{C, InvalidNode}, Out);
       return;
     case MergeStrategy::NoMerge:
     case MergeStrategy::MergeAtExit:
-      JoinPr(Target, PrKey{C, Source}, Canon(Out));
+      JoinPr(Target, PrKey{C, Source}, Out);
       return;
     }
   };
@@ -897,8 +880,6 @@ SpecResult<DomainT> runSpeculativeFixpoint(DomainT &D, const FlatCfg &G,
   Count.Pops = Worklist.pops();
   Count.Pushes = Worklist.pushes();
   Count.Deduped = Worklist.deduped();
-  Count.InternerHits = Interner.hits();
-  Count.InternerStates = Interner.size();
   return R;
 }
 

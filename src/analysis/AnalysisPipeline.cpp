@@ -126,8 +126,6 @@ void reportCounters(const EngineCounters &C, bool Speculative,
   Stats->increment("spec.joins.pr", C.PrJoins);
   Stats->increment("spec.joins.fold", C.FoldJoins);
   Stats->increment("spec.joins.bound", C.BoundJoins);
-  Stats->increment("spec.interner.hits", C.InternerHits);
-  Stats->increment("spec.interner.states", C.InternerStates);
 }
 
 /// Classifies the access nodes of a finished run into the report fields.

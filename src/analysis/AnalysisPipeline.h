@@ -120,7 +120,7 @@ struct MustHitOptions {
   /// When set, engine counters accumulate here across the run's engine
   /// invocations: "worklist.{pops,pushes,pushes.deduped}" for the
   /// baseline; for speculative runs the same under "spec.worklist." plus
-  /// "spec.memo.*", "spec.joins.*" and "spec.interner.*".
+  /// "spec.memo.*" and "spec.joins.*".
   StatisticSet *Stats = nullptr;
   /// Test-only fault injection (support/Fault.h), handed to the engine
   /// and the cache domain of every run; only engine and lowering faults

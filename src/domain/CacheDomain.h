@@ -143,7 +143,7 @@ public:
     return Var.NumElements == 1 || I.Index.isImm();
   }
 
-  /// Structural state hash for the engines' transfer memo and interner.
+  /// Structural state hash for the engines' transfer memo.
   uint64_t stateHash(const State &S) const { return S.structuralHash(); }
 
   void widen(State &Cur, const State &Prev) const { Cur.widenFrom(Prev); }

@@ -100,8 +100,7 @@
 ///    partition and each payload the combination of its nodes' hashes
 ///    (`structuralHash`); a mutation resets only the payload's hash and
 ///    those of the partitions it wrote. The hash gives equality a fast
-///    negative path and backs the engines' transfer memoization and the
-///    StateInterner pool.
+///    negative path and backs the engines' transfer memoization.
 ///
 /// States are confined to one thread at a time. Refcounts and the lazy
 /// hashes are plain integers, so every handle to one payload, and to the

@@ -60,7 +60,6 @@
 #include "service/VerdictCache.h"
 #include "support/Diagnostics.h"
 #include "support/Rng.h"
-#include "support/StateInterner.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Named counters that analysis runs accumulate (worklist pops and
-/// pushes, memo and interner hits, joins per flow kind). The bench
+/// pushes, memo hits and misses, joins per flow kind). The bench
 /// harness reads these to populate the paper's #Iteration/#Branch
 /// columns.
 ///
@@ -28,7 +28,6 @@ public:
   void increment(const std::string &Name, uint64_t By = 1) {
     Counters[Name] += By;
   }
-  void set(const std::string &Name, uint64_t Value) { Counters[Name] = Value; }
 
   /// Value of \p Name, or zero if never touched.
   uint64_t get(const std::string &Name) const {
@@ -36,12 +35,7 @@ public:
     return It == Counters.end() ? 0 : It->second;
   }
 
-  void clear() { Counters.clear(); }
-
   const std::map<std::string, uint64_t> &all() const { return Counters; }
-
-  /// One "name = value" line per counter, sorted by name.
-  std::string str() const;
 
 private:
   std::map<std::string, uint64_t> Counters;

@@ -8,9 +8,9 @@
 /// Pins the hot-path state representation introduced with the per-set
 /// partitioning rework: structural hashing consistent with equality,
 /// copy-on-write aliasing and unshare-on-mutate semantics, canonical
-/// (block-sorted) materialized entry views, the StateInterner pool, the
-/// engine's Fifo/Rpo worklist equivalence on pure programs, and the
-/// baseline's deduped-pop accounting and counter keys. The 20-seed golden digests in
+/// (block-sorted) materialized entry views, the engine's Fifo/Rpo
+/// worklist equivalence on pure programs, and the baseline's deduped-pop
+/// accounting and counter keys. The 20-seed golden digests in
 /// fuzz_regression_test.cpp separately pin that none of this moved any
 /// analysis result.
 ///
@@ -21,7 +21,6 @@
 #include "fuzz/ProgramGen.h"
 #include "fuzz/StateDigest.h"
 #include "support/Rng.h"
-#include "support/StateInterner.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -357,85 +356,6 @@ TEST(PartitionTest, SetAssociativeAgingIsConfinedToTheAccessedSet) {
 }
 
 //===----------------------------------------------------------------------===//
-// StateInterner
-//===----------------------------------------------------------------------===//
-
-TEST(StateInternerTest, InterningCanonicalizesEqualStates) {
-  Blocks F(4, CacheConfig::fullyAssociative(8));
-  StateInterner<CacheAbsState> Pool;
-
-  auto Build = [&] {
-    CacheAbsState S = CacheAbsState::empty();
-    S.accessBlock(F.block(0), *F.MM, true);
-    S.accessBlock(F.block(1), *F.MM, true);
-    return S;
-  };
-  CacheAbsState A = Build();
-  CacheAbsState B = Build(); // Equal, but a distinct payload.
-  EXPECT_FALSE(A.sharesStorageWith(B));
-
-  CacheAbsState CA = Pool.intern(A);
-  CacheAbsState CB = Pool.intern(B);
-  EXPECT_TRUE(CA.sharesStorageWith(CB))
-      << "interning must collapse equal states onto one payload";
-  EXPECT_EQ(CA, A);
-  EXPECT_EQ(Pool.size(), 1u);
-  EXPECT_EQ(Pool.hits(), 1u);
-  EXPECT_EQ(Pool.misses(), 1u);
-
-  CacheAbsState C = Build();
-  C.accessBlock(F.block(2), *F.MM, true);
-  Pool.intern(C);
-  EXPECT_EQ(Pool.size(), 2u);
-}
-
-namespace {
-
-/// A state whose structural hash the test picks, so that lookups collide
-/// at will. Equality is by Value; Serial tells equal copies apart.
-struct CollidingState {
-  uint64_t Hash = 0;
-  int Value = 0;
-  int Serial = 0;
-
-  uint64_t structuralHash() const { return Hash; }
-  bool operator==(const CollidingState &RHS) const {
-    return Value == RHS.Value;
-  }
-};
-
-} // namespace
-
-TEST(StateInternerTest, GrowsPastItsInitialTableWithCollidingHashes) {
-  // Eight times the initial table's slots, over four hashes (one of them
-  // 0, the empty-slot marker), so every lookup walks a long collision run
-  // and the table doubles several times.
-  using Pool = StateInterner<CollidingState>;
-  const int N = 8 * static_cast<int>(Pool::InitialSlots);
-  auto HashOf = [](int V) { return uint64_t(V % 4) * 0x9E3779B97F4A7C15ULL; };
-  Pool P;
-  for (int V = 0; V != N; ++V)
-    EXPECT_EQ(P.intern({HashOf(V), V, V}).Serial, V)
-        << "a new structure is its own representative";
-  EXPECT_EQ(P.size(), uint64_t(N));
-  EXPECT_EQ(P.misses(), uint64_t(N));
-  EXPECT_EQ(P.hits(), 0u);
-
-  // Equal copies, interned in reverse, resolve to the first copy pooled.
-  for (int V = N; V-- != 0;)
-    EXPECT_EQ(P.intern({HashOf(V), V, N + V}).Serial, V) << "value " << V;
-  EXPECT_EQ(P.size(), uint64_t(N));
-  EXPECT_EQ(P.misses(), uint64_t(N));
-  EXPECT_EQ(P.hits(), uint64_t(N));
-
-  // A new value under a colliding hash is a miss, and pooled.
-  EXPECT_EQ(P.intern({HashOf(1), N, -1}).Serial, -1);
-  EXPECT_EQ(P.intern({HashOf(1), N, -2}).Serial, -1);
-  EXPECT_EQ(P.size(), uint64_t(N) + 1);
-  EXPECT_EQ(P.hits(), uint64_t(N) + 1);
-}
-
-//===----------------------------------------------------------------------===//
 // Worklist orders: same fixpoints, fewer pops
 //===----------------------------------------------------------------------===//
 
@@ -517,7 +437,7 @@ TEST(WorklistOrderTest, SpeculativeOrdersAgreeOnPureTransferPrograms) {
   }
 }
 
-TEST(WorklistOrderTest, SpeculativeEngineReportsMemoAndInternerStats) {
+TEST(WorklistOrderTest, SpeculativeEngineReportsMemoStats) {
   DiagnosticEngine Diags;
   LoweringOptions LO;
   LO.EntryFunction = "quantl";
@@ -530,7 +450,6 @@ TEST(WorklistOrderTest, SpeculativeEngineReportsMemoAndInternerStats) {
   ASSERT_TRUE(R.Converged);
   EXPECT_GT(Stats.get("spec.worklist.pops"), 0u);
   EXPECT_GT(Stats.get("spec.memo.hits") + Stats.get("spec.memo.misses"), 0u);
-  EXPECT_GT(Stats.get("spec.interner.states"), 0u);
 }
 
 TEST(WorklistOrderTest, BaselineReportsOnlyWorklistCounters) {

@@ -9,8 +9,8 @@
 /// geometries: the full per-node state digest (digestModuleReport) and
 /// every EngineCounters field. A change to the cache-state representation
 /// or the engine's plumbing must leave every value here unchanged: the
-/// same states at every node, reached by the same pops, pushes, joins,
-/// memo lookups and interned states.
+/// same states at every node, reached by the same pops, pushes, joins
+/// and memo lookups.
 ///
 /// The verdict digests of tools/stress_smoke.sh hash only classification
 /// counts, and the no-merge and fully associative smokes share one digest
@@ -60,8 +60,7 @@ std::string render(const EngineCounters &C) {
      << C.Deduped << ", memo " << C.MemoHits << "/" << C.MemoMisses
      << ", joins normal " << C.NormalJoins << " spec " << C.SpecJoins
      << " pr " << C.PrJoins << " fold " << C.FoldJoins << " bound "
-     << C.BoundJoins << ", interner " << C.InternerHits << "/"
-     << C.InternerStates;
+     << C.BoundJoins;
   return OS.str();
 }
 
@@ -70,17 +69,14 @@ bool sameCounters(const EngineCounters &A, const EngineCounters &B) {
          A.Deduped == B.Deduped && A.MemoHits == B.MemoHits &&
          A.MemoMisses == B.MemoMisses && A.NormalJoins == B.NormalJoins &&
          A.SpecJoins == B.SpecJoins && A.PrJoins == B.PrJoins &&
-         A.FoldJoins == B.FoldJoins && A.BoundJoins == B.BoundJoins &&
-         A.InternerHits == B.InternerHits &&
-         A.InternerStates == B.InternerStates;
+         A.FoldJoins == B.FoldJoins && A.BoundJoins == B.BoundJoins;
 }
 
 EngineCounters counters(uint64_t Pops, uint64_t Pushes, uint64_t Deduped,
                         uint64_t MemoHits, uint64_t MemoMisses,
                         uint64_t NormalJoins, uint64_t SpecJoins,
                         uint64_t PrJoins, uint64_t FoldJoins,
-                        uint64_t BoundJoins, uint64_t InternerHits,
-                        uint64_t InternerStates) {
+                        uint64_t BoundJoins) {
   EngineCounters C;
   C.Pops = Pops;
   C.Pushes = Pushes;
@@ -92,8 +88,6 @@ EngineCounters counters(uint64_t Pops, uint64_t Pushes, uint64_t Deduped,
   C.PrJoins = PrJoins;
   C.FoldJoins = FoldJoins;
   C.BoundJoins = BoundJoins;
-  C.InternerHits = InternerHits;
-  C.InternerStates = InternerStates;
   return C;
 }
 
@@ -104,15 +98,15 @@ const StressPin Pins[] = {
     {"8-way", CacheConfig::setAssociative(512, 8), MergeStrategy::JustInTime,
      0x8ce7e53c41156667,
      counters(68464, 715035, 646571, 431, 192579, 48502, 227141, 730092,
-              62342, 3828, 85239, 79010)},
+              62342, 3828)},
     {"no-merge", CacheConfig::setAssociative(64, 4), MergeStrategy::NoMerge,
      0x6196298737f46fd4,
      counters(79728, 1428842, 1349114, 62199, 323772, 67971, 310554,
-              1497364, 137654, 1856, 140787, 39895)},
+              1497364, 137654, 1856)},
     {"fully-assoc", CacheConfig::fullyAssociative(64),
      MergeStrategy::JustInTime, 0x82d0b0214658b2cd,
      counters(126653, 903683, 777030, 48, 245047, 49077, 263918, 933348,
-              85289, 5819, 72849, 107537)},
+              85289, 5819)},
 };
 
 } // namespace

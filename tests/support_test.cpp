@@ -150,8 +150,6 @@ TEST(StatisticsTest, IncrementAndGet) {
   Stats.increment("joins");
   Stats.increment("joins", 4);
   EXPECT_EQ(Stats.get("joins"), 5u);
-  Stats.set("joins", 1);
-  EXPECT_EQ(Stats.get("joins"), 1u);
 }
 
 TEST(TableTest, AlignsColumns) {

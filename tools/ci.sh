@@ -102,9 +102,10 @@ cat "$BUILD/fuzz_lowering_smoke.json"
 "$REPO/tools/replay_smoke.sh" "$BUILD/tools/specai-fuzz" "$BUILD"
 
 # Stress smokes (tools/stress_smoke.sh): perfbench/stress.mc at 8-way,
-# under --lowering summarize, as the --no-spec baseline, under no-merge
-# and fully associative at 64 lines, plus the wide streaming fixture, each
-# with its verdict digest pinned. Then the stress pins
+# under --lowering summarize, as the --no-spec baseline, under no-merge,
+# fully associative at 64 lines and at 512 lines under a 256 MiB
+# address-space ceiling, plus the wide streaming fixture, each with its
+# verdict digest pinned. Then the stress pins
 # (tests/stress_pin_test.cpp): the full state digest and every engine
 # counter of stress.mc at 8-way, no-merge and fully associative, which the
 # count-only verdict digests cannot see.

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Stress smokes: perfbench/stress.mc under five configurations and the
+# Stress smokes: perfbench/stress.mc under six configurations and the
 # wide streaming fixture, each with its verdict digest
 # (`specai-cli --digest`) pinned exactly. The digest
 # covers the verdict (classification counters and leak sites), not the
@@ -56,6 +56,13 @@ check no-merge 0x4775884268f1fa69 "$STRESS" --lines 64 --assoc 4 \
 # in byte lanes over a universe of hundreds of blocks, so joins and the
 # shadow aging run over windows dozens of words wide.
 check fully-assoc 0x4775884268f1fa69 "$STRESS" --lines 64
+
+# Fully associative at 512 lines under a 256 MiB address-space ceiling:
+# the analysis needs a few tens of MiB, so a pool that retains every
+# seeded or rolled-back state until the run ends (it took 1.2 GiB here)
+# fails this with std::bad_alloc.
+(ulimit -v 262144; check memory-ceiling 0xe45308196d1bf461 "$STRESS" \
+  --lines 512)
 
 # 16,384 lines streamed through the default 512-line fully associative
 # cache: pins the wide-universe case, whose lane windows must stay
